@@ -15,9 +15,8 @@
                                  analysis (check-cluster) across replica
                                  counts at one and four domains
      bench/main.exe compiled   — b17: the compiled resolution engine vs
-                                 the interpreter and the cache, by path
-                                 depth, store size, coherence sweep and
-                                 mutation mix
+                                 the interpreter, by path depth, store
+                                 size, coherence sweep and mutation mix
      bench/main.exe explore    — b19: bounded schedule-space exploration
                                  (explore) at one and four domains, plus
                                  an instrumented workload run reporting
@@ -156,16 +155,11 @@ module Fixtures = struct
 
   let codec_text = Naming.Codec.to_string newcastle_store
 
-  let cache = Naming.Cache.create store
   let unix_root = Schemes.Unix_scheme.root unix
 
-  (* a deep path, where memoisation actually pays *)
   let hot_name =
     Naming.Name.of_string
       (String.concat "/" (List.init 16 (fun i -> Printf.sprintf "d%d" (i + 1))))
-
-  (* warm the cache once *)
-  let () = ignore (Naming.Cache.resolve_in cache unix_root hot_name)
 
   let jade =
     let st = Naming.Store.create () in
@@ -195,21 +189,6 @@ module Fixtures = struct
           Analysis.Flow.Flow (Analysis.Flow.Use { proc = 0; name = probe });
         ])
       (Workload.Script.random_ops w ~rng ~n)
-
-  (* b13: one mutation in /tmp per nine cached resolutions of hot paths
-     elsewhere — the workload fine-grained invalidation exists for. *)
-  let b13_store = Naming.Store.create ()
-  let b13_fs = Vfs.Fs.create b13_store
-  let () = Vfs.Fs.populate b13_fs Schemes.Unix_scheme.default_tree
-  let b13_root = Vfs.Fs.root b13_fs
-  let b13_cache = Naming.Cache.create b13_store
-
-  let b13_names =
-    List.map Naming.Name.of_string
-      [ "usr/bin/cc"; "bin/ls"; "etc/passwd"; "usr/lib/libc"; "bin" ]
-
-  let b13_rng = Dsim.Rng.create 42L
-  let b13_k = ref 0
 
   (* b14: the E10 scheme-matrix worlds, built once; the bench times the
      sweep itself (one row per world, three degrees per row). *)
@@ -267,42 +246,6 @@ module Fixtures = struct
       duration = 40.0;
     }
 end
-
-(* The b13 workload at report scale: a fresh world, [ops] operations,
-   returning the cache counters. Also the source of the hit-rate figure
-   in the JSON report. *)
-let cache_workload ~ops =
-  let st = Naming.Store.create () in
-  let fs = Vfs.Fs.create st in
-  Vfs.Fs.populate fs Schemes.Unix_scheme.default_tree;
-  let root = Vfs.Fs.root fs in
-  let cache = Naming.Cache.create st in
-  let names =
-    List.map Naming.Name.of_string
-      [ "usr/bin/cc"; "bin/ls"; "etc/passwd"; "usr/lib/libc"; "bin" ]
-  in
-  let rng = Dsim.Rng.create (Int64.of_int seed) in
-  for k = 0 to ops - 1 do
-    if k mod 10 = 0 then
-      ignore
-        (Vfs.Fs.add_file fs (Printf.sprintf "/tmp/f%d" (k mod 64)) ~content:"x")
-    else ignore (Naming.Cache.resolve_in cache root (Dsim.Rng.pick rng names))
-  done;
-  Naming.Cache.stats cache
-
-let workload_stats : (int * Naming.Cache.stats) option ref = ref None
-
-let report_cache_workload () =
-  let ops = 100_000 in
-  let s = cache_workload ~ops in
-  workload_stats := Some (ops, s);
-  let total = s.Naming.Cache.hits + s.Naming.Cache.misses in
-  Printf.printf
-    "\nb13 workload (%d ops, seed %d): hits=%d misses=%d invalidations=%d \
-     evictions=%d hit_rate=%.4f\n"
-    ops seed s.Naming.Cache.hits s.Naming.Cache.misses
-    s.Naming.Cache.invalidations s.Naming.Cache.evictions
-    (float_of_int s.Naming.Cache.hits /. float_of_int (max 1 total))
 
 (* Every run_bechamel call appends its rows here; --json dumps them and
    the b17 report reads its depth series back out. *)
@@ -389,32 +332,9 @@ let micro_tests =
            ignore
              (Naming.Resolver.resolve_in Fixtures.store Fixtures.unix_root
                 Fixtures.hot_name)));
-    Test.make ~name:"b11b: resolve_in, cached (hot)"
-      (Staged.stage (fun () ->
-           ignore
-             (Naming.Cache.resolve_in Fixtures.cache Fixtures.unix_root
-                Fixtures.hot_name)));
     Test.make ~name:"b12: flow analysis (all sample plans)"
       (Staged.stage (fun () ->
            ignore (Analysis.Flow.analyze_many ~jobs Fixtures.flow_plans)));
-    (* A fixed 1-mutation + 9-resolves bundle per run: the 10% mutation
-       mix of the report workload, with every run identical in
-       composition so the per-run cost is stationary and the OLS fit
-       meaningful (a stateful every-10th-run-mutates thunk is bimodal
-       and fits a line badly no matter the sample count). *)
-    Test.make ~name:"b13: cached resolve, 10-op mutate/resolve bundle"
-      (Staged.stage (fun () ->
-           let k = !Fixtures.b13_k in
-           Fixtures.b13_k := k + 1;
-           ignore
-             (Vfs.Fs.add_file Fixtures.b13_fs
-                (Printf.sprintf "/tmp/f%d" (k mod 64))
-                ~content:"x");
-           for _ = 1 to 9 do
-             ignore
-               (Naming.Cache.resolve_in Fixtures.b13_cache Fixtures.b13_root
-                  (Dsim.Rng.pick Fixtures.b13_rng Fixtures.b13_names))
-           done));
     Test.make ~name:"b14: scheme matrix sweep (all E10 worlds)"
       (Staged.stage (fun () ->
            ignore (Harness.Matrix.measure_all ~jobs Fixtures.matrix_worlds)));
@@ -470,12 +390,11 @@ let cluster_tests =
     indexed ~name:"b16b: check-cluster by replicas, jobs 4" ~jobs:4;
   ]
 
-(* The b17 series: the compiled engine against the interpreter and the
-   cache on the resolver's dominant shapes — path depth (the b1/b2
-   axis), store size (the s4 axis), the coherence sweep through ?jobs,
-   and the b13 mutation mix (where every tenth op forces an incremental
-   patch). Shares the `compiled` positional selector with
-   BENCH_<date>_b17.json. *)
+(* The b17 series: the compiled engine against the interpreter on the
+   resolver's dominant shapes — path depth (the b1/b2 axis), store size
+   (the s4 axis), the coherence sweep through ?jobs, and a mutation mix
+   (where every tenth op forces an incremental patch). Shares the
+   `compiled` positional selector with BENCH_<date>_b17.json. *)
 let compiled_tests =
   let open Bechamel in
   let depths = [ 2; 8; 16; 32 ] in
@@ -505,8 +424,6 @@ let compiled_tests =
   [
     by_depth ~name:"b17a: resolve by depth, interpreted" (fun n ->
         Naming.Resolver.resolve Fixtures.store Fixtures.ctx n);
-    by_depth ~name:"b17b: resolve by depth, cached" (fun n ->
-        Naming.Cache.resolve Fixtures.cache Fixtures.ctx n);
     by_depth ~name:"b17c: resolve by depth, compiled" (fun n ->
         Naming.Compiled.resolve Fixtures.compiled Fixtures.ctx n);
     Test.make_indexed ~name:"b17d: resolve by store size, compiled"
@@ -515,12 +432,11 @@ let compiled_tests =
         let st, root, name = s4_world n in
         let c = Naming.Compiled.compile st in
         Staged.stage (fun () -> ignore (Naming.Compiled.resolve_in c root name)));
-    Test.make ~name:"b17e: coherence sweep (newcastle), engine cached"
-      (sweep_engine `Cached);
     Test.make ~name:"b17f: coherence sweep (newcastle), engine compiled"
       (sweep_engine `Compiled);
-    (* the b13 bundle, compiled: one mutation per nine resolves, so each
-       bundle pays one incremental patch round *)
+    (* one mutation per nine resolves, so each bundle pays one
+       incremental patch round; every run is identical in composition,
+       so the per-run cost is stationary and the OLS fit meaningful *)
     Test.make ~name:"b17g: compiled resolve, 10-op mutate/resolve bundle"
       (Staged.stage (fun () ->
            let k = !Fixtures.b17_k in
@@ -723,7 +639,7 @@ let run_worlds () =
                   { b18_engine = label; b18_jobs = jobs; b18_est = est;
                     b18_seconds = seconds })
                 [ 1; 4 ])
-            [ `Interpreted; `Cached; `Compiled ]
+            [ `Interpreted; `Compiled ]
         in
         { b18_size = size; b18_build_s = build_s;
           b18_enumerate_s = enumerate_s; b18_probes = Array.length probes;
@@ -918,8 +834,7 @@ let scaling_tests =
         Staged.stage (fun () -> ignore (Analysis.Flow.analyze plan)))
   in
   (* s4: a fixed probe path in stores of growing size — resolution cost
-     should depend on path depth, not store population, and the cached
-     walk should be flat in both. *)
+     should depend on path depth, not store population. *)
   let s4_world n =
     let st = Naming.Store.create () in
     let fs = Vfs.Fs.create st in
@@ -927,26 +842,15 @@ let scaling_tests =
     for i = 1 to n do
       ignore (Vfs.Fs.add_file fs (Printf.sprintf "/a/f%d" i) ~content:"x")
     done;
-    let root = Vfs.Fs.root fs in
-    let name = Naming.Name.of_string "a/b/c/d" in
-    let cache = Naming.Cache.create st in
-    ignore (Naming.Cache.resolve_in cache root name);
-    (st, root, name, cache)
+    (st, Vfs.Fs.root fs, Naming.Name.of_string "a/b/c/d")
   in
-  let store_sizes = [ 64; 256; 1024; 4096 ] in
   let size_plain =
     Test.make_indexed ~name:"s4a: resolve by store size, plain"
-      ~args:store_sizes (fun n ->
-        let st, root, name, _cache = s4_world n in
+      ~args:[ 64; 256; 1024; 4096 ] (fun n ->
+        let st, root, name = s4_world n in
         Staged.stage (fun () -> ignore (Naming.Resolver.resolve_in st root name)))
   in
-  let size_cached =
-    Test.make_indexed ~name:"s4b: resolve by store size, cached"
-      ~args:store_sizes (fun n ->
-        let _st, root, name, cache = s4_world n in
-        Staged.stage (fun () -> ignore (Naming.Cache.resolve_in cache root name)))
-  in
-  [ depth_test; matrix_test; flow_test; size_plain; size_cached ]
+  [ depth_test; matrix_test; flow_test; size_plain ]
 
 (* Measurement methodology (doc/PERF.md):
    1. a discarded warmup pass faults in the fixtures and warms caches;
@@ -1059,16 +963,6 @@ let write_json () =
   let out fmt = Printf.fprintf oc fmt in
   out "{\n  \"date\": \"%s\",\n  \"seed\": %d,\n  \"jobs\": %d,\n" (today ())
     seed jobs;
-  (match !workload_stats with
-  | None -> ()
-  | Some (ops, s) ->
-      let total = max 1 (s.Naming.Cache.hits + s.Naming.Cache.misses) in
-      out
-        "  \"cache_workload\": {\"ops\": %d, \"hits\": %d, \"misses\": %d, \
-         \"invalidations\": %d, \"evictions\": %d, \"hit_rate\": %.4f},\n"
-        ops s.Naming.Cache.hits s.Naming.Cache.misses
-        s.Naming.Cache.invalidations s.Naming.Cache.evictions
-        (float_of_int s.Naming.Cache.hits /. float_of_int total));
   (match !compiled_workload with
   | None -> ()
   | Some (compile_ms, s) ->
@@ -1161,9 +1055,7 @@ let run_experiments ppf = Harness.Experiments.run_all ppf
 let () =
   let ppf = Format.std_formatter in
   (match positional with
-  | "micro" :: _ ->
-      run_bechamel ~name:"micro" micro_tests;
-      report_cache_workload ()
+  | "micro" :: _ -> run_bechamel ~name:"micro" micro_tests
   | "scaling" :: _ -> run_bechamel ~name:"scaling" scaling_tests
   | "chaos" :: _ -> run_bechamel ~name:"chaos" chaos_tests
   | "cluster" :: _ -> run_bechamel ~name:"cluster" cluster_tests
@@ -1184,8 +1076,7 @@ let () =
       run_experiments ppf;
       Format.fprintf ppf "@\n%s@\nBechamel benchmarks (one per reproduced artefact + primitives)@\n%s@\n@."
         (String.make 72 '=') (String.make 72 '=');
-      run_bechamel ~name:"bench" (micro_tests @ experiment_tests);
-      report_cache_workload ()
+      run_bechamel ~name:"bench" (micro_tests @ experiment_tests)
   | unknown :: _ ->
       Printf.eprintf
         "unknown argument %S (expected: micro | scaling | chaos | cluster | \

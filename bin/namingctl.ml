@@ -24,9 +24,6 @@
                         --leader-kill; nonzero exit on errors)
      coherence <scheme> <name>
                         per-activity resolution and coherence verdict
-     cache-stats <scheme|all>
-                        run a representative cached workload over a sample
-                        world and print the memoising resolver's counters
      diff <scheme>      bucketed namespace diff of two activities
      dot <scheme>       print the naming graph of a sample world (graphviz)
      trace <scheme> <name>
@@ -61,7 +58,7 @@
                         --engine, --jobs, --json; nonzero exit when the
                         interval stays wider than epsilon)
 
-   analyze, check-script, check-cluster, explore, chaos and cache-stats
+   analyze, check-script, check-cluster, explore, chaos and compile-stats
    take --jobs N (default from NAMING_JOBS, else 1) to fan their sweeps
    across N domains; output is printed sequentially in input order
    regardless of jobs. *)
@@ -182,38 +179,6 @@ let cmd_coherence scheme name =
       (match verdict with
       | Naming.Coherence.Coherent _ | Naming.Coherence.Weakly_coherent _ -> 0
       | Naming.Coherence.Incoherent _ | Naming.Coherence.Vacuous -> 1)
-
-(* Three coherence sweeps (every probe from every activity) through one
-   shared cache, with a mutation burst between the second and third: the
-   workload every batch entry point runs, at observable scale. *)
-let cmd_cache_stats scheme jobs =
-  on_schemes scheme (fun scheme ->
-      let w = sample_world scheme in
-      let cache = Naming.Cache.create w.store in
-      let occs = List.map Naming.Occurrence.generated w.activities in
-      let probes = probes_of_world w in
-      ignore (Naming.Coherence.measure ~cache ~jobs w.store w.rule occs probes);
-      ignore (Naming.Coherence.measure ~cache ~jobs w.store w.rule occs probes);
-      let scratch =
-        Naming.Store.create_context_object ~label:"scratch" w.store
-      in
-      (match List.rev (Naming.Store.context_objects w.store) with
-      | dir :: _ ->
-          Naming.Store.bind w.store ~dir (Naming.Name.atom "scratch") scratch
-      | [] -> ());
-      ignore (Naming.Coherence.measure ~cache ~jobs w.store w.rule occs probes);
-      let s = Naming.Cache.stats cache in
-      let total = max 1 (s.Naming.Cache.hits + s.Naming.Cache.misses) in
-      Printf.printf
-        "%s: %d probes x %d activities, 3 sweeps, 1 mutation in between\n"
-        scheme (List.length probes) (List.length w.activities);
-      Printf.printf
-        "  hits=%d misses=%d invalidations=%d evictions=%d entries=%d \
-         hit_rate=%.4f\n"
-        s.Naming.Cache.hits s.Naming.Cache.misses s.Naming.Cache.invalidations
-        s.Naming.Cache.evictions s.Naming.Cache.entries
-        (float_of_int s.Naming.Cache.hits /. float_of_int total);
-      0)
 
 (* Compiles each sample world to packed dispatch form and reports the
    table footprint, the compile cost, and the incremental patching
@@ -685,14 +650,9 @@ let cmd_estimate target confidence epsilon max_samples seed engine jobs json =
   let engine_kind =
     match String.lowercase_ascii engine with
     | "" | "default" -> Ok None
-    | "interpreted" -> Ok (Some `Interpreted)
-    | "cached" -> Ok (Some `Cached)
-    | "compiled" -> Ok (Some `Compiled)
-    | _ ->
-        Error
-          (Printf.sprintf
-             "invalid --engine %S (expected interpreted, cached or compiled)"
-             engine)
+    | s ->
+        Result.map Option.some (Naming.Engine.parse_kind s)
+        |> Result.map_error (fun msg -> "invalid --engine " ^ msg)
   in
   match (estimate_world target, engine_kind) with
   | Error msg, _ | _, Error msg ->
@@ -999,7 +959,7 @@ let estimate_cmd =
   let engine =
     Arg.(value & opt string "default"
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Resolution engine: interpreted, cached or compiled \
+             ~doc:"Resolution engine: interpreted or compiled \
                    (default: the library's usual selection, honouring \
                    NAMING_ENGINE).")
   in
@@ -1045,13 +1005,6 @@ let coherence_cmd =
        ~doc:"Check a name's coherence across a sample world's activities")
     Term.(const cmd_coherence $ scheme_arg $ name_arg)
 
-let cache_stats_cmd =
-  Cmd.v
-    (Cmd.info "cache-stats"
-       ~doc:"Run a representative cached workload over a sample world and \
-             print the memoising resolver's hit/miss/invalidation counters")
-    Term.(const cmd_cache_stats $ scheme_or_all_arg $ jobs_opt)
-
 let compile_stats_cmd =
   Cmd.v
     (Cmd.info "compile-stats"
@@ -1064,8 +1017,7 @@ let main =
     [
       `S Manpage.s_description;
       `P "Inspection: $(b,list), $(b,dot), $(b,dump), $(b,trace), \
-          $(b,diff), $(b,coherence), $(b,cache-stats), \
-          $(b,compile-stats).";
+          $(b,diff), $(b,coherence), $(b,compile-stats).";
       `P "Experiments: $(b,exp), $(b,report).";
       `P "Scale: $(b,worldgen) (seeded million-entity worlds, streamed \
           as Codec v1), $(b,estimate) (sampling-based coherence degree \
@@ -1088,7 +1040,7 @@ inspection tool"
     [
       list_cmd; exp_cmd; report_cmd; dot_cmd; dump_cmd; lint_cmd;
       analyze_cmd; check_script_cmd; check_cluster_cmd; explore_cmd;
-      trace_cmd; coherence_cmd; diff_cmd; cache_stats_cmd;
+      trace_cmd; coherence_cmd; diff_cmd;
       compile_stats_cmd; chaos_cmd; worldgen_cmd; estimate_cmd;
     ]
 

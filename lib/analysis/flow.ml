@@ -275,14 +275,13 @@ let replay ?(config = default_config) ?engine:ekind (plan : plan) =
   let env = Sc.env w in
   let fs = Sc.fs w in
   let asg = Schemes.Process_env.assignment env in
-  (* One engine for the whole replay, cached by default. Script ops
-     mutate the store between flows; dependency-tracked invalidation
-     (cached) or incremental recompilation (compiled) means only the
-     resolutions that actually cross a mutated context re-walk. *)
+  (* One engine for the whole replay, the interpreter by default. Script
+     ops mutate the store between flows; a compiled engine re-patches
+     only the tables those ops touched. *)
   let engine =
     match ekind with
     | Some k -> Naming.Engine.create k store
-    | None -> Naming.Engine.of_env ~default:`Cached store
+    | None -> Naming.Engine.of_env store
   in
   let parents : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let proc i =

@@ -10,7 +10,6 @@ type t = {
 }
 
 let engine t = t.engine
-let cache t = Naming.Engine.cache t.engine
 
 let occurrences t = List.map Naming.Occurrence.generated t.activities
 
@@ -44,21 +43,11 @@ let default_probes ?(max_depth = 3) t =
             (fun (n, _e) -> add (N.cons N.root_atom n))
             (Naming.Graph.all_names t.store root_ctx ~max_depth ()))
     (contexts t);
-  let probes = List.rev !out in
-  (* Resolve every discovered probe from every vantage point once, so the
-     subject's engine is warm (cache entries filled, compiled tables up
-     to date) before any coherence sweep over it runs. *)
-  List.iter
-    (fun (_a, ctx) ->
-      List.iter
-        (fun n -> ignore (Naming.Engine.resolve t.engine ctx n))
-        probes)
-    (contexts t);
-  probes
+  List.rev !out
 
 let v ?probes ?engine ~rule ~activities store =
   if activities = [] then invalid_arg "Subject.v: no activities";
-  let engine = Naming.Engine.select ?engine ~default:`Cached store in
+  let engine = Naming.Engine.select ?engine store in
   let t = { store; rule; activities; probes = []; engine } in
   let probes = match probes with Some p -> p | None -> default_probes t in
   { t with probes }

@@ -14,7 +14,7 @@ type t = private {
   probes : Naming.Name.t list;
   engine : Naming.Engine.t;
       (** The resolution engine over [store], shared by analyses of this
-          subject; {!default_probes} warms it. *)
+          subject. *)
 }
 
 val v :
@@ -26,14 +26,11 @@ val v :
   t
 (** When [probes] is omitted, {!default_probes} is used. The engine is
     chosen by {!Naming.Engine.select}: [?engine], then [NAMING_ENGINE],
-    then a fresh cached engine — the historical default.
+    then the interpreter.
     @raise Invalid_argument on an empty activity list. *)
 
 val engine : t -> Naming.Engine.t
 (** The subject's shared engine (same as the [engine] field). *)
-
-val cache : t -> Naming.Cache.t option
-(** Its cache, when the engine is the cached one. *)
 
 val occurrences : t -> Naming.Occurrence.t list
 (** One [Generated] occurrence per activity, in order. *)

@@ -5,17 +5,17 @@ type verdict =
   | Vacuous
 
 (* Rule.resolve through an engine: the rule selects the context, the
-   engine performs (and possibly memoises or compiles) the walk. *)
+   engine performs the walk. *)
 let resolve_via_engine engine store rule occ name =
   match Rule.select rule store occ with
   | None -> Entity.undefined
   | Some ctx -> Engine.resolve engine ctx name
 
-let check ?(equiv = Entity.equal) ?cache ?engine store rule occs name =
+let check ?(equiv = Entity.equal) ?engine store rule occs name =
   match occs with
   | [] -> invalid_arg "Coherence.check: no occurrences"
   | first :: rest ->
-      let engine = Engine.select ?cache ?engine ~default:`Interpreted store in
+      let engine = Engine.select ?engine store in
       let resolve occ = (occ, resolve_via_engine engine store rule occ name) in
       let results = resolve first :: List.map resolve rest in
       let defined = List.filter (fun (_, e) -> Entity.is_defined e) results in
@@ -34,8 +34,8 @@ let check ?(equiv = Entity.equal) ?cache ?engine store rule occs name =
                     Coherent d
                   else Weakly_coherent (List.map snd results))))
 
-let is_coherent ?equiv ?cache ?engine store rule occs name =
-  match check ?equiv ?cache ?engine store rule occs name with
+let is_coherent ?equiv ?engine store rule occs name =
+  match check ?equiv ?engine store rule occs name with
   | Coherent _ | Weakly_coherent _ -> true
   | Incoherent _ | Vacuous -> false
 
@@ -57,34 +57,23 @@ let strict_degree r =
   if meaningful <= 0 then 1.0
   else float_of_int r.coherent /. float_of_int meaningful
 
-(* Batch entry points share one engine across every (occurrence, probe)
-   pair: with the default cached engine, probes that share a path prefix
-   walk it once; with the compiled engine, the world is compiled once. *)
-let batch_engine ?cache ?engine store =
-  Engine.select ?cache ?engine ~default:`Cached store
-
 (* The parallel fan-out behind [?jobs]: one verdict per probe, computed
    across domains with the store frozen (a mutation mid-sweep raises
    instead of racing) and an engine shard per worker ({!Engine.shard}:
-   a cache copy or compiled snapshot seeded from the caller's engine).
-   Cached-shard counters are merged back on join so a shared cache's
-   statistics still account for the whole sweep; shard entries are
-   private and dropped. Verdicts come back in probe order, so every
-   derived quantity equals the sequential path's. *)
+   the shared interpreter, or a compiled snapshot of the caller's
+   engine). Verdicts come back in probe order, so every derived
+   quantity equals the sequential path's. *)
 let classify_parallel ?equiv engine pool store rule occs probes =
   Engine.prepare engine;
   Store.read_only store (fun () ->
-      let verdicts, shards =
-        Pool.map_local pool
-          ~local:(fun () -> Engine.shard engine)
-          (fun shard name -> check ?equiv ~engine:shard store rule occs name)
-          probes
-      in
-      List.iter (fun s -> Engine.absorb engine ~shard:s) shards;
-      verdicts)
+      fst
+        (Pool.map_local pool
+           ~local:(fun () -> Engine.shard engine)
+           (fun shard name -> check ?equiv ~engine:shard store rule occs name)
+           probes))
 
-let verdicts_of ?equiv ?cache ?engine ?jobs store rule occs probes =
-  let engine = batch_engine ?cache ?engine store in
+let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
+  let engine = Engine.select ?engine store in
   match Pool.get ?jobs () with
   | Some pool -> classify_parallel ?equiv engine pool store rule occs probes
   | None -> List.map (fun n -> check ?equiv ~engine store rule occs n) probes
@@ -98,8 +87,8 @@ let verdicts_of ?equiv ?cache ?engine ?jobs store rule occs probes =
    are independent of it and of [jobs]. *)
 let chunk_size = 4096
 
-let fold_verdicts ?equiv ?cache ?engine ?jobs store rule occs ~init ~f seq =
-  let engine = batch_engine ?cache ?engine store in
+let fold_verdicts ?equiv ?engine ?jobs store rule occs ~init ~f seq =
+  let engine = Engine.select ?engine store in
   let pool = Pool.get ?jobs () in
   let sweep chunk =
     match pool with
@@ -134,32 +123,32 @@ let count_verdict acc verdict =
   | Incoherent _ -> { acc with incoherent = acc.incoherent + 1 }
   | Vacuous -> { acc with vacuous = acc.vacuous + 1 }
 
-let measure_seq ?equiv ?cache ?engine ?jobs store rule occs probes =
-  fold_verdicts ?equiv ?cache ?engine ?jobs store rule occs ~init:empty_report
+let measure_seq ?equiv ?engine ?jobs store rule occs probes =
+  fold_verdicts ?equiv ?engine ?jobs store rule occs ~init:empty_report
     ~f:count_verdict probes
 
-let measure ?equiv ?cache ?engine ?jobs store rule occs probes =
-  measure_seq ?equiv ?cache ?engine ?jobs store rule occs (List.to_seq probes)
+let measure ?equiv ?engine ?jobs store rule occs probes =
+  measure_seq ?equiv ?engine ?jobs store rule occs (List.to_seq probes)
 
-let classify ?equiv ?cache ?engine ?jobs store rule occs probes =
+let classify ?equiv ?engine ?jobs store rule occs probes =
   List.combine probes
-    (verdicts_of ?equiv ?cache ?engine ?jobs store rule occs probes)
+    (verdicts_of ?equiv ?engine ?jobs store rule occs probes)
 
-let coherent_names ?equiv ?cache ?engine ?jobs store rule occs probes =
+let coherent_names ?equiv ?engine ?jobs store rule occs probes =
   List.filter_map
     (fun (n, v) ->
       match v with
       | Coherent _ | Weakly_coherent _ -> Some n
       | Incoherent _ | Vacuous -> None)
-    (classify ?equiv ?cache ?engine ?jobs store rule occs probes)
+    (classify ?equiv ?engine ?jobs store rule occs probes)
 
-let incoherent_names ?equiv ?cache ?engine ?jobs store rule occs probes =
+let incoherent_names ?equiv ?engine ?jobs store rule occs probes =
   List.filter_map
     (fun (n, v) ->
       match v with
       | Incoherent _ -> Some n
       | Coherent _ | Weakly_coherent _ | Vacuous -> None)
-    (classify ?equiv ?cache ?engine ?jobs store rule occs probes)
+    (classify ?equiv ?engine ?jobs store rule occs probes)
 
 type estimate = {
   degree : float;
@@ -243,14 +232,14 @@ let wilson ~z ~s ~n =
    point estimate (half-width), or at [max_samples]. *)
 let estimate_batch = 256
 
-let estimate ?equiv ?cache ?engine ?jobs ?(confidence = 0.95)
+let estimate ?equiv ?engine ?jobs ?(confidence = 0.95)
     ?(epsilon = 0.01) ?(max_samples = 100_000) ~rng store rule occs sampler =
   let z = z_of_confidence confidence in
   if not (epsilon > 0.0) then
     invalid_arg "Coherence.estimate: epsilon must be positive";
   if max_samples < 1 then
     invalid_arg "Coherence.estimate: max_samples must be at least 1";
-  let engine = batch_engine ?cache ?engine store in
+  let engine = Engine.select ?engine store in
   let pool = Pool.get ?jobs () in
   let sweep chunk =
     match pool with

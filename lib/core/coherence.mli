@@ -21,7 +21,6 @@ type verdict =
 
 val check :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   Store.t ->
   Rule.t ->
@@ -32,15 +31,15 @@ val check :
     classifies the outcome. With [equiv], resolutions that are equivalent
     but unequal yield [Weakly_coherent]. Resolutions go through an
     {!Engine}, chosen by {!Engine.select}: an explicit [?engine] wins,
-    then [NAMING_ENGINE], then [?cache] (wrapped as a cached engine),
-    then the default — interpreted here, cached for the batch entry
-    points below, which share one engine across every (occurrence,
-    probe) pair. Every engine produces the same verdicts.
+    then [NAMING_ENGINE], then the interpreter. The batch entry points
+    below select once and share that engine across every (occurrence,
+    probe) pair; a caller that owns a long-lived engine (a
+    {!Compiled} one it keeps patched) passes it as [?engine]. Every
+    engine produces the same verdicts.
     @raise Invalid_argument on an empty occurrence list. *)
 
 val is_coherent :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   Store.t ->
   Rule.t ->
@@ -67,7 +66,6 @@ val strict_degree : report -> float
 
 val measure :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->
@@ -78,15 +76,13 @@ val measure :
 (** Every batch entry point takes [?jobs]: with [jobs > 1] the probes
     are swept in parallel on a {!Pool} of that many domains — the store
     frozen ({!Store.read_only}) for the duration, one {!Engine.shard}
-    per worker (a {!Cache.copy} or {!Compiled.snapshot} seeded from the
-    caller's engine), cached-shard counters merged back on join.
-    Results are returned in probe order and are structurally equal to
+    per worker (the shared interpreter, or a {!Compiled.snapshot} of
+    the caller's engine). Results are returned in probe order and are structurally equal to
     the sequential ones; [jobs = 1] (or omitting it) runs today's
     sequential path unchanged. *)
 
 val measure_seq :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->
@@ -104,7 +100,6 @@ val measure_seq :
 
 val fold_verdicts :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->
@@ -137,7 +132,6 @@ type 'rng sampler = {
 
 val estimate :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   ?confidence:float ->
@@ -162,7 +156,7 @@ val estimate :
     stream obtained with [sampler.split]: the drawn sequence depends
     only on the rng state and the batch index, never on [jobs] or the
     engine, so estimates are byte-identical across jobs 1 vs 4 and
-    across interpreted, cached and compiled engines. When every drawn
+    across the interpreted and compiled engines. When every drawn
     probe is vacuous, [degree] is 1.0 (the {!degree} convention) and
     the interval stays [\[0, 1\]].
     @raise Invalid_argument when [confidence] is outside (0, 1),
@@ -172,7 +166,6 @@ val pp_estimate : Format.formatter -> estimate -> unit
 
 val classify :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->
@@ -184,7 +177,6 @@ val classify :
 
 val coherent_names :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->
@@ -195,7 +187,6 @@ val coherent_names :
 
 val incoherent_names :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?cache:Cache.t ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->

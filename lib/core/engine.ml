@@ -1,21 +1,15 @@
-type kind = [ `Interpreted | `Cached | `Compiled ]
-
-type t =
-  | Interpreted of Store.t
-  | Cached of Cache.t
-  | Compiled of Compiled.t
+type kind = [ `Interpreted | `Compiled ]
+type t = Interpreted of Store.t | Compiled of Compiled.t
 
 let create kind store =
   match kind with
   | `Interpreted -> Interpreted store
-  | `Cached -> Cached (Cache.create store)
   | `Compiled -> Compiled (Compiled.compile store)
 
-let kind_of_string = function
-  | "interpreted" -> Some `Interpreted
-  | "cached" -> Some `Cached
-  | "compiled" -> Some `Compiled
-  | _ -> None
+let parse_kind = function
+  | "interpreted" -> Ok `Interpreted
+  | "compiled" -> Ok `Compiled
+  | s -> Error (Printf.sprintf "%S: expected interpreted, compiled" s)
 
 let env_var = "NAMING_ENGINE"
 
@@ -23,82 +17,42 @@ let env_kind () =
   match Sys.getenv_opt env_var with
   | None | Some "" -> None
   | Some s -> (
-      match kind_of_string s with
-      | Some k -> Some k
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "%s=%s: expected interpreted, cached or compiled" env_var s))
+      match parse_kind s with
+      | Ok k -> Some k
+      | Error msg -> invalid_arg (env_var ^ "=" ^ msg))
 
 let of_env ?(default = `Interpreted) store =
   let kind = match env_kind () with Some k -> k | None -> default in
   create kind store
 
-let select ?cache ?engine ~default store =
-  match engine with
-  | Some e -> e
-  | None -> (
-      (* NAMING_ENGINE overrides a caller-supplied cache: the variable
-         exists precisely to re-run unchanged call sites under another
-         engine. *)
-      match env_kind () with
-      | Some k -> create k store
-      | None -> (
-          match cache with
-          | Some c -> Cached c
-          | None -> create default store))
+let select ?engine store =
+  match engine with Some e -> e | None -> of_env store
 
-let kind = function
-  | Interpreted _ -> `Interpreted
-  | Cached _ -> `Cached
-  | Compiled _ -> `Compiled
-
-let label = function
-  | Interpreted _ -> "interpreted"
-  | Cached _ -> "cached"
-  | Compiled _ -> "compiled"
-
-let store = function
-  | Interpreted s -> s
-  | Cached _ as _e ->
-      (* Cache does not expose its store; engine consumers that need the
-         store already hold it. *)
-      invalid_arg "Engine.store: cached engine"
-  | Compiled c -> Compiled.store c
+let kind = function Interpreted _ -> `Interpreted | Compiled _ -> `Compiled
+let label = function Interpreted _ -> "interpreted" | Compiled _ -> "compiled"
+let store = function Interpreted s -> s | Compiled c -> Compiled.store c
 
 let resolve t ctx name =
   match t with
   | Interpreted s -> Resolver.resolve s ctx name
-  | Cached c -> Cache.resolve c ctx name
   | Compiled c -> Compiled.resolve c ctx name
 
 let resolve_in t o name =
   match t with
   | Interpreted s -> Resolver.resolve_in s o name
-  | Cached c -> Cache.resolve_in c o name
   | Compiled c -> Compiled.resolve_in c o name
 
 let resolve_trace_into buf t store ctx name =
   match t with
-  | Interpreted _ | Cached _ ->
-      (* The cache memoises results, not paths; traces always come from
-         a real walk. *)
-      Resolver.resolve_trace_into buf store ctx name
+  | Interpreted _ -> Resolver.resolve_trace_into buf store ctx name
   | Compiled c -> Compiled.resolve_trace_into buf c ctx name
 
 let prepare = function
-  | Interpreted _ | Cached _ -> ()
+  | Interpreted _ -> ()
   | Compiled c -> Compiled.refresh c
 
 let shard = function
   | Interpreted _ as t -> t
-  | Cached c -> Cached (Cache.copy c)
   | Compiled c -> Compiled (Compiled.snapshot c)
 
-let absorb t ~shard =
-  match (t, shard) with
-  | Cached c, Cached s -> Cache.absorb c (Cache.stats s)
-  | _ -> ()
-
-let cache = function Cached c -> Some c | Interpreted _ | Compiled _ -> None
-let compiled = function Compiled c -> Some c | _ -> None
+let compiled = function Compiled c -> Some c | Interpreted _ -> None

@@ -1,29 +1,31 @@
-(** Resolution engines: one semantics, three execution strategies.
+(** Resolution engines: one semantics, two execution strategies.
 
     Every resolve consumer (coherence sweeps, workload replays, the
     analyzers, the simulator) goes through an engine:
 
     - {e interpreted} — {!Resolver}: walk the context objects
-      atom-by-atom on every call.
-    - {e cached} — {!Cache}: memoise results with dependency-tracked
-      invalidation.
+      atom-by-atom on every call. No warm-up and no state; the
+      reference semantics, and what every one-shot batch call runs.
     - {e compiled} — {!Compiled}: packed int-table dispatch with
-      incremental recompilation.
+      incremental recompilation. Pays a whole-world compile up front,
+      so it is the engine a long-lived owner keeps (a replicated
+      cluster patches one for its whole life).
 
-    The three produce identical results on every input (a property test
+    The two produce identical results on every input (a property test
     holds them to it); they differ only in cost model. Call sites take
     [?engine] and fall back to [of_env], so the environment variable
-    [NAMING_ENGINE=interpreted|cached|compiled] re-runs any unchanged
-    workload under another engine. *)
+    [NAMING_ENGINE=interpreted|compiled] re-runs any unchanged workload
+    under another engine. *)
 
-type kind = [ `Interpreted | `Cached | `Compiled ]
+type kind = [ `Interpreted | `Compiled ]
 
-type t =
-  | Interpreted of Store.t
-  | Cached of Cache.t
-  | Compiled of Compiled.t
+type t = Interpreted of Store.t | Compiled of Compiled.t
 
 val create : kind -> Store.t -> t
+
+val parse_kind : string -> (kind, string) result
+(** ["interpreted"] or ["compiled"]; the error message lists the
+    accepted names. *)
 
 val env_kind : unit -> kind option
 (** The kind requested by [NAMING_ENGINE], or [None] when unset/empty.
@@ -31,23 +33,16 @@ val env_kind : unit -> kind option
 
 val of_env : ?default:kind -> Store.t -> t
 (** [of_env ?default store] reads [NAMING_ENGINE]; unset or empty falls
-    back to [default] (itself defaulting to [`Interpreted] — the
-    engine with no warm-up and no state, matching the historical
-    behaviour of single resolutions).
+    back to [default] (itself defaulting to [`Interpreted]).
     @raise Invalid_argument on an unrecognised value. *)
 
-val select :
-  ?cache:Cache.t -> ?engine:t -> default:kind -> Store.t -> t
+val select : ?engine:t -> Store.t -> t
 (** The call-site selector: an explicit [?engine] wins; otherwise
-    [NAMING_ENGINE] (the variable exists precisely to re-run unchanged
-    call sites under another engine); otherwise a caller-supplied
-    [?cache] is wrapped ([Cached]); otherwise [default]. *)
+    [of_env] — [NAMING_ENGINE], else the interpreter. *)
 
 val kind : t -> kind
 val label : t -> string
-
 val store : t -> Store.t
-(** @raise Invalid_argument for [Cached] (the cache hides its store). *)
 
 (** {1 Resolution} — each equal to its {!Resolver} counterpart *)
 
@@ -56,25 +51,19 @@ val resolve_in : t -> Entity.t -> Name.t -> Entity.t
 
 val resolve_trace_into :
   Resolver.buffer -> t -> Store.t -> Context.t -> Name.t -> Entity.t
-(** Same steps as {!Resolver.resolve_trace_into}. [Interpreted] and
-    [Cached] walk the store (the cache memoises results, not paths);
-    [Compiled] reconstructs the identical trace from its tables. *)
+(** Same steps as {!Resolver.resolve_trace_into}. [Interpreted] walks
+    the store; [Compiled] reconstructs the identical trace from its
+    tables. *)
 
 (** {1 Parallel sweeps} *)
 
 val prepare : t -> unit
 (** Bring the engine up to date with its store ({!Compiled.refresh});
     call before {!Store.read_only} fan-out so worker shards never patch
-    concurrently. No-op for the other engines. *)
+    concurrently. No-op for the interpreter. *)
 
 val shard : t -> t
-(** A per-domain engine over the same store: {!Cache.copy} /
-    {!Compiled.snapshot}; [Interpreted] is stateless and shared. *)
+(** A per-domain engine over the same store: a {!Compiled.snapshot};
+    [Interpreted] is stateless and shared. *)
 
-val absorb : t -> shard:t -> unit
-(** Merge a shard's counters back after a join (cached shards only —
-    compiled snapshots cannot patch under the read barrier, so they
-    have nothing to report). *)
-
-val cache : t -> Cache.t option
 val compiled : t -> Compiled.t option

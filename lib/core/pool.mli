@@ -26,10 +26,10 @@
     Domain-safety contract for tasks (see doc/PARALLEL.md): tasks must
     treat every {!Store} they can reach as read-only — enforced by
     {!Store.read_only}, which the parallel batch entry points wrap their
-    sweeps in — and must not share a {!Cache} between tasks; shard it
-    with {!Cache.copy} via {!map_local}. Interning new atoms
-    ({!Name.atom}, {!Name.of_string}) is safe anywhere: the symbol
-    table's writes are mutex-protected, its reads lock-free. *)
+    sweeps in — and must not share a {!Compiled} engine between tasks;
+    shard it with {!Compiled.snapshot} via {!map_local}. Interning new
+    atoms ({!Name.atom}, {!Name.of_string}) is safe anywhere: the
+    symbol table's writes are mutex-protected, its reads lock-free. *)
 
 type t
 
@@ -80,7 +80,7 @@ val map_local :
 (** [map_local pool ~local f xs] is {!map} with per-participant state:
     each participating domain calls [local ()] once (lazily, before its
     first task) and its tasks receive that value — the mechanism behind
-    per-domain cache shards. Returns the results in list order and the
+    per-domain engine shards. Returns the results in list order and the
     participant states (in no particular order) so the caller can merge
-    them (e.g. cache statistics). Sequentially this is
+    them. Sequentially this is
     [let w = local () in (List.map (f w) xs, [ w ])]. *)

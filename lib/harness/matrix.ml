@@ -15,16 +15,9 @@ type row = {
   embedded_deg : float option;
 }
 
-(* Every measurement over the same world shares one engine: the three
-   degrees resolve the same probes over the same paths, so with the
-   default cached engine the second and third row entries run almost
-   entirely on hits, and with the compiled engine the world is compiled
-   once for all three. *)
-let world_engine ?cache ?engine w =
-  Naming.Engine.select ?cache ?engine ~default:`Cached w.store
 
-let generated_degree ?cache ?engine ?jobs w =
-  let engine = world_engine ?cache ?engine w in
+let generated_degree ?engine ?jobs w =
+  let engine = Naming.Engine.select ?engine w.store in
   let occs = List.map Naming.Occurrence.generated w.activities in
   let report =
     Naming.Coherence.measure ?equiv:w.equiv ~engine ?jobs w.store w.rule occs
@@ -32,8 +25,8 @@ let generated_degree ?cache ?engine ?jobs w =
   in
   Naming.Coherence.degree report
 
-let received_degree ?cache ?engine ?jobs w =
-  let engine = world_engine ?cache ?engine w in
+let received_degree ?engine ?jobs w =
+  let engine = Naming.Engine.select ?engine w.store in
   let events =
     Workload.Exchange.all_pairs ~activities:w.activities ~probes:w.probes
   in
@@ -53,11 +46,11 @@ let embedded_units w =
       List.map (fun name -> (occs, name)) names)
     w.embedded
 
-let embedded_degree ?cache ?engine ?jobs w =
+let embedded_degree ?engine ?jobs w =
   match w.embedded with
   | [] -> None
   | _ ->
-      let engine = world_engine ?cache ?engine w in
+      let engine = Naming.Engine.select ?engine w.store in
       let units = embedded_units w in
       let verdicts =
         match Naming.Pool.get ?jobs () with
@@ -70,18 +63,13 @@ let embedded_degree ?cache ?engine ?jobs w =
         | Some pool ->
             Naming.Engine.prepare engine;
             Naming.Store.read_only w.store (fun () ->
-                let verdicts, shards =
-                  Naming.Pool.map_local pool
-                    ~local:(fun () -> Naming.Engine.shard engine)
-                    (fun shard (occs, name) ->
-                      Naming.Coherence.check ?equiv:w.equiv ~engine:shard
-                        w.store w.rule occs name)
-                    units
-                in
-                List.iter
-                  (fun s -> Naming.Engine.absorb engine ~shard:s)
-                  shards;
-                verdicts)
+                fst
+                  (Naming.Pool.map_local pool
+                     ~local:(fun () -> Naming.Engine.shard engine)
+                     (fun shard (occs, name) ->
+                       Naming.Coherence.check ?equiv:w.equiv ~engine:shard
+                         w.store w.rule occs name)
+                     units))
       in
       let coherent = ref 0 and meaningful = ref 0 in
       List.iter
@@ -96,8 +84,10 @@ let embedded_degree ?cache ?engine ?jobs w =
       if !meaningful = 0 then Some 1.0
       else Some (float_of_int !coherent /. float_of_int !meaningful)
 
+(* The three degrees share one engine, so under NAMING_ENGINE=compiled
+   the world is compiled once for the whole row. *)
 let measure ?engine ?jobs w =
-  let engine = world_engine ?engine w in
+  let engine = Naming.Engine.select ?engine w.store in
   {
     world = w.label;
     generated = generated_degree ~engine ?jobs w;

@@ -25,24 +25,18 @@ type row = {
   embedded_deg : float option;  (** [None] when the world embeds nothing *)
 }
 
-val generated_degree :
-  ?cache:Naming.Cache.t -> ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
+val generated_degree : ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
 (** Coherence across all activities for names each generates itself.
-    Each degree resolves through one {!Naming.Engine} per world
-    ({!Naming.Engine.select}: [?engine], then [NAMING_ENGINE], then
-    [?cache], then a fresh cached engine). *)
+    Each degree resolves through one {!Naming.Engine}
+    ({!Naming.Engine.select}: [?engine], then [NAMING_ENGINE], then the
+    interpreter). *)
 
-val received_degree :
-  ?cache:Naming.Cache.t -> ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
+val received_degree : ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
 (** Mean coherence over all ordered (sender, receiver) pairs for all
     probes sent from one to the other. *)
 
 val embedded_degree :
-  ?cache:Naming.Cache.t ->
-  ?engine:Naming.Engine.t ->
-  ?jobs:int ->
-  world ->
-  float option
+  ?engine:Naming.Engine.t -> ?jobs:int -> world -> float option
 (** Coherence across all activities reading each embedded source. *)
 
 val measure : ?engine:Naming.Engine.t -> ?jobs:int -> world -> row

@@ -78,7 +78,7 @@ let cwd_of t a = C.lookup (context t a) N.self_atom
 let activities t = List.rev t.rev_activities
 let rule t = Naming.Rule.of_activity t.asg
 
-let resolve ?cache ?engine t ~as_ name =
+let resolve ?engine t ~as_ name =
   let ctx = context t as_ in
   (* Absolute names go through the "/" binding; relative names whose head
      is bound directly in the activity's context (a per-process
@@ -88,10 +88,9 @@ let resolve ?cache ?engine t ~as_ name =
     else if C.mem ctx (N.head name) then name
     else N.cons N.self_atom name
   in
-  match (cache, engine) with
-  | _, Some e -> Naming.Engine.resolve_in e (context_object t as_) name
-  | Some c, None -> Naming.Cache.resolve_in c (context_object t as_) name
-  | None, None -> (
+  match engine with
+  | Some e -> Naming.Engine.resolve_in e (context_object t as_) name
+  | None -> (
       match Naming.Engine.env_kind () with
       | None -> Naming.Resolver.resolve t.store ctx name
       | Some kind ->
@@ -105,5 +104,4 @@ let resolve ?cache ?engine t ~as_ name =
           in
           Naming.Engine.resolve_in e (context_object t as_) name)
 
-let resolve_str ?cache ?engine t ~as_ s =
-  resolve ?cache ?engine t ~as_ (N.of_string s)
+let resolve_str ?engine t ~as_ s = resolve ?engine t ~as_ (N.of_string s)

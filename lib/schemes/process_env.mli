@@ -68,7 +68,6 @@ val rule : t -> Naming.Rule.t
     operating-system closure mechanism. *)
 
 val resolve :
-  ?cache:Naming.Cache.t ->
   ?engine:Naming.Engine.t ->
   t ->
   as_:Naming.Entity.t ->
@@ -79,13 +78,12 @@ val resolve :
     whose head is bound directly in the activity's context (a
     per-process attachment) resolves there; any other relative name is
     resolved from the working directory (the ["."] binding). The walk
-    goes through [engine] when given, else [cache], else the plain
-    interpreter — unless [NAMING_ENGINE] overrides the latter, in which
-    case an engine of that kind is built once per environment and
-    reused. Every path returns the same entity. *)
+    goes through [engine] when given, else the plain interpreter —
+    unless [NAMING_ENGINE] overrides the latter, in which case an
+    engine of that kind is built once per environment and reused.
+    Every path returns the same entity. *)
 
 val resolve_str :
-  ?cache:Naming.Cache.t ->
   ?engine:Naming.Engine.t ->
   t ->
   as_:Naming.Entity.t ->

@@ -177,10 +177,10 @@ type t = {
   network : (request, response) Rpc.message Network.t;
   store : S.t;
   engine : Naming.Engine.t;
-      (* serves every Resolve request and coherence sample; interpreted
-         by default, NAMING_ENGINE overrides — the compiled engine then
-         re-patches incrementally as writes and anti-entropy mutate the
-         mirrors *)
+      (* serves every Resolve request and coherence sample for the
+         cluster's whole life; compiled by default (NAMING_ENGINE
+         overrides), so writes and anti-entropy patch its tables in
+         place instead of each sample rebuilding them *)
   leaves : (string, E.t) Hashtbl.t;
   members : replica array;
   repl : Naming.Replication.t;
@@ -791,7 +791,7 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
       mode;
       network;
       store;
-      engine = Naming.Engine.of_env ~default:`Interpreted store;
+      engine = Naming.Engine.of_env ~default:`Compiled store;
       leaves;
       members;
       repl;
@@ -850,15 +850,8 @@ let equiv t a b = Naming.Replication.same_replica t.repl a b
 let engine t = t.engine
 
 let measure ?jobs t names =
-  (* Under NAMING_ENGINE the cluster's own engine serves the sweep too,
-     so e.g. a compiled engine re-patches incrementally across samples
-     instead of being rebuilt per call; otherwise the batch default (a
-     fresh cached engine per call) stands. *)
-  let engine =
-    match Naming.Engine.env_kind () with Some _ -> Some t.engine | None -> None
-  in
-  Naming.Coherence.measure ~equiv:(equiv t) ?engine ?jobs t.store t.rule
-    (occurrences t) names
+  Naming.Coherence.measure ~equiv:(equiv t) ~engine:t.engine ?jobs t.store
+    t.rule (occurrences t) names
 
 let converged t =
   match t.mode with

@@ -172,11 +172,12 @@ val port : int
 val store : t -> Naming.Store.t
 
 val engine : t -> Naming.Engine.t
-(** The engine serving [Resolve] requests, {!resolve_at}, and — when
-    [NAMING_ENGINE] is set — {!measure}. Interpreted by default;
-    [NAMING_ENGINE] overrides, in which case e.g. a compiled engine
-    re-patches incrementally as writes and anti-entropy mutate the
-    mirrors. Every engine returns the same entities. *)
+(** The engine serving [Resolve] requests, {!resolve_at} and
+    {!measure}, built once at {!create} and kept for the cluster's
+    life. Compiled by default ([NAMING_ENGINE] overrides): writes and
+    anti-entropy patch its tables in place, so coherence samples reuse
+    them instead of rebuilding per call. Every engine returns the same
+    entities. *)
 
 val replicas : t -> int
 val replica_node : t -> int -> Network.node_id
@@ -205,8 +206,8 @@ val equiv : t -> Naming.Entity.t -> Naming.Entity.t -> bool
 (** Replica equivalence: mirror directories of the same logical path. *)
 
 val measure : ?jobs:int -> t -> Naming.Name.t list -> Naming.Coherence.report
-(** {!Naming.Coherence.measure} across the replicas' mirrors under
-    {!equiv}: strict coherence for leaf-valued probes, weak coherence
+(** {!Naming.Coherence.measure} through the cluster's {!engine} across
+    the replicas' mirrors under {!equiv}: strict coherence for leaf-valued probes, weak coherence
     for directory-valued probes, incoherence while replicas diverge. *)
 
 val converged : t -> bool

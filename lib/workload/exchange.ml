@@ -46,10 +46,8 @@ let fraction_of_verdicts verdicts =
   if !meaningful = 0 then 1.0
   else float_of_int !coherent /. float_of_int !meaningful
 
-let coherent_fraction ?equiv ?cache ?engine ?jobs store rule events =
-  (* one engine for the whole event batch: most events share probes and
-     path prefixes (cached) or the one compiled world (compiled) *)
-  let engine = Naming.Engine.select ?cache ?engine ~default:`Cached store in
+let coherent_fraction ?equiv ?engine ?jobs store rule events =
+  let engine = Naming.Engine.select ?engine store in
   let verdicts =
     match Naming.Pool.get ?jobs () with
     | None ->
@@ -60,20 +58,16 @@ let coherent_fraction ?equiv ?cache ?engine ?jobs store rule events =
           events
     | Some pool ->
         (* fan the (sender, receiver, probe) units across domains: store
-           frozen, one engine shard per worker seeded from the batch
-           engine, cached-shard counters merged back on join *)
+           frozen, one engine shard per worker *)
         Naming.Engine.prepare engine;
         Naming.Store.read_only store (fun () ->
-            let verdicts, shards =
-              Naming.Pool.map_local pool
-                ~local:(fun () -> Naming.Engine.shard engine)
-                (fun shard ev ->
-                  Naming.Coherence.check ?equiv ~engine:shard store rule
-                    (occurrences ev) ev.name)
-                events
-            in
-            List.iter (fun s -> Naming.Engine.absorb engine ~shard:s) shards;
-            verdicts)
+            fst
+              (Naming.Pool.map_local pool
+                 ~local:(fun () -> Naming.Engine.shard engine)
+                 (fun shard ev ->
+                   Naming.Coherence.check ?equiv ~engine:shard store rule
+                     (occurrences ev) ev.name)
+                 events))
   in
   fraction_of_verdicts verdicts
 

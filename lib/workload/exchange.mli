@@ -32,7 +32,6 @@ val occurrences : event -> Naming.Occurrence.t list
 
 val coherent_fraction :
   ?equiv:(Naming.Entity.t -> Naming.Entity.t -> bool) ->
-  ?cache:Naming.Cache.t ->
   ?engine:Naming.Engine.t ->
   ?jobs:int ->
   Naming.Store.t ->
@@ -40,13 +39,11 @@ val coherent_fraction :
   event list ->
   float
 (** Fraction of non-vacuous events that are coherent under the rule.
-    Resolutions share one {!Naming.Engine} — chosen by
-    {!Naming.Engine.select} from [?engine] / [NAMING_ENGINE] / [?cache],
-    defaulting to a fresh cached engine — so events that share probes
-    and path prefixes share work. With [jobs > 1] the events are checked
-    in parallel — store frozen, one {!Naming.Engine.shard} per worker,
-    cached-shard counters merged on join — and the fraction is identical
-    to the sequential one. *)
+    Resolutions share one {!Naming.Engine}, chosen by
+    {!Naming.Engine.select} from [?engine] / [NAMING_ENGINE], else the
+    interpreter. With [jobs > 1] the events are checked in parallel —
+    store frozen, one {!Naming.Engine.shard} per worker — and the
+    fraction is identical to the sequential one. *)
 
 val run_over_network :
   engine:Dsim.Engine.t ->

@@ -172,34 +172,6 @@ let prop_monotone_in_activities =
           small >= large || small = 1 (* vacuous can become incoherent *)
       | _ -> false)
 
-(* Batching through a shared cache is an optimisation, not a semantics
-   change: every verdict must match the uncached path. *)
-let test_cached_measure_parity () =
-  let st, rule, acts, _ = fixture () in
-  let probes =
-    List.map N.of_string [ "shared"; "local"; "only1"; "ghost" ]
-  in
-  let cache = Naming.Cache.create st in
-  let cached = Coh.classify ~cache st rule (occs acts) probes in
-  List.iter
-    (fun (n, cached_verdict) ->
-      let plain = Coh.check st rule (occs acts) n in
-      let same =
-        match (cached_verdict, plain) with
-        | Coh.Coherent e1, Coh.Coherent e2 -> E.equal e1 e2
-        | Coh.Incoherent _, Coh.Incoherent _ -> true
-        | Coh.Vacuous, Coh.Vacuous -> true
-        | Coh.Weakly_coherent _, Coh.Weakly_coherent _ -> true
-        | _, _ -> false
-      in
-      if not same then
-        Alcotest.failf "%s: cached %a vs plain %a" (N.to_string n)
-          Coh.pp_verdict cached_verdict Coh.pp_verdict plain)
-    cached;
-  let r_cached = Coh.measure ~cache st rule (occs acts) probes in
-  let r_plain = Coh.measure st rule (occs acts) probes in
-  check f "same degree" (Coh.degree r_plain) (Coh.degree r_cached)
-
 let probe_names = [ "shared"; "local"; "only1"; "missing" ]
 
 let test_measure_seq_parity () =
@@ -256,8 +228,6 @@ let test_estimate_parity () =
   check b "jobs 4 parity" true (base = run ~jobs:4 ());
   check b "interpreted engine parity" true
     (base = run ~engine:(Naming.Engine.create `Interpreted st) ());
-  check b "cached engine parity" true
-    (base = run ~engine:(Naming.Engine.create `Cached st) ());
   check b "compiled engine parity" true
     (base = run ~engine:(Naming.Engine.create `Compiled st) ())
 
@@ -304,8 +274,6 @@ let suite =
     Alcotest.test_case "measure and degrees" `Quick test_measure_and_degrees;
     Alcotest.test_case "all-vacuous degree" `Quick test_degree_all_vacuous;
     Alcotest.test_case "classify and filters" `Quick test_classify_and_filters;
-    Alcotest.test_case "cached measure parity" `Quick
-      test_cached_measure_parity;
     Alcotest.test_case "measure_seq parity" `Quick test_measure_seq_parity;
     Alcotest.test_case "estimate on the fixture" `Quick test_estimate_fixture;
     Alcotest.test_case "estimate parity across jobs and engines" `Quick

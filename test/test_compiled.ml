@@ -133,7 +133,6 @@ let test_stats_shape () =
 (* Engine selection and the NAMING_ENGINE variable. *)
 let test_engine_select () =
   let st, _, _ = fixture () in
-  let cache = Naming.Cache.create st in
   (* env-dependent defaults only checked when NAMING_ENGINE is unset, so
      the suite still passes when CI re-runs it under another engine *)
   (match Eng.env_kind () with
@@ -141,13 +140,13 @@ let test_engine_select () =
   | None ->
       check Alcotest.string "default interpreted" "interpreted"
         (Eng.label (Eng.of_env st));
-      check Alcotest.string "explicit default" "cached"
-        (Eng.label (Eng.of_env ~default:`Cached st));
-      check Alcotest.string "cache wraps" "cached"
-        (Eng.label (Eng.select ~cache ~default:`Interpreted st)));
+      check Alcotest.string "explicit default" "compiled"
+        (Eng.label (Eng.of_env ~default:`Compiled st));
+      check Alcotest.string "select falls back to the interpreter"
+        "interpreted" (Eng.label (Eng.select st)));
   let engine = Eng.create `Compiled st in
   check Alcotest.string "explicit engine wins" "compiled"
-    (Eng.label (Eng.select ~cache ~engine ~default:`Interpreted st))
+    (Eng.label (Eng.select ~engine st))
 
 (* ------------------------------------------------------------------ *)
 (* Parity across every sample scheme.                                  *)
@@ -187,8 +186,7 @@ let test_sample_scheme_verdict_parity () =
       in
       let interp = via `Interpreted in
       check b (scheme ^ ": compiled = interpreted") true
-        (via `Compiled = interp);
-      check b (scheme ^ ": cached = interpreted") true (via `Cached = interp))
+        (via `Compiled = interp))
     (sample_worlds ())
 
 (* ------------------------------------------------------------------ *)
@@ -313,8 +311,8 @@ let test_patch_survives_journal_overflow () =
         (Cp.resolve_in c root n))
     names
 
-(* Engine parity on random worlds: full verdict lists, all three
-   engines, through the ?jobs fan-out when NAMING_JOBS asks for it. *)
+(* Engine parity on random worlds: full verdict lists, both engines,
+   through the ?jobs fan-out when NAMING_JOBS asks for it. *)
 let prop_engine_verdict_parity =
   QCheck.Test.make ~name:"engines agree on random-world verdicts" ~count:25
     QCheck.small_nat (fun seed ->
@@ -346,7 +344,7 @@ let prop_engine_verdict_parity =
           probes
       in
       let interp = via `Interpreted in
-      via `Compiled = interp && via `Cached = interp)
+      via `Compiled = interp)
 
 (* Per-domain compiled snapshots: one snapshot per worker under the
    frozen store answers like the parent. *)

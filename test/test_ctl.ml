@@ -1,8 +1,8 @@
-(* Source-level checks on bin/namingctl.ml: every subcommand the CLI
+(* Checks on bin/namingctl.ml. Source-level: every subcommand the CLI
    registers must be mentioned (as a bold $(b,name) cross-reference) in
    the man-page overview, so `namingctl man`/`--help` never silently
-   trails the command set. The test parses the source (declared as a
-   dune dep), not the binary, so it needs no subprocess. *)
+   trails the command set; those checks parse the source (declared as a
+   dune dep), not the binary. One check runs the built binary. *)
 
 let check = Alcotest.check
 
@@ -75,10 +75,53 @@ let test_subcommands_are_distinct () =
   check Alcotest.int "no subcommand registered twice" (List.length sorted)
     (List.length subs)
 
+(* The removed "cached" engine is refused by name, both as the
+   estimate command's --engine value and through NAMING_ENGINE, with
+   exit 2 and the accepted names listed. Runs the built CLI (a declared
+   dune dep next to the source). *)
+let namingctl_path () =
+  List.find_opt Sys.file_exists
+    [ "../bin/namingctl.exe"; "_build/default/bin/namingctl.exe" ]
+
+let run_cli ?(env = "") args =
+  match namingctl_path () with
+  | None -> Alcotest.fail "namingctl.exe not built"
+  | Some exe ->
+      let err = Filename.temp_file "namingctl" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s %s >/dev/null 2>%s" env
+             (Filename.quote exe) args (Filename.quote err))
+      in
+      let ic = open_in_bin err in
+      let msg = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove err;
+      (code, msg)
+
+let test_cached_engine_rejected () =
+  (match Naming.Engine.parse_kind "cached" with
+  | Ok _ -> Alcotest.fail "parse_kind accepted \"cached\""
+  | Error msg ->
+      check Alcotest.bool "parse error lists the engines" true
+        (contains_sub msg "interpreted, compiled"));
+  List.iter
+    (fun (label, env, args) ->
+      let code, msg = run_cli ~env args in
+      check Alcotest.int (label ^ ": exit 2") 2 code;
+      check Alcotest.bool (label ^ ": lists the engines") true
+        (contains_sub msg "interpreted, compiled"))
+    [
+      ("--engine cached", "", "estimate unix --engine cached");
+      ("NAMING_ENGINE=cached", "NAMING_ENGINE=cached", "estimate unix");
+    ]
+
 let suite =
   [
     Alcotest.test_case "man overview covers every subcommand" `Quick
       test_man_covers_every_subcommand;
     Alcotest.test_case "subcommand names are distinct" `Quick
       test_subcommands_are_distinct;
+    Alcotest.test_case "cached engine rejected" `Quick
+      test_cached_engine_rejected;
   ]

@@ -15,7 +15,6 @@ let () =
       ("replication", Test_replication.suite);
       ("codec", Test_codec.suite);
       ("lint", Test_lint.suite);
-      ("cache", Test_cache.suite);
       ("compiled", Test_compiled.suite);
       ("rng", Test_rng.suite);
       ("engine", Test_engine.suite);

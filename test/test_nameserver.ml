@@ -188,6 +188,100 @@ let test_rejects_single_replica () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted a 1-replica cluster"
 
+(* The cluster keeps one engine for its whole life — compiled unless
+   NAMING_ENGINE says otherwise — and local writes, anti-entropy rounds
+   and log commits patch it in place. After every mutation its samples
+   must equal a fresh interpreter's, sequentially and through the
+   parallel sweep (which fans compiled snapshots across domains). *)
+let engine_probes =
+  probes @ List.map N.of_string [ "/a/z"; "/a/b/z"; "/z"; "/a/b/x"; "/b" ]
+
+let engine_matches_interpreter cluster =
+  let store = Ns.store cluster in
+  List.for_all
+    (fun jobs ->
+      Ns.measure ~jobs cluster engine_probes
+      = Co.measure ~equiv:(Ns.equiv cluster)
+          ~engine:(Naming.Engine.create `Interpreted store)
+          ~jobs store (Ns.rule cluster) (Ns.occurrences cluster)
+          engine_probes)
+    [ 1; 2 ]
+
+let random_binding rng =
+  ( Dsim.Rng.pick rng (List.map N.of_string [ "/"; "/a"; "/a/b" ]),
+    N.atom (Dsim.Rng.pick rng [ "x"; "y"; "z"; "b" ]),
+    Dsim.Rng.pick rng [ Some "k1"; Some "k2"; None ] )
+
+(* Twelve seeded steps, each a local write (at a random replica for
+   LWW, as a one-binding transaction at the current leader for the log
+   tier) followed by a random stretch of simulated time in which
+   anti-entropy or the log protocol runs; the engine is checked after
+   every write and every stretch, and once more after the protocol has
+   had time to apply everything. The network is a tight LAN and the log
+   tier first waits for a leader, so writes land and commit within the
+   steps; a run in which no write was ever applied does not count. *)
+let engine_stays_exact mode seed =
+  let rng = Dsim.Rng.create (Int64.of_int seed) in
+  let engine = En.create () in
+  let net =
+    Net.create
+      ~config:{ Net.default_config with Net.latency = 0.05; jitter = 0.01 }
+      ~engine ~rng:(Dsim.Rng.split rng) ()
+  in
+  let cluster =
+    Ns.create ~mode ~network:net ~rng:(Dsim.Rng.split rng) ~replicas:3
+      small_spec
+  in
+  let run_for d = ignore (En.run ~until:(En.now engine +. d) engine) in
+  Ns.start_anti_entropy ~period:1.0 cluster;
+  let ok = ref (engine_matches_interpreter cluster) in
+  while
+    mode = `Leader_log && Ns.leader_of cluster = None && En.now engine < 60.0
+  do
+    run_for 0.5
+  done;
+  for k = 1 to 12 do
+    let path, atom, target = random_binding rng in
+    (match (mode, Ns.leader_of cluster) with
+    | `Lww_ae, _ ->
+        ignore
+          (Ns.write_local cluster
+             (Dsim.Rng.int rng (Ns.replicas cluster))
+             (Ns.Write { path; atom; target }))
+    | `Leader_log, Some l ->
+        ignore
+          (Ns.write_local cluster l
+             (Ns.Submit
+                {
+                  txn = { Ns.client = 0; tseq = k };
+                  action = Ns.Bind_group [ (path, atom, target) ];
+                }))
+    | `Leader_log, None -> ());
+    ok := !ok && engine_matches_interpreter cluster;
+    run_for (Dsim.Rng.float rng 1.5);
+    ok := !ok && engine_matches_interpreter cluster
+  done;
+  run_for 20.0;
+  Ns.stop_anti_entropy cluster;
+  !ok
+  && engine_matches_interpreter cluster
+  && (Ns.stats cluster).Ns.ops_applied > 0
+
+let test_cluster_engine () =
+  let _, _, cluster = make () in
+  (match Naming.Engine.env_kind () with
+  | Some _ -> ()
+  | None ->
+      check Alcotest.string "compiled by default" "compiled"
+        (Naming.Engine.label (Ns.engine cluster)));
+  List.iter
+    (fun mode ->
+      check b "patched engine = interpreter" true (engine_stays_exact mode 0))
+    [ `Lww_ae; `Leader_log ]
+
+let prop_cluster_engine mode name =
+  QCheck.Test.make ~name ~count:10 QCheck.small_nat (engine_stays_exact mode)
+
 let suite =
   [
     Alcotest.test_case "mirrors agree initially" `Quick
@@ -203,4 +297,10 @@ let suite =
       test_spec_of_context_extracts_sample_world;
     Alcotest.test_case "rejects single replica" `Quick
       test_rejects_single_replica;
+    Alcotest.test_case "cluster engine patched in place" `Quick
+      test_cluster_engine;
+    QCheck_alcotest.to_alcotest
+      (prop_cluster_engine `Lww_ae "lww cluster engine = interpreter");
+    QCheck_alcotest.to_alcotest
+      (prop_cluster_engine `Leader_log "leader cluster engine = interpreter");
   ]

@@ -94,28 +94,6 @@ let test_write_barrier () =
   (try S.read_only st (fun () -> failwith "escape") with Failure _ -> ());
   ignore (S.create_activity st)
 
-let test_cache_copy_absorb () =
-  let st = S.create () in
-  let fs = Vfs.Fs.create st in
-  Vfs.Fs.populate fs Schemes.Unix_scheme.default_tree;
-  let root = Vfs.Fs.root fs in
-  let cache = Naming.Cache.create st in
-  let n = N.of_string "usr/bin/cc" in
-  let e = Naming.Cache.resolve_in cache root n in
-  let shard = Naming.Cache.copy cache in
-  (* the shard inherits the entry (hit, no new miss) but not the counters *)
-  check i "shard counters zeroed" 0 (Naming.Cache.stats shard).Naming.Cache.misses;
-  check b "shard hit on inherited entry" true
-    (E.equal e (Naming.Cache.resolve_in shard root n)
-    && (Naming.Cache.stats shard).Naming.Cache.hits = 1);
-  (* absorbing shard stats adds counters without touching entries *)
-  let before = Naming.Cache.stats cache in
-  Naming.Cache.absorb cache (Naming.Cache.stats shard);
-  let after = Naming.Cache.stats cache in
-  check i "hits merged" (before.Naming.Cache.hits + 1) after.Naming.Cache.hits;
-  check i "entries unchanged" before.Naming.Cache.entries
-    after.Naming.Cache.entries
-
 (* A random world for the parity properties: [n] random script ops over
    a fresh store, measured over a fixed probe set. *)
 let random_world seed =
@@ -260,7 +238,6 @@ let suite =
       test_exception_propagates;
     Alcotest.test_case "?jobs caps a batch" `Quick test_jobs_cap;
     Alcotest.test_case "store write barrier" `Quick test_write_barrier;
-    Alcotest.test_case "cache copy/absorb" `Quick test_cache_copy_absorb;
     Alcotest.test_case "engine parity (jobs 2/4)" `Quick test_engine_parity;
     Alcotest.test_case "matrix parity (jobs 2/4)" `Quick test_matrix_parity;
     Alcotest.test_case "codec to_string_many parity" `Quick

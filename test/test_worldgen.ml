@@ -165,7 +165,7 @@ let prop_estimate_brackets_exact =
              (fun kind ->
                let engine = Naming.Engine.create kind st in
                [ est ~engine ~jobs:1 (); est ~engine ~jobs:4 () ])
-             [ `Interpreted; `Cached; `Compiled ]
+             [ `Interpreted; `Compiled ]
       in
       List.iter
         (fun e ->
