@@ -937,17 +937,6 @@ let run_bechamel ~name tests =
 (* ------------------------------------------------------------------ *)
 (* --json: machine-readable results, one file per day.                 *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let today () =
   let tm = Unix.localtime (Unix.time ()) in
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
@@ -959,94 +948,140 @@ let write_json () =
     | None -> Printf.sprintf "BENCH_%s.json" (today ())
     | Some t -> Printf.sprintf "BENCH_%s_%s.json" (today ()) t
   in
+  let module J = Naming.Json in
+  let int n = J.Int n and opt f = function Some v -> f v | None -> J.Null in
+  let compiled =
+    match !compiled_workload with
+    | None -> []
+    | Some (compile_ms, s) ->
+        [
+          ( "compiled_workload",
+            J.Obj
+              [
+                ("compile_ms", J.fixed 3 compile_ms);
+                ("nodes", int s.Naming.Compiled.nodes);
+                ("slots", int s.Naming.Compiled.slots);
+                ("table_cells", int s.Naming.Compiled.table_cells);
+                ("bindings", int s.Naming.Compiled.bindings);
+                ("node_builds", int s.Naming.Compiled.node_builds);
+                ("patches", int s.Naming.Compiled.patches);
+                ("patched_nodes", int s.Naming.Compiled.patched_nodes);
+              ] );
+        ]
+  in
+  let explore =
+    match !explore_workload with
+    | None -> []
+    | Some (s, seconds) ->
+        [
+          ( "explore_workload",
+            J.Obj
+              [
+                ("candidates", int s.Analysis.Explore.enumerated);
+                ("interpreted", int s.Analysis.Explore.interpreted);
+                ("pruned_por", int s.Analysis.Explore.pruned_por);
+                ("pruned_symmetry", int s.Analysis.Explore.pruned_symmetry);
+                ("replays", int s.Analysis.Explore.replays);
+                ("exhausted", J.Bool s.Analysis.Explore.exhausted);
+                ("seconds", J.fixed 3 seconds);
+                ( "states_per_sec",
+                  J.fixed 0
+                    (float_of_int s.Analysis.Explore.interpreted
+                    /. Float.max 1e-9 seconds) );
+              ] );
+        ]
+  in
+  let worlds =
+    match !b18_rows with
+    | [] -> []
+    | rows ->
+        let run r run =
+          let est = run.b18_est in
+          J.Obj
+            [
+              ("engine", J.String run.b18_engine);
+              ("jobs", int run.b18_jobs);
+              ("degree", J.fixed 6 est.Naming.Coherence.degree);
+              ("ci_low", J.fixed 6 est.Naming.Coherence.ci_low);
+              ("ci_high", J.fixed 6 est.Naming.Coherence.ci_high);
+              ("samples", int est.Naming.Coherence.samples);
+              ("seconds", J.fixed 4 run.b18_seconds);
+              ( "speedup",
+                J.fixed 1 (r.b18_exact_s /. Float.max 1e-9 run.b18_seconds) );
+            ]
+        in
+        [
+          ( "worlds_workload",
+            J.List
+              (List.map
+                 (fun r ->
+                   J.Obj
+                     [
+                       ("size", int r.b18_size);
+                       ("build_s", J.fixed 3 r.b18_build_s);
+                       ("enumerate_s", J.fixed 3 r.b18_enumerate_s);
+                       ("probes", int r.b18_probes);
+                       ("exact_degree", J.fixed 6 r.b18_exact_degree);
+                       ("exact_s", J.fixed 3 r.b18_exact_s);
+                       ("runs", J.List (List.map (run r) r.b18_runs));
+                     ])
+                 rows) );
+        ]
+  in
+  let modes =
+    match !b20_rows with
+    | [] -> []
+    | rows ->
+        [
+          ( "modes_workload",
+            J.List
+              (List.map
+                 (fun r ->
+                   J.Obj
+                     [
+                       ("scenario", J.String r.b20_scenario);
+                       ("mode", J.String r.b20_mode);
+                       ("degree_min", J.fixed 6 r.b20_degree_min);
+                       ("degree_final", J.fixed 6 r.b20_degree_final);
+                       ("sent", int r.b20_sent);
+                       ("committed", int r.b20_committed);
+                       ("availability", J.fixed 4 r.b20_avail);
+                       ("latency_mean", J.fixed 4 r.b20_lat_mean);
+                       ("latency_max", J.fixed 4 r.b20_lat_max);
+                       ("converged", J.Bool r.b20_converged);
+                       ("converge_time", opt (J.fixed 1) r.b20_converge);
+                       ("rounds_to_converge", opt int r.b20_rounds);
+                       ("lost", int r.b20_lost);
+                       ("lww_losses", int r.b20_lww_losses);
+                       ("unknown", int r.b20_unknown);
+                       ("elections", int r.b20_elections);
+                     ])
+                 rows) );
+        ]
+  in
+  let results =
+    List.map
+      (fun (name, time, r2) ->
+        J.Obj
+          [
+            ("name", J.String name);
+            ("ns_per_run", opt (J.fixed 1) time);
+            ("r_square", opt (J.fixed 4) r2);
+          ])
+      !collected
+  in
   let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"date\": \"%s\",\n  \"seed\": %d,\n  \"jobs\": %d,\n" (today ())
-    seed jobs;
-  (match !compiled_workload with
-  | None -> ()
-  | Some (compile_ms, s) ->
-      out
-        "  \"compiled_workload\": {\"compile_ms\": %.3f, \"nodes\": %d, \
-         \"slots\": %d, \"table_cells\": %d, \"bindings\": %d, \
-         \"node_builds\": %d, \"patches\": %d, \"patched_nodes\": %d},\n"
-        compile_ms s.Naming.Compiled.nodes s.Naming.Compiled.slots
-        s.Naming.Compiled.table_cells s.Naming.Compiled.bindings
-        s.Naming.Compiled.node_builds s.Naming.Compiled.patches
-        s.Naming.Compiled.patched_nodes);
-  (match !explore_workload with
-  | None -> ()
-  | Some (s, seconds) ->
-      out
-        "  \"explore_workload\": {\"candidates\": %d, \"interpreted\": %d, \
-         \"pruned_por\": %d, \"pruned_symmetry\": %d, \"replays\": %d, \
-         \"exhausted\": %b, \"seconds\": %.3f, \"states_per_sec\": %.0f},\n"
-        s.Analysis.Explore.enumerated s.Analysis.Explore.interpreted
-        s.Analysis.Explore.pruned_por s.Analysis.Explore.pruned_symmetry
-        s.Analysis.Explore.replays s.Analysis.Explore.exhausted seconds
-        (float_of_int s.Analysis.Explore.interpreted
-        /. Float.max 1e-9 seconds));
-  (match !b18_rows with
-  | [] -> ()
-  | rows ->
-      out "  \"worlds_workload\": [";
-      List.iteri
-        (fun i r ->
-          out "%s\n    {\"size\": %d, \"build_s\": %.3f, \"enumerate_s\": \
-               %.3f, \"probes\": %d, \"exact_degree\": %.6f, \"exact_s\": \
-               %.3f, \"runs\": ["
-            (if i = 0 then "" else ",")
-            r.b18_size r.b18_build_s r.b18_enumerate_s r.b18_probes
-            r.b18_exact_degree r.b18_exact_s;
-          List.iteri
-            (fun j run ->
-              let est = run.b18_est in
-              out
-                "%s\n      {\"engine\": \"%s\", \"jobs\": %d, \"degree\": \
-                 %.6f, \"ci_low\": %.6f, \"ci_high\": %.6f, \"samples\": \
-                 %d, \"seconds\": %.4f, \"speedup\": %.1f}"
-                (if j = 0 then "" else ",")
-                run.b18_engine run.b18_jobs est.Naming.Coherence.degree
-                est.Naming.Coherence.ci_low est.Naming.Coherence.ci_high
-                est.Naming.Coherence.samples run.b18_seconds
-                (r.b18_exact_s /. Float.max 1e-9 run.b18_seconds))
-            r.b18_runs;
-          out "\n    ]}")
-        rows;
-      out "\n  ],\n");
-  (match !b20_rows with
-  | [] -> ()
-  | rows ->
-      let opt_f = function Some t -> Printf.sprintf "%.1f" t | None -> "null" in
-      let opt_i = function Some n -> string_of_int n | None -> "null" in
-      out "  \"modes_workload\": [";
-      List.iteri
-        (fun i r ->
-          out
-            "%s\n    {\"scenario\": \"%s\", \"mode\": \"%s\", \
-             \"degree_min\": %.6f, \"degree_final\": %.6f, \"sent\": %d, \
-             \"committed\": %d, \"availability\": %.4f, \"latency_mean\": \
-             %.4f, \"latency_max\": %.4f, \"converged\": %b, \
-             \"converge_time\": %s, \"rounds_to_converge\": %s, \"lost\": \
-             %d, \"lww_losses\": %d, \"unknown\": %d, \"elections\": %d}"
-            (if i = 0 then "" else ",")
-            (json_escape r.b20_scenario) r.b20_mode r.b20_degree_min
-            r.b20_degree_final r.b20_sent r.b20_committed r.b20_avail
-            r.b20_lat_mean r.b20_lat_max r.b20_converged
-            (opt_f r.b20_converge) (opt_i r.b20_rounds) r.b20_lost
-            r.b20_lww_losses r.b20_unknown r.b20_elections)
-        rows;
-      out "\n  ],\n");
-  out "  \"results\": [";
-  List.iteri
-    (fun i (name, time, r2) ->
-      let num = function Some f -> Printf.sprintf "%.1f" f | None -> "null" in
-      out "%s\n    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}"
-        (if i = 0 then "" else ",")
-        (json_escape name) (num time)
-        (match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "null"))
-    !collected;
-  out "\n  ]\n}\n";
+  output_string oc
+    (J.to_string_pretty
+       (J.Obj
+          ([
+             ("date", J.String (today ()));
+             ("seed", int seed);
+             ("jobs", int jobs);
+           ]
+          @ compiled @ explore @ worlds @ modes
+          @ [ ("results", J.List results) ])));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 

@@ -229,6 +229,16 @@ let with_mode s f =
       2
   | Some mode -> f mode
 
+(* Checks --drop, or prints the usage error and exits 2; chaos and
+   check-cluster route through this. NaN fails both comparisons. *)
+let with_drop drop f =
+  if drop >= 0.0 && drop <= 1.0 then f drop
+  else begin
+    Printf.eprintf "invalid --drop %g (expected a probability in [0, 1])\n"
+      drop;
+    2
+  end
+
 (* Builds a replicated name service from a sample world's tree, runs one
    chaos schedule over it and reports coherence under failure. Exit code
    1 when the replicas fail to reconverge after the faults heal.
@@ -238,6 +248,7 @@ let with_mode s f =
 let cmd_chaos scheme seed drop partition replicas mode partition_leader
     leader_kill json jobs schedule_file =
   with_mode mode @@ fun mode ->
+  with_drop drop @@ fun drop ->
   let schedule =
     match schedule_file with
     | None -> Ok None
@@ -292,13 +303,16 @@ let cmd_chaos scheme seed drop partition replicas mode partition_leader
   (match (json, results) with
   | true, [ (scheme, r) ] -> print_endline (Dsim.Chaos.to_json ~scheme r)
   | true, _ ->
-      print_string "{\"schemes\": [\n";
-      List.iteri
-        (fun i (scheme, r) ->
-          if i > 0 then print_string ",\n";
-          print_string (Dsim.Chaos.to_json ~scheme r))
-        results;
-      print_endline "\n]}"
+      print_endline
+        (Naming.Json.to_string_pretty
+           (Naming.Json.Obj
+              [
+                ( "schemes",
+                  Naming.Json.List
+                    (List.map
+                       (fun (scheme, r) -> Dsim.Chaos.report_json ~scheme r)
+                       results) );
+              ]))
   | false, _ ->
       List.iter
         (fun (scheme, r) ->
@@ -326,7 +340,7 @@ let with_min_severity s f =
 let emit_reports ~json ~sarif ~plural targets =
   if sarif then
     print_endline
-      (Analysis.Json.to_string_pretty
+      (Naming.Json.to_string_pretty
          (Analysis.Sarif.render
             (List.map
                (fun (_store, uri, line_of, r) ->
@@ -336,14 +350,14 @@ let emit_reports ~json ~sarif ~plural targets =
     match targets with
     | [ (store, _, _, r) ] ->
         print_endline
-          (Analysis.Json.to_string_pretty (Analysis.Engine.to_json store r))
+          (Naming.Json.to_string_pretty (Analysis.Engine.to_json store r))
     | _ ->
         print_endline
-          (Analysis.Json.to_string_pretty
-             (Analysis.Json.Obj
+          (Naming.Json.to_string_pretty
+             (Naming.Json.Obj
                 [
                   ( plural,
-                    Analysis.Json.List
+                    Naming.Json.List
                       (List.map
                          (fun (store, _, _, r) ->
                            Analysis.Engine.to_json store r)
@@ -475,6 +489,7 @@ let cmd_check_cluster scheme json sarif min_severity seed drop partition
     replicas mode partition_leader leader_kill jobs =
   with_min_severity min_severity @@ fun min_severity ->
   with_mode mode @@ fun mode ->
+  with_drop drop @@ fun drop ->
   let schemes =
     if String.equal (String.lowercase_ascii scheme) "all" then sample_schemes
     else [ scheme ]
@@ -676,12 +691,21 @@ let cmd_estimate target confidence epsilon max_samples seed engine jobs json =
           let open Naming.Coherence in
           let half = (est.ci_high -. est.ci_low) /. 2.0 in
           if json then
-            Printf.printf
-              "{\"target\": %S, \"degree\": %.6f, \"strict_degree\": %.6f, \
-               \"ci_low\": %.6f, \"ci_high\": %.6f, \"samples\": %d, \
-               \"confidence\": %.6f, \"epsilon\": %.6f, \"converged\": %b}\n"
-              target est.degree est.strict_degree est.ci_low est.ci_high
-              est.samples confidence epsilon (half <= epsilon)
+            let f = Naming.Json.fixed 6 in
+            print_endline
+              (Naming.Json.to_string_pretty
+                 (Naming.Json.Obj
+                    [
+                      ("target", Naming.Json.String target);
+                      ("degree", f est.degree);
+                      ("strict_degree", f est.strict_degree);
+                      ("ci_low", f est.ci_low);
+                      ("ci_high", f est.ci_high);
+                      ("samples", Naming.Json.Int est.samples);
+                      ("confidence", f confidence);
+                      ("epsilon", f epsilon);
+                      ("converged", Naming.Json.Bool (half <= epsilon));
+                    ]))
           else
             Format.printf "%s: %a@." target pp_estimate est;
           if half <= epsilon then 0 else 1)
@@ -751,7 +775,8 @@ let seed_opt =
 let drop_opt =
   Arg.(value & opt float Dsim.Chaos.default.Dsim.Chaos.drop
        & info [ "drop" ] ~docv:"P"
-           ~doc:"Per-message loss (and duplication) probability.")
+           ~doc:"Per-message loss (and duplication) probability, in \
+                 [0, 1].")
 
 let partition_opt =
   Arg.(value & opt float Dsim.Chaos.default.Dsim.Chaos.partition_for

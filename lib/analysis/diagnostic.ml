@@ -135,37 +135,40 @@ let pp store ppf d =
 
 let entity_json store e =
   let fields =
-    [ ("entity", Json.String (Naming.Entity.to_string e)) ]
+    [ ("entity", Naming.Json.String (Naming.Entity.to_string e)) ]
     @
     match Naming.Store.label store e with
-    | Some l -> [ ("label", Json.String l) ]
+    | Some l -> [ ("label", Naming.Json.String l) ]
     | None -> []
   in
-  Json.Obj fields
+  Naming.Json.Obj fields
 
 let step_json store (s : Naming.Resolver.step) =
-  Json.Obj
+  Naming.Json.Obj
     [
-      ("at", Json.String (entity_str store s.Naming.Resolver.at));
-      ("atom", Json.String (Naming.Name.atom_to_string s.Naming.Resolver.atom));
-      ("target", Json.String (entity_str store s.Naming.Resolver.target));
+      ("at", Naming.Json.String (entity_str store s.Naming.Resolver.at));
+      ( "atom",
+        Naming.Json.String (Naming.Name.atom_to_string s.Naming.Resolver.atom)
+      );
+      ( "target",
+        Naming.Json.String (entity_str store s.Naming.Resolver.target) );
     ]
 
 let to_json store d =
-  Json.Obj
+  Naming.Json.Obj
     ([
-       ("code", Json.String d.code);
-       ("severity", Json.String (severity_to_string d.severity));
-       ("pass", Json.String d.pass);
-       ("message", Json.String d.message);
-       ("entities", Json.List (List.map (entity_json store) d.entities));
+       ("code", Naming.Json.String d.code);
+       ("severity", Naming.Json.String (severity_to_string d.severity));
+       ("pass", Naming.Json.String d.pass);
+       ("message", Naming.Json.String d.message);
+       ("entities", Naming.Json.List (List.map (entity_json store) d.entities));
      ]
     @ (match d.loc with
-      | Some i -> [ ("step", Json.Int i) ]
+      | Some i -> [ ("step", Naming.Json.Int i) ]
       | None -> [])
     @ (match d.name with
-      | Some n -> [ ("name", Json.String (Naming.Name.to_string n)) ]
+      | Some n -> [ ("name", Naming.Json.String (Naming.Name.to_string n)) ]
       | None -> [])
     @
     if d.trace = [] then []
-    else [ ("trace", Json.List (List.map (step_json store) d.trace)) ])
+    else [ ("trace", Naming.Json.List (List.map (step_json store) d.trace)) ])

@@ -55,4 +55,4 @@ val pp : Naming.Store.t -> Format.formatter -> t -> unit
 (** One line: code, severity, message; plus indented witness lines for
     the name and trace when present. *)
 
-val to_json : Naming.Store.t -> t -> Json.t
+val to_json : Naming.Store.t -> t -> Naming.Json.t

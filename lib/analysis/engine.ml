@@ -153,21 +153,23 @@ let pp store ppf r =
     r.errors r.warnings r.infos
 
 let to_json store r =
-  Json.Obj
+  Naming.Json.Obj
     [
-      ("label", Json.String r.label);
-      ("activities", Json.Int r.activities);
-      ("objects", Json.Int r.objects);
-      ("context_objects", Json.Int r.context_objects);
-      ("probes", Json.Int r.probes);
-      ("passes", Json.List (List.map (fun p -> Json.String p) r.passes_run));
+      ("label", Naming.Json.String r.label);
+      ("activities", Naming.Json.Int r.activities);
+      ("objects", Naming.Json.Int r.objects);
+      ("context_objects", Naming.Json.Int r.context_objects);
+      ("probes", Naming.Json.Int r.probes);
+      ( "passes",
+        Naming.Json.List
+          (List.map (fun p -> Naming.Json.String p) r.passes_run) );
       ( "counts",
-        Json.Obj
+        Naming.Json.Obj
           [
-            ("error", Json.Int r.errors);
-            ("warning", Json.Int r.warnings);
-            ("info", Json.Int r.infos);
+            ("error", Naming.Json.Int r.errors);
+            ("warning", Naming.Json.Int r.warnings);
+            ("info", Naming.Json.Int r.infos);
           ] );
       ( "diagnostics",
-        Json.List (List.map (Diagnostic.to_json store) r.diagnostics) );
+        Naming.Json.List (List.map (Diagnostic.to_json store) r.diagnostics) );
     ]

@@ -76,4 +76,4 @@ val exit_code : report list -> int
 (** 1 when any report has errors, 0 otherwise. *)
 
 val pp : Naming.Store.t -> Format.formatter -> report -> unit
-val to_json : Naming.Store.t -> report -> Json.t
+val to_json : Naming.Store.t -> report -> Naming.Json.t

@@ -12,12 +12,13 @@ let level_of = function
   | Diagnostic.Info -> "note"
 
 let rule (code, severity, summary) =
-  Json.Obj
+  Naming.Json.Obj
     [
-      ("id", Json.String code);
-      ("shortDescription", Json.Obj [ ("text", Json.String summary) ]);
+      ("id", Naming.Json.String code);
+      ( "shortDescription",
+        Naming.Json.Obj [ ("text", Naming.Json.String summary) ] );
       ( "defaultConfiguration",
-        Json.Obj [ ("level", Json.String (level_of severity)) ] );
+        Naming.Json.Obj [ ("level", Naming.Json.String (level_of severity)) ] );
     ]
 
 let location src (d : Diagnostic.t) =
@@ -25,19 +26,23 @@ let location src (d : Diagnostic.t) =
   | Some uri ->
       let region =
         match Option.bind d.loc src.line_of with
-        | Some line -> [ ("region", Json.Obj [ ("startLine", Json.Int line) ]) ]
+        | Some line ->
+            [
+              ( "region",
+                Naming.Json.Obj [ ("startLine", Naming.Json.Int line) ] );
+            ]
         | None -> []
       in
       [
         ( "locations",
-          Json.List
+          Naming.Json.List
             [
-              Json.Obj
+              Naming.Json.Obj
                 [
                   ( "physicalLocation",
-                    Json.Obj
+                    Naming.Json.Obj
                       (("artifactLocation",
-                        Json.Obj [ ("uri", Json.String uri) ])
+                        Naming.Json.Obj [ ("uri", Naming.Json.String uri) ])
                       :: region) );
                 ];
             ] );
@@ -45,17 +50,17 @@ let location src (d : Diagnostic.t) =
   | None ->
       [
         ( "locations",
-          Json.List
+          Naming.Json.List
             [
-              Json.Obj
+              Naming.Json.Obj
                 [
                   ( "logicalLocations",
-                    Json.List
+                    Naming.Json.List
                       [
-                        Json.Obj
+                        Naming.Json.Obj
                           [
                             ( "name",
-                              Json.String src.report.Engine.label );
+                              Naming.Json.String src.report.Engine.label );
                           ];
                       ] );
                 ];
@@ -63,16 +68,16 @@ let location src (d : Diagnostic.t) =
       ]
 
 let result src (d : Diagnostic.t) =
-  Json.Obj
+  Naming.Json.Obj
     ([
-       ("ruleId", Json.String d.code);
-       ("level", Json.String (level_of d.severity));
-       ("message", Json.Obj [ ("text", Json.String d.message) ]);
+       ("ruleId", Naming.Json.String d.code);
+       ("level", Naming.Json.String (level_of d.severity));
+       ("message", Naming.Json.Obj [ ("text", Naming.Json.String d.message) ]);
        ( "properties",
-         Json.Obj
+         Naming.Json.Obj
            [
-             ("pass", Json.String d.pass);
-             ("label", Json.String src.report.Engine.label);
+             ("pass", Naming.Json.String d.pass);
+             ("label", Naming.Json.String src.report.Engine.label);
            ] );
      ]
     @ location src d)
@@ -84,25 +89,25 @@ let render sources =
       sources
   in
   let driver =
-    Json.Obj
+    Naming.Json.Obj
       [
-        ("name", Json.String "namingctl");
-        ("rules", Json.List (List.map rule Diagnostic.catalogue));
+        ("name", Naming.Json.String "namingctl");
+        ("rules", Naming.Json.List (List.map rule Diagnostic.catalogue));
       ]
   in
   let run =
-    Json.Obj
+    Naming.Json.Obj
       [
-        ("tool", Json.Obj [ ("driver", driver) ]);
-        ("results", Json.List results);
+        ("tool", Naming.Json.Obj [ ("driver", driver) ]);
+        ("results", Naming.Json.List results);
       ]
   in
-  Json.Obj
+  Naming.Json.Obj
     [
       ( "$schema",
-        Json.String
+        Naming.Json.String
           "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
       );
-      ("version", Json.String "2.1.0");
-      ("runs", Json.List [ run ]);
+      ("version", Naming.Json.String "2.1.0");
+      ("runs", Naming.Json.List [ run ]);
     ]

@@ -19,5 +19,5 @@ type source = {
 val of_report : ?uri:string -> ?line_of:(int -> int option) -> Engine.report -> source
 (** [line_of] defaults to [fun _ -> None]. *)
 
-val render : source list -> Json.t
+val render : source list -> Naming.Json.t
 (** The complete [sarifLog] document. *)

@@ -67,9 +67,8 @@ let mode_of_string = function
 
 (* ------------------------------------------------------------------ *)
 (* Schedule introspection: pure functions of the config (and spec) that
-   mirror exactly what [run] below will do, so analyzers can reason
-   about a schedule without executing it. Any change to [run]'s fault
-   layout, rng derivation or sampling grid must be reflected here. *)
+   [run] below lays its faults and sampling grid out with, so analyzers
+   can reason about a schedule without executing it. *)
 
 let partition_sides cfg =
   if cfg.partition_for > 0.0 && cfg.replicas >= 2 then
@@ -237,68 +236,54 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
         let node = Network.add_node network ~label:(Printf.sprintf "c%d" i) in
         (node, Rpc.create network ~node ~port:9 (), Rng.split rng))
   in
+  let later delay f = ignore (Engine.schedule engine ~delay f) in
   (* Fault schedule. *)
-  let heal_at = ref 0.0 in
-  if cfg.partition_for > 0.0 && cfg.replicas >= 2 then begin
-    let side p =
-      List.concat
-        (List.init cfg.replicas (fun i ->
-             if p i then
-               let cnode, _, _ = clients.(i) in
-               [ Nameserver.replica_node cluster i; cnode ]
-             else []))
-    in
-    ignore
-      (Engine.schedule engine ~delay:cfg.partition_at (fun () ->
-           if cfg.partition_leader && cfg.mode = `Leader_log then begin
-             (* cut whoever leads right now off alone (minority side) *)
-             let l =
-               match Nameserver.leader_of cluster with
-               | Some l -> l
-               | None -> cfg.replicas - 1
-             in
-             Network.partition network
-               (side (fun i -> i = l))
-               (side (fun i -> i <> l))
-           end
-           else
-             let half = max 1 (cfg.replicas / 2) in
-             Network.partition network
-               (side (fun i -> i < half))
-               (side (fun i -> i >= half))));
-    let ends = cfg.partition_at +. cfg.partition_for in
-    ignore
-      (Engine.schedule engine ~delay:ends (fun () -> Network.heal network));
-    if ends > !heal_at then heal_at := ends
-  end;
-  if cfg.crash_for > 0.0 then begin
-    let victim = Nameserver.replica_node cluster (cfg.replicas - 1) in
-    ignore
-      (Engine.schedule engine ~delay:cfg.crash_at (fun () ->
-           Network.set_node_up network victim false));
-    let ends = cfg.crash_at +. cfg.crash_for in
-    ignore
-      (Engine.schedule engine ~delay:ends (fun () ->
-           Network.set_node_up network victim true));
-    if ends > !heal_at then heal_at := ends
-  end;
-  if cfg.mode = `Leader_log && cfg.leader_kill_for > 0.0 then begin
-    (* the targeted fault: whoever leads at [leader_kill_at] goes down *)
-    ignore
-      (Engine.schedule engine ~delay:cfg.leader_kill_at (fun () ->
-           let l =
-             match Nameserver.leader_of cluster with
-             | Some l -> l
-             | None -> 0
-           in
-           let node = Nameserver.replica_node cluster l in
-           Network.set_node_up network node false;
-           ignore
-             (Engine.schedule engine ~delay:cfg.leader_kill_for (fun () ->
-                  Network.set_node_up network node true))));
-    let ends = cfg.leader_kill_at +. cfg.leader_kill_for in
-    if ends > !heal_at then heal_at := ends
-  end;
+  (match partition_sides cfg with
+  | None -> ()
+  | Some (left, right) ->
+      let side ids =
+        List.concat_map
+          (fun i ->
+            let cnode, _, _ = clients.(i) in
+            [ Nameserver.replica_node cluster i; cnode ])
+          ids
+      in
+      later cfg.partition_at (fun () ->
+          if cfg.partition_leader && cfg.mode = `Leader_log then begin
+            (* cut whoever leads right now off alone (minority side) *)
+            let l =
+              match Nameserver.leader_of cluster with
+              | Some l -> l
+              | None -> cfg.replicas - 1
+            in
+            Network.partition network (side [ l ])
+              (side (List.filter (( <> ) l) (left @ right)))
+          end
+          else Network.partition network (side left) (side right));
+      later (cfg.partition_at +. cfg.partition_for) (fun () ->
+          Network.heal network));
+  Option.iter
+    (fun v ->
+      let victim = Nameserver.replica_node cluster v in
+      later cfg.crash_at (fun () -> Network.set_node_up network victim false);
+      later (cfg.crash_at +. cfg.crash_for) (fun () ->
+          Network.set_node_up network victim true))
+    (crash_victim cfg);
+  Option.iter
+    (fun (kill_at, _) ->
+      (* the targeted fault: whoever leads at [leader_kill_at] goes down *)
+      later kill_at (fun () ->
+          let l =
+            match Nameserver.leader_of cluster with
+            | Some l -> l
+            | None -> 0
+          in
+          let node = Nameserver.replica_node cluster l in
+          Network.set_node_up network node false;
+          later cfg.leader_kill_for (fun () ->
+              Network.set_node_up network node true)))
+    (leader_kill_window cfg);
+  let heal_at = heal_time cfg in
   (* Write workload over retrying RPC. *)
   let writes_sent = ref 0
   and writes_acked = ref 0
@@ -316,7 +301,6 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
     lat_n := !lat_n + 1;
     if l > !lat_max then lat_max := l
   in
-  let later delay f = ignore (Engine.schedule engine ~delay f) in
   (* `Leader_log client protocol: submit to a replica, follow Redirect
      hints to the leader, then poll the transaction's fate until it is
      Committed or Aborted — all under one overall txn_deadline, threaded
@@ -433,20 +417,13 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
     | None -> plan_writes cfg spec write_rng);
   (* Coherence sampling. *)
   let samples = ref [] in
-  let rec schedule_sample k =
-    let time = float_of_int k *. cfg.sample_every in
-    if time <= cfg.duration then begin
-      ignore
-        (Engine.schedule engine
-           ~delay:time
-           (fun () ->
-             let report = Nameserver.measure ?jobs cluster probes in
-             let converged = Nameserver.converged cluster in
-             samples := { time; report; converged } :: !samples));
-      schedule_sample (k + 1)
-    end
-  in
-  schedule_sample 1;
+  List.iter
+    (fun time ->
+      later time (fun () ->
+          let report = Nameserver.measure ?jobs cluster probes in
+          let converged = Nameserver.converged cluster in
+          samples := { time; report; converged } :: !samples))
+    (sample_times cfg);
   let ae_timeout =
     match cfg.mode with
     | `Lww_ae -> cfg.ae_timeout
@@ -468,14 +445,14 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
   let converge_time =
     List.find_map
       (fun s ->
-        if s.time >= !heal_at && s.converged && full s.report then Some s.time
+        if s.time >= heal_at && s.converged && full s.report then Some s.time
         else None)
       samples
   in
   let rounds_to_converge =
     Option.map
       (fun tc ->
-        int_of_float (Float.ceil ((tc -. !heal_at) /. cfg.ae_period)))
+        int_of_float (Float.ceil ((tc -. heal_at) /. cfg.ae_period)))
       converge_time
   in
   (* Transactions still in flight when the run ends never learned their
@@ -494,7 +471,7 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
     samples;
     final_report;
     converged;
-    heal_at = !heal_at;
+    heal_at;
     converge_time;
     rounds_to_converge;
     writes_sent = !writes_sent;
@@ -522,414 +499,221 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
 (* Explicit schedules: a config plus the exact write workload, with a
    canonical JSON form. This is the exchange format between the
    schedule explorer and [namingctl chaos --schedule]: a witness the
-   explorer emits replays verbatim. [Analysis.Json] deliberately has no
-   parser (it is a printer for reports) and lib/sim cannot depend on
-   lib/analysis anyway, so the minimal reader lives here. *)
+   explorer emits replays verbatim. *)
+
+module J = Naming.Json
 
 type schedule = {
   config : config;
   writes : (float * int * Nameserver.request) list;
 }
 
-(* Canonical float rendering: integral values print as "x.0" (so every
-   number in the document visibly stays a float), everything else as the
-   shortest %g that round-trips through [float_of_string]. Parsing a
-   rendered schedule therefore recovers the exact float values, and
+(* Every float prints in [Naming.Json]'s shortest round-trip form, so
+   parsing a rendered schedule recovers the exact values and
    re-rendering the parse is byte-identical. *)
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else
-    let rec go p =
-      if p >= 17 then Printf.sprintf "%.17g" f
-      else
-        let s = Printf.sprintf "%.*g" p f in
-        if float_of_string s = f then s else go (p + 1)
-    in
-    go 15
-
-let json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let schedule_to_json (s : schedule) =
-  let b = Buffer.create 1024 in
   let cfg = s.config in
-  let ff = json_float in
-  Buffer.add_string b "{\n  \"version\": 1,\n  \"config\": {";
-  Printf.bprintf b "\"seed\": %d, \"replicas\": %d, " cfg.seed cfg.replicas;
-  Printf.bprintf b "\"drop\": %s, \"duplicate\": %s, " (ff cfg.drop)
-    (ff cfg.duplicate);
-  Printf.bprintf b "\"partition_at\": %s, \"partition_for\": %s, "
-    (ff cfg.partition_at) (ff cfg.partition_for);
-  Printf.bprintf b "\"crash_at\": %s, \"crash_for\": %s, " (ff cfg.crash_at)
-    (ff cfg.crash_for);
-  Printf.bprintf b "\"writes\": %d, \"write_window\": %s, " cfg.writes
-    (ff cfg.write_window);
-  Printf.bprintf b "\"call_timeout\": %s, \"call_attempts\": %d, "
-    (ff cfg.call_timeout) cfg.call_attempts;
-  Printf.bprintf b
-    "\"ae_period\": %s, \"ae_timeout\": %s, \"ae_attempts\": %d, "
-    (ff cfg.ae_period) (ff cfg.ae_timeout) cfg.ae_attempts;
-  Printf.bprintf b "\"sample_every\": %s, \"duration\": %s, "
-    (ff cfg.sample_every) (ff cfg.duration);
-  Printf.bprintf b "\"dedup_window\": %s, "
-    (match cfg.dedup_window with Some n -> string_of_int n | None -> "null");
-  Printf.bprintf b "\"mode\": \"%s\", " (mode_to_string cfg.mode);
-  Printf.bprintf b "\"leader_kill_at\": %s, \"leader_kill_for\": %s, "
-    (ff cfg.leader_kill_at) (ff cfg.leader_kill_for);
-  Printf.bprintf b "\"partition_leader\": %b, \"txn_deadline\": %s"
-    cfg.partition_leader (ff cfg.txn_deadline);
-  Buffer.add_string b "},\n  \"writes\": [";
-  List.iteri
-    (fun i (time, client, req) ->
-      match req with
-      | Nameserver.Write { path; atom; target } ->
-          Printf.bprintf b "%s\n    {\"time\": %s, \"client\": %d, \"path\": "
-            (if i = 0 then "" else ",")
-            (ff time) client;
-          json_string b (N.to_string (N.prepend_root path));
-          Buffer.add_string b ", \"atom\": ";
-          json_string b (N.atom_to_string atom);
-          Buffer.add_string b ", \"target\": ";
-          (match target with
-          | Some k -> json_string b k
-          | None -> Buffer.add_string b "null");
-          Buffer.add_string b "}"
-      | _ -> invalid_arg "Chaos.schedule_to_json: workload contains a non-write")
-    s.writes;
-  Buffer.add_string b (if s.writes = [] then "]\n}" else "\n  ]\n}");
-  Buffer.contents b
+  let f x = J.Float x in
+  let write (time, client, req) =
+    match req with
+    | Nameserver.Write { path; atom; target } ->
+        J.Obj
+          [
+            ("time", f time);
+            ("client", J.Int client);
+            ("path", J.String (N.to_string (N.prepend_root path)));
+            ("atom", J.String (N.atom_to_string atom));
+            ( "target",
+              match target with Some k -> J.String k | None -> J.Null );
+          ]
+    | _ -> invalid_arg "Chaos.schedule_to_json: workload contains a non-write"
+  in
+  J.to_string_pretty
+    (J.Obj
+       [
+         ("version", J.Int 1);
+         ( "config",
+           J.Obj
+             [
+               ("seed", J.Int cfg.seed);
+               ("replicas", J.Int cfg.replicas);
+               ("drop", f cfg.drop);
+               ("duplicate", f cfg.duplicate);
+               ("partition_at", f cfg.partition_at);
+               ("partition_for", f cfg.partition_for);
+               ("crash_at", f cfg.crash_at);
+               ("crash_for", f cfg.crash_for);
+               ("writes", J.Int cfg.writes);
+               ("write_window", f cfg.write_window);
+               ("call_timeout", f cfg.call_timeout);
+               ("call_attempts", J.Int cfg.call_attempts);
+               ("ae_period", f cfg.ae_period);
+               ("ae_timeout", f cfg.ae_timeout);
+               ("ae_attempts", J.Int cfg.ae_attempts);
+               ("sample_every", f cfg.sample_every);
+               ("duration", f cfg.duration);
+               ( "dedup_window",
+                 match cfg.dedup_window with
+                 | Some n -> J.Int n
+                 | None -> J.Null );
+               ("mode", J.String (mode_to_string cfg.mode));
+               ("leader_kill_at", f cfg.leader_kill_at);
+               ("leader_kill_for", f cfg.leader_kill_for);
+               ("partition_leader", J.Bool cfg.partition_leader);
+               ("txn_deadline", f cfg.txn_deadline);
+             ] );
+         ("writes", J.List (List.map write s.writes));
+       ])
 
-(* A minimal recursive-descent JSON reader — just enough for the
-   schedule format above (ASCII strings, standard escapes). *)
-module Json_reader = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let i = ref 0 in
-    let err msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !i)) in
-    let peek () = if !i < n then Some s.[!i] else None in
-    let skip_ws () =
-      while
-        !i < n
-        && match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-      do
-        incr i
-      done
-    in
-    let expect c =
-      if !i < n && s.[!i] = c then incr i
-      else err (Printf.sprintf "expected '%c'" c)
-    in
-    let lit w v =
-      let l = String.length w in
-      if !i + l <= n && String.sub s !i l = w then begin
-        i := !i + l;
-        v
-      end
-      else err ("expected " ^ w)
-    in
-    let number () =
-      let start = !i in
-      if peek () = Some '-' then incr i;
-      while
-        !i < n
-        &&
-        match s.[!i] with
-        | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-        | _ -> false
-      do
-        incr i
-      done;
-      match float_of_string_opt (String.sub s start (!i - start)) with
-      | Some f -> Num f
-      | None -> err "malformed number"
-    in
-    let string_ () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !i >= n then err "unterminated string"
-        else
-          match s.[!i] with
-          | '"' ->
-              incr i;
-              Buffer.contents b
-          | '\\' ->
-              incr i;
-              (if !i >= n then err "unterminated escape"
-               else
-                 match s.[!i] with
-                 | '"' | '\\' | '/' ->
-                     Buffer.add_char b s.[!i];
-                     incr i
-                 | 'b' ->
-                     Buffer.add_char b '\b';
-                     incr i
-                 | 'f' ->
-                     Buffer.add_char b '\012';
-                     incr i
-                 | 'n' ->
-                     Buffer.add_char b '\n';
-                     incr i
-                 | 'r' ->
-                     Buffer.add_char b '\r';
-                     incr i
-                 | 't' ->
-                     Buffer.add_char b '\t';
-                     incr i
-                 | 'u' ->
-                     if !i + 4 >= n then err "truncated \\u escape";
-                     let code =
-                       match
-                         int_of_string_opt
-                           ("0x" ^ String.sub s (!i + 1) 4)
-                       with
-                       | Some c -> c
-                       | None -> err "malformed \\u escape"
-                     in
-                     if code > 0x7f then
-                       err "non-ASCII \\u escape unsupported"
-                     else Buffer.add_char b (Char.chr code);
-                     i := !i + 5
-                 | _ -> err "unknown escape");
-              go ()
-          | c ->
-              Buffer.add_char b c;
-              incr i;
-              go ()
-      in
-      go ()
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> Str (string_ ())
-      | Some 't' -> lit "true" (Bool true)
-      | Some 'f' -> lit "false" (Bool false)
-      | Some 'n' -> lit "null" Null
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> err "expected a JSON value"
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr i;
-        Arr []
-      end
-      else
-        let rec go acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr i;
-              go (v :: acc)
-          | Some ']' ->
-              incr i;
-              Arr (List.rev (v :: acc))
-          | _ -> err "expected ',' or ']'"
-        in
-        go []
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr i;
-        Obj []
-      end
-      else
-        let rec go acc =
-          skip_ws ();
-          let k = string_ () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-              incr i;
-              go ((k, v) :: acc)
-          | Some '}' ->
-              incr i;
-              Obj (List.rev ((k, v) :: acc))
-          | _ -> err "expected ',' or '}'"
-        in
-        go []
-    in
-    let v = value () in
-    skip_ws ();
-    if !i <> n then err "trailing garbage";
-    v
-end
+exception Bad_schedule of string
 
 let schedule_of_json text : (schedule, string) Stdlib.result =
-  let module J = Json_reader in
-  let bad fmt = Printf.ksprintf (fun m -> raise (J.Bad m)) fmt in
-  try
-    let top =
-      match J.parse text with
-      | J.Obj kvs -> kvs
-      | _ -> bad "schedule must be a JSON object"
-    in
-    let field name =
-      match List.assoc_opt name top with
-      | Some v -> v
-      | None -> bad "missing field %S" name
-    in
-    (match field "version" with
-    | J.Num 1.0 -> ()
-    | _ -> bad "unsupported schedule version (expected 1)");
-    let cobj =
-      match field "config" with
-      | J.Obj o -> o
-      | _ -> bad "\"config\" must be an object"
-    in
-    let ff name =
-      match List.assoc_opt name cobj with
-      | Some (J.Num f) -> f
-      | Some _ -> bad "config field %S must be a number" name
-      | None -> bad "missing config field %S" name
-    in
-    let as_int name f =
-      if Float.is_integer f then int_of_float f
-      else bad "%S must be an integer" name
-    in
-    let fi name = as_int name (ff name) in
-    let config =
-      {
-        seed = fi "seed";
-        replicas = fi "replicas";
-        drop = ff "drop";
-        duplicate = ff "duplicate";
-        partition_at = ff "partition_at";
-        partition_for = ff "partition_for";
-        crash_at = ff "crash_at";
-        crash_for = ff "crash_for";
-        writes = fi "writes";
-        write_window = ff "write_window";
-        call_timeout = ff "call_timeout";
-        call_attempts = fi "call_attempts";
-        ae_period = ff "ae_period";
-        ae_timeout = ff "ae_timeout";
-        ae_attempts = fi "ae_attempts";
-        sample_every = ff "sample_every";
-        duration = ff "duration";
-        dedup_window =
-          (match List.assoc_opt "dedup_window" cobj with
-          | Some J.Null -> None
-          | Some (J.Num f) -> Some (as_int "dedup_window" f)
-          | Some _ -> bad "config field \"dedup_window\" must be an int or null"
-          | None -> bad "missing config field \"dedup_window\"");
-        (* PR 10 fields, absent from earlier witness files: default to
-           the values those schedules in fact ran with, so every old
-           witness still parses and replays identically *)
-        mode =
-          (match List.assoc_opt "mode" cobj with
-          | Some (J.Str s) -> (
-              match mode_of_string s with
-              | Some m -> m
-              | None -> bad "unknown mode %S (expected lww or leader)" s)
-          | Some _ -> bad "config field \"mode\" must be a string"
-          | None -> `Lww_ae);
-        leader_kill_at =
-          (match List.assoc_opt "leader_kill_at" cobj with
-          | Some (J.Num f) -> f
-          | Some _ -> bad "config field \"leader_kill_at\" must be a number"
-          | None -> default.leader_kill_at);
-        leader_kill_for =
-          (match List.assoc_opt "leader_kill_for" cobj with
-          | Some (J.Num f) -> f
-          | Some _ -> bad "config field \"leader_kill_for\" must be a number"
-          | None -> default.leader_kill_for);
-        partition_leader =
-          (match List.assoc_opt "partition_leader" cobj with
-          | Some (J.Bool v) -> v
-          | Some _ -> bad "config field \"partition_leader\" must be a bool"
-          | None -> default.partition_leader);
-        txn_deadline =
-          (match List.assoc_opt "txn_deadline" cobj with
-          | Some (J.Num f) -> f
-          | Some _ -> bad "config field \"txn_deadline\" must be a number"
-          | None -> default.txn_deadline);
-      }
-    in
-    if config.replicas < 1 then bad "config.replicas must be >= 1";
-    let parse_write = function
-      | J.Obj o ->
-          let wfield name =
-            match List.assoc_opt name o with
-            | Some v -> v
-            | None -> bad "missing write field %S" name
-          in
-          let time =
-            match wfield "time" with
-            | J.Num f -> f
-            | _ -> bad "write field \"time\" must be a number"
-          in
-          let client =
-            match wfield "client" with
-            | J.Num f -> as_int "client" f
-            | _ -> bad "write field \"client\" must be a number"
-          in
-          if client < 0 || client >= config.replicas then
-            bad "write client %d out of range for %d replicas" client
-              config.replicas;
-          let path =
-            match wfield "path" with
-            | J.Str p -> (
-                try N.prepend_root (N.of_string p)
-                with N.Invalid m -> bad "invalid write path %S: %s" p m)
-            | _ -> bad "write field \"path\" must be a string"
-          in
-          let atom =
-            match wfield "atom" with
-            | J.Str a -> (
-                try N.atom a
-                with N.Invalid m -> bad "invalid write atom %S: %s" a m)
-            | _ -> bad "write field \"atom\" must be a string"
-          in
-          let target =
-            match wfield "target" with
-            | J.Null -> None
-            | J.Str k -> Some k
-            | _ -> bad "write field \"target\" must be a string or null"
-          in
-          (time, client, Nameserver.Write { path; atom; target })
-      | _ -> bad "each write must be an object"
-    in
-    let writes =
-      match field "writes" with
-      | J.Arr ws -> List.map parse_write ws
-      | _ -> bad "\"writes\" must be an array"
-    in
-    if config.writes <> List.length writes then
-      bad "config.writes (%d) must equal the length of the writes array (%d)"
-        config.writes (List.length writes);
-    Ok { config; writes }
-  with J.Bad msg -> Error msg
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad_schedule m)) fmt in
+  let number what = function
+    | J.Int i -> float_of_int i
+    | J.Float f -> f
+    | _ -> bad "%s must be a number" what
+  in
+  let integer what = function
+    | J.Int i -> i
+    | J.Float f when Float.is_integer f -> int_of_float f
+    | J.Float _ -> bad "%s must be an integer" what
+    | _ -> bad "%s must be a number" what
+  in
+  let field kind kvs name =
+    match List.assoc_opt name kvs with
+    | Some v -> v
+    | None -> bad "missing %s %S" kind name
+  in
+  match J.of_string text with
+  | Error m -> Error m
+  | Ok doc -> (
+      try
+        let top =
+          match doc with
+          | J.Obj kvs -> kvs
+          | _ -> bad "schedule must be a JSON object"
+        in
+        (match field "field" top "version" with
+        | J.Int 1 | J.Float 1.0 -> ()
+        | _ -> bad "unsupported schedule version (expected 1)");
+        let cobj =
+          match field "field" top "config" with
+          | J.Obj o -> o
+          | _ -> bad "\"config\" must be an object"
+        in
+        let what name = Printf.sprintf "config field %S" name in
+        let ff name = number (what name) (field "config field" cobj name) in
+        let fi name = integer (what name) (field "config field" cobj name) in
+        (* Fields absent from witness files written before the leader
+           tier default to the values those schedules in fact ran with,
+           so every old witness still parses and replays identically. *)
+        let or_default name conv default =
+          match List.assoc_opt name cobj with
+          | Some v -> conv v
+          | None -> default
+        in
+        let config =
+          {
+            seed = fi "seed";
+            replicas = fi "replicas";
+            drop = ff "drop";
+            duplicate = ff "duplicate";
+            partition_at = ff "partition_at";
+            partition_for = ff "partition_for";
+            crash_at = ff "crash_at";
+            crash_for = ff "crash_for";
+            writes = fi "writes";
+            write_window = ff "write_window";
+            call_timeout = ff "call_timeout";
+            call_attempts = fi "call_attempts";
+            ae_period = ff "ae_period";
+            ae_timeout = ff "ae_timeout";
+            ae_attempts = fi "ae_attempts";
+            sample_every = ff "sample_every";
+            duration = ff "duration";
+            dedup_window =
+              (match field "config field" cobj "dedup_window" with
+              | J.Null -> None
+              | v -> Some (integer (what "dedup_window") v));
+            mode =
+              or_default "mode"
+                (function
+                  | J.String s -> (
+                      match mode_of_string s with
+                      | Some m -> m
+                      | None ->
+                          bad "unknown mode %S (expected lww or leader)" s)
+                  | _ -> bad "config field \"mode\" must be a string")
+                `Lww_ae;
+            leader_kill_at =
+              or_default "leader_kill_at"
+                (number (what "leader_kill_at"))
+                default.leader_kill_at;
+            leader_kill_for =
+              or_default "leader_kill_for"
+                (number (what "leader_kill_for"))
+                default.leader_kill_for;
+            partition_leader =
+              or_default "partition_leader"
+                (function
+                  | J.Bool v -> v
+                  | _ -> bad "config field \"partition_leader\" must be a bool")
+                default.partition_leader;
+            txn_deadline =
+              or_default "txn_deadline"
+                (number (what "txn_deadline"))
+                default.txn_deadline;
+          }
+        in
+        if config.replicas < 1 then bad "config.replicas must be >= 1";
+        List.iter
+          (fun (name, p) ->
+            if not (p >= 0.0 && p <= 1.0) then
+              bad "config.%s (%g) must lie in [0, 1]" name p)
+          [ ("drop", config.drop); ("duplicate", config.duplicate) ];
+        let parse_write = function
+          | J.Obj o ->
+              let wfield = field "write field" o in
+              let time = number "write field \"time\"" (wfield "time") in
+              let client = integer "write field \"client\"" (wfield "client") in
+              if client < 0 || client >= config.replicas then
+                bad "write client %d out of range for %d replicas" client
+                  config.replicas;
+              let path =
+                match wfield "path" with
+                | J.String p -> (
+                    try N.prepend_root (N.of_string p)
+                    with N.Invalid m -> bad "invalid write path %S: %s" p m)
+                | _ -> bad "write field \"path\" must be a string"
+              in
+              let atom =
+                match wfield "atom" with
+                | J.String a -> (
+                    try N.atom a
+                    with N.Invalid m -> bad "invalid write atom %S: %s" a m)
+                | _ -> bad "write field \"atom\" must be a string"
+              in
+              let target =
+                match wfield "target" with
+                | J.Null -> None
+                | J.String k -> Some k
+                | _ -> bad "write field \"target\" must be a string or null"
+              in
+              (time, client, Nameserver.Write { path; atom; target })
+          | _ -> bad "each write must be an object"
+        in
+        let writes =
+          match field "field" top "writes" with
+          | J.List ws -> List.map parse_write ws
+          | _ -> bad "\"writes\" must be an array"
+        in
+        if config.writes <> List.length writes then
+          bad
+            "config.writes (%d) must equal the length of the writes array (%d)"
+            config.writes (List.length writes);
+        Ok { config; writes }
+      with Bad_schedule msg -> Error msg)
 
 let run_schedule ?jobs ~spec ~probes (s : schedule) =
   run ?jobs ~writes:s.writes ~config:s.config ~spec ~probes ()
@@ -939,85 +723,123 @@ let run_schedule ?jobs ~spec ~probes (s : schedule) =
 
 let degree (r : Co.report) = Co.degree r
 
-let json_rpc b (s : Rpc.stats) =
-  Printf.bprintf b
-    "{\"calls\": %d, \"replies\": %d, \"timeouts\": %d, \"retries\": %d, \
-     \"exhausted\": %d, \"unavailable\": %d, \"served\": %d, \"dedup_hits\": \
-     %d, \"dropped_requests\": %d, \"late_replies\": %d}"
-    s.Rpc.calls s.Rpc.replies s.Rpc.timeouts s.Rpc.retries s.Rpc.exhausted
-    s.Rpc.unavailable s.Rpc.served s.Rpc.dedup_hits s.Rpc.dropped_requests
-    s.Rpc.late_replies
+let rpc_json (s : Rpc.stats) =
+  J.Obj
+    [
+      ("calls", J.Int s.Rpc.calls);
+      ("replies", J.Int s.Rpc.replies);
+      ("timeouts", J.Int s.Rpc.timeouts);
+      ("retries", J.Int s.Rpc.retries);
+      ("exhausted", J.Int s.Rpc.exhausted);
+      ("unavailable", J.Int s.Rpc.unavailable);
+      ("served", J.Int s.Rpc.served);
+      ("dedup_hits", J.Int s.Rpc.dedup_hits);
+      ("dropped_requests", J.Int s.Rpc.dropped_requests);
+      ("late_replies", J.Int s.Rpc.late_replies);
+    ]
 
-let to_json ~scheme (r : result) =
-  let b = Buffer.create 4096 in
+let coherence_json (rep : Co.report) =
+  J.Obj
+    [
+      ("probes", J.Int rep.Co.probes);
+      ("coherent", J.Int rep.Co.coherent);
+      ("weakly_coherent", J.Int rep.Co.weakly_coherent);
+      ("incoherent", J.Int rep.Co.incoherent);
+      ("vacuous", J.Int rep.Co.vacuous);
+      ("degree", J.fixed 4 (degree rep));
+    ]
+
+let report_json ~scheme (r : result) =
   let cfg = r.config in
-  Printf.bprintf b "{\n  \"scheme\": \"%s\",\n  \"seed\": %d,\n" scheme
-    cfg.seed;
-  Printf.bprintf b
-    "  \"config\": {\"mode\": \"%s\", \"replicas\": %d, \"drop\": %.4f, \
-     \"duplicate\": %.4f, \"partition_at\": %.3f, \"partition_for\": %.3f, \
-     \"crash_at\": %.3f, \"crash_for\": %.3f, \"leader_kill_at\": %.3f, \
-     \"leader_kill_for\": %.3f, \"partition_leader\": %b, \"writes\": %d, \
-     \"ae_period\": %.3f, \"duration\": %.3f},\n"
-    (mode_to_string cfg.mode) cfg.replicas cfg.drop cfg.duplicate
-    cfg.partition_at cfg.partition_for cfg.crash_at cfg.crash_for
-    cfg.leader_kill_at cfg.leader_kill_for cfg.partition_leader cfg.writes
-    cfg.ae_period cfg.duration;
-  Printf.bprintf b "  \"converged\": %b,\n  \"heal_at\": %.3f,\n" r.converged
-    r.heal_at;
-  (match r.converge_time with
-  | Some t -> Printf.bprintf b "  \"converge_time\": %.3f,\n" t
-  | None -> Buffer.add_string b "  \"converge_time\": null,\n");
-  (match r.rounds_to_converge with
-  | Some n -> Printf.bprintf b "  \"rounds_to_converge\": %d,\n" n
-  | None -> Buffer.add_string b "  \"rounds_to_converge\": null,\n");
-  Printf.bprintf b
-    "  \"writes\": {\"sent\": %d, \"acked\": %d, \"nacked\": %d, \"lost\": \
-     %d},\n"
-    r.writes_sent r.writes_acked r.writes_nacked r.writes_lost;
-  Printf.bprintf b
-    "  \"txns\": {\"committed\": %d, \"aborted\": %d, \"unknown\": %d},\n"
-    r.txns_committed r.txns_aborted r.txns_unknown;
-  Printf.bprintf b
-    "  \"latency\": {\"mean\": %.4f, \"max\": %.4f},\n"
-    r.latency_mean r.latency_max;
-  let j (rep : Co.report) =
-    Printf.sprintf
-      "{\"probes\": %d, \"coherent\": %d, \"weakly_coherent\": %d, \
-       \"incoherent\": %d, \"vacuous\": %d, \"degree\": %.4f}"
-      rep.Co.probes rep.Co.coherent rep.Co.weakly_coherent rep.Co.incoherent
-      rep.Co.vacuous (degree rep)
-  in
-  Buffer.add_string b "  \"samples\": [";
-  List.iteri
-    (fun i s ->
-      Printf.bprintf b "%s\n    {\"time\": %.3f, \"converged\": %b, \
-                        \"coherence\": %s}"
-        (if i = 0 then "" else ",")
-        s.time s.converged (j s.report))
-    r.samples;
-  Buffer.add_string b "\n  ],\n";
-  Printf.bprintf b "  \"final\": %s,\n" (j r.final_report);
-  Printf.bprintf b
-    "  \"net\": {\"sent\": %d, \"delivered\": %d, \"dropped\": %d, \"cut\": \
-     %d, \"node_down\": %d, \"undeliverable\": %d, \"duplicated\": %d},\n"
-    r.net.Network.sent r.net.Network.delivered r.net.Network.dropped
-    r.net.Network.cut r.net.Network.node_down r.net.Network.undeliverable
-    r.net.Network.duplicated;
-  Buffer.add_string b "  \"server_rpc\": ";
-  json_rpc b r.server_rpc;
-  Buffer.add_string b ",\n  \"client_rpc\": ";
-  json_rpc b r.client_rpc;
-  Printf.bprintf b
-    ",\n  \"nameserver\": {\"writes_accepted\": %d, \"ops_applied\": %d, \
-     \"lww_losses\": %d, \"pulls\": %d, \"pull_failures\": %d, \
-     \"elections\": %d, \"txns_committed\": %d, \"txns_aborted\": %d},\n"
-    r.ns.Nameserver.writes_accepted r.ns.Nameserver.ops_applied
-    r.ns.Nameserver.lww_losses r.ns.Nameserver.pulls
-    r.ns.Nameserver.pull_failures r.ns.Nameserver.elections
-    r.ns.Nameserver.txns_committed r.ns.Nameserver.txns_aborted;
-  Printf.bprintf b "  \"events\": %d\n}" r.events;
-  Buffer.contents b
+  let opt conv = function Some v -> conv v | None -> J.Null in
+  J.Obj
+    [
+      ("scheme", J.String scheme);
+      ("seed", J.Int cfg.seed);
+      ( "config",
+        J.Obj
+          [
+            ("mode", J.String (mode_to_string cfg.mode));
+            ("replicas", J.Int cfg.replicas);
+            ("drop", J.fixed 4 cfg.drop);
+            ("duplicate", J.fixed 4 cfg.duplicate);
+            ("partition_at", J.fixed 3 cfg.partition_at);
+            ("partition_for", J.fixed 3 cfg.partition_for);
+            ("crash_at", J.fixed 3 cfg.crash_at);
+            ("crash_for", J.fixed 3 cfg.crash_for);
+            ("leader_kill_at", J.fixed 3 cfg.leader_kill_at);
+            ("leader_kill_for", J.fixed 3 cfg.leader_kill_for);
+            ("partition_leader", J.Bool cfg.partition_leader);
+            ("writes", J.Int cfg.writes);
+            ("ae_period", J.fixed 3 cfg.ae_period);
+            ("duration", J.fixed 3 cfg.duration);
+          ] );
+      ("converged", J.Bool r.converged);
+      ("heal_at", J.fixed 3 r.heal_at);
+      ("converge_time", opt (J.fixed 3) r.converge_time);
+      ("rounds_to_converge", opt (fun n -> J.Int n) r.rounds_to_converge);
+      ( "writes",
+        J.Obj
+          [
+            ("sent", J.Int r.writes_sent);
+            ("acked", J.Int r.writes_acked);
+            ("nacked", J.Int r.writes_nacked);
+            ("lost", J.Int r.writes_lost);
+          ] );
+      ( "txns",
+        J.Obj
+          [
+            ("committed", J.Int r.txns_committed);
+            ("aborted", J.Int r.txns_aborted);
+            ("unknown", J.Int r.txns_unknown);
+          ] );
+      ( "latency",
+        J.Obj
+          [
+            ("mean", J.fixed 4 r.latency_mean);
+            ("max", J.fixed 4 r.latency_max);
+          ] );
+      ( "samples",
+        J.List
+          (List.map
+             (fun s ->
+               J.Obj
+                 [
+                   ("time", J.fixed 3 s.time);
+                   ("converged", J.Bool s.converged);
+                   ("coherence", coherence_json s.report);
+                 ])
+             r.samples) );
+      ("final", coherence_json r.final_report);
+      ( "net",
+        J.Obj
+          [
+            ("sent", J.Int r.net.Network.sent);
+            ("delivered", J.Int r.net.Network.delivered);
+            ("dropped", J.Int r.net.Network.dropped);
+            ("cut", J.Int r.net.Network.cut);
+            ("node_down", J.Int r.net.Network.node_down);
+            ("undeliverable", J.Int r.net.Network.undeliverable);
+            ("duplicated", J.Int r.net.Network.duplicated);
+          ] );
+      ("server_rpc", rpc_json r.server_rpc);
+      ("client_rpc", rpc_json r.client_rpc);
+      ( "nameserver",
+        J.Obj
+          [
+            ("writes_accepted", J.Int r.ns.Nameserver.writes_accepted);
+            ("ops_applied", J.Int r.ns.Nameserver.ops_applied);
+            ("lww_losses", J.Int r.ns.Nameserver.lww_losses);
+            ("pulls", J.Int r.ns.Nameserver.pulls);
+            ("pull_failures", J.Int r.ns.Nameserver.pull_failures);
+            ("elections", J.Int r.ns.Nameserver.elections);
+            ("txns_committed", J.Int r.ns.Nameserver.txns_committed);
+            ("txns_aborted", J.Int r.ns.Nameserver.txns_aborted);
+          ] );
+      ("events", J.Int r.events);
+    ]
+
+let to_json ~scheme r = J.to_string_pretty (report_json ~scheme r)
 
 let pp_summary ~scheme ppf (r : result) =
   Format.fprintf ppf "@[<v>%s: %s@," scheme

@@ -115,9 +115,9 @@ val run :
 
 (** {1 Schedule introspection}
 
-    Pure functions of the config (and spec) that mirror exactly what
-    {!run} will do, so static analyzers can reason about a schedule
-    without executing it. *)
+    Pure functions of the config (and spec) that {!run} itself lays its
+    faults, write workload and sampling grid out with, so static
+    analyzers can reason about a schedule without executing it. *)
 
 val planned_writes :
   config -> Nameserver.spec -> (float * int * Nameserver.request) list
@@ -177,8 +177,9 @@ type schedule = {
 
 val schedule_to_json : schedule -> string
 (** Canonical JSON rendering of a schedule. Floats print in their
-    shortest exact decimal form, so {!schedule_of_json} recovers the
-    exact values and re-rendering the parse is byte-identical.
+    shortest exact decimal form ({!Naming.Json.to_string}), so
+    {!schedule_of_json} recovers the exact values and re-rendering the
+    parse is byte-identical.
     @raise Invalid_argument when the workload contains a non-write
     request. *)
 
@@ -191,7 +192,8 @@ val schedule_of_json : string -> (schedule, string) Stdlib.result
     witness files from before the leader tier parse and replay
     unchanged. Write paths are re-rooted with
     {!Naming.Name.prepend_root}; client ids must lie in
-    [\[0; replicas)]. [Error msg] pinpoints the first problem. *)
+    [\[0; replicas)] and [drop] and [duplicate] in [\[0; 1\]].
+    [Error msg] pinpoints the first problem. *)
 
 val run_schedule :
   ?jobs:int ->
@@ -203,9 +205,13 @@ val run_schedule :
     [run ~writes:s.writes ~config:s.config ~spec ~probes ()]: replays
     the schedule exactly. *)
 
+val report_json : scheme:string -> result -> Naming.Json.t
+(** The run as a JSON tree; the same for runs of the same seed and
+    spec, at any [jobs]. Times print to 3 decimals, probabilities,
+    degrees and latencies to 4, as they always have. *)
+
 val to_json : scheme:string -> result -> string
-(** A self-contained JSON document; byte-identical across runs of the
-    same seed and spec, at any [jobs]. *)
+(** {!report_json} as a self-contained, pretty-printed document. *)
 
 val pp_summary : scheme:string -> Format.formatter -> result -> unit
 (** Human-readable run summary: the coherence time series and the

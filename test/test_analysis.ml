@@ -18,26 +18,6 @@ let broken_report () =
   in
   (subject, A.Engine.analyze ~config ~label:"broken" subject)
 
-(* --- Json ----------------------------------------------------------- *)
-
-let test_json_render () =
-  let j =
-    A.Json.Obj
-      [
-        ("s", A.Json.String "a\"b\\c\nd\tcontrol:\x01");
-        ("n", A.Json.Int 3);
-        ("f", A.Json.Float 1.5);
-        ("l", A.Json.List [ A.Json.Bool true; A.Json.Null ]);
-        ("e", A.Json.Obj []);
-      ]
-  in
-  check Alcotest.string "compact"
-    "{\"s\":\"a\\\"b\\\\c\\nd\\tcontrol:\\u0001\",\"n\":3,\"f\":1.5,\
-     \"l\":[true,null],\"e\":{}}"
-    (A.Json.to_string j);
-  check b "pretty contains newlines" true
-    (String.contains (A.Json.to_string_pretty j) '\n')
-
 (* --- the broken-world fixture --------------------------------------- *)
 
 let test_broken_codes () =
@@ -106,7 +86,7 @@ let test_codes_in_catalogue () =
 let test_broken_json_golden () =
   let subject, r = broken_report () in
   let json =
-    A.Json.to_string_pretty (A.Engine.to_json subject.A.Subject.store r)
+    Naming.Json.to_string_pretty (A.Engine.to_json subject.A.Subject.store r)
   in
   check Alcotest.string "golden JSON" Broken_world.expected_json json
 
@@ -332,7 +312,6 @@ let prop_random_worlds_error_free =
 
 let suite =
   [
-    Alcotest.test_case "json render" `Quick test_json_render;
     Alcotest.test_case "broken world codes" `Quick test_broken_codes;
     Alcotest.test_case "broken world gates" `Quick test_broken_gates;
     Alcotest.test_case "broken world pretty output" `Quick test_broken_pretty;

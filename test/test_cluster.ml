@@ -26,7 +26,7 @@ let contains ~sub s =
 
 let report_json r =
   (* NG2xx diagnostics carry no store entities; any store renders them. *)
-  A.Json.to_string_pretty (A.Engine.to_json (Naming.Store.create ()) r)
+  Naming.Json.to_string_pretty (A.Engine.to_json (Naming.Store.create ()) r)
 
 (* ------------------------------------------------------------------ *)
 (* The broken-cluster fixture.                                         *)
@@ -57,7 +57,9 @@ let test_broken_json_golden () =
 
 let test_broken_sarif () =
   let _st, r = Broken_cluster.report () in
-  let sarif = A.Json.to_string_pretty (A.Sarif.render [ A.Sarif.of_report r ]) in
+  let sarif =
+    Naming.Json.to_string_pretty (A.Sarif.render [ A.Sarif.of_report r ])
+  in
   List.iter
     (fun code ->
       check b (code ^ " appears in SARIF") true
@@ -170,7 +172,7 @@ let test_jobs_parity () =
     let subjects = subjects () in
     List.map2
       (fun (_, subj) r ->
-        A.Json.to_string_pretty (A.Engine.to_json subj.A.Subject.store r))
+        Naming.Json.to_string_pretty (A.Engine.to_json subj.A.Subject.store r))
       subjects
       (A.Engine.analyze_many ~jobs subjects)
   in

@@ -30,7 +30,7 @@ let i = Alcotest.int
 let s = Alcotest.string
 
 let report_json r =
-  A.Json.to_string_pretty (A.Engine.to_json (Naming.Store.create ()) r)
+  Naming.Json.to_string_pretty (A.Engine.to_json (Naming.Store.create ()) r)
 
 (* The probes [Explore.run] replays with — the spec's directories and
    link paths, exactly as [namingctl chaos] derives them. *)
@@ -272,6 +272,16 @@ let test_schedule_of_json_errors () =
     {|{"version": 1, "config": {"seed": 1}, "writes": []}|};
   let good = Ch.schedule_to_json (schedule_of_seed 1) in
   reject "trailing garbage" (good ^ "x");
+  (* a complete pre-leader document with its drop literal spelled [v] *)
+  let with_drop v =
+    {|{"version": 1, "config": {"seed": 7, "replicas": 3, "drop": |} ^ v
+    ^ {|, "duplicate": 0.05, "partition_at": 10, "partition_for": 20, "crash_at": 15, "crash_for": 10, "writes": 0, "write_window": 30, "call_timeout": 2, "call_attempts": 6, "ae_period": 2, "ae_timeout": 2, "ae_attempts": 3, "sample_every": 2, "duration": 80, "dedup_window": null}, "writes": []}|}
+  in
+  (match Ch.schedule_of_json (with_drop "0.5") with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "drop 0.5 rejected: %s" m);
+  reject "non-finite drop" (with_drop "1e999");
+  reject "drop above 1" (with_drop "7");
   match Ch.schedule_of_json good with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "round-trip rejected: %s" m

@@ -39,7 +39,7 @@ let test_broken_gates () =
 let test_broken_json_golden () =
   let _r, rep = Broken_script.report () in
   let store = Naming.Store.create () in
-  let json = A.Json.to_string_pretty (A.Engine.to_json store rep) in
+  let json = Naming.Json.to_string_pretty (A.Engine.to_json store rep) in
   check Alcotest.string "golden JSON" Broken_script.expected_json json
 
 let test_broken_lines () =
@@ -201,7 +201,7 @@ let test_sarif () =
     if i >= 0 && i < Array.length lines then Some lines.(i) else None
   in
   let s =
-    A.Json.to_string
+    Naming.Json.to_string
       (A.Sarif.render [ A.Sarif.of_report ~uri:"broken.nsc" ~line_of rep ])
   in
   List.iter
@@ -219,7 +219,7 @@ let test_sarif () =
       "\"startLine\":9";
     ];
   (* without a uri the result falls back to a logical location *)
-  let s2 = A.Json.to_string (A.Sarif.render [ A.Sarif.of_report rep ]) in
+  let s2 = Naming.Json.to_string (A.Sarif.render [ A.Sarif.of_report rep ]) in
   check b "logical location fallback" true
     (contains ~sub:"\"logicalLocations\"" s2);
   check b "no physical location" false (contains ~sub:"physicalLocation" s2)

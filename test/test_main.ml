@@ -4,6 +4,7 @@ let () =
   Alcotest.run "coherent_naming"
     [
       ("name", Test_name.suite);
+      ("json", Test_json.suite);
       ("entity", Test_entity.suite);
       ("context", Test_context.suite);
       ("store", Test_store.suite);
@@ -23,7 +24,6 @@ let () =
       ("nameserver", Test_nameserver.suite);
       ("chaos", Test_chaos.suite);
       ("leader", Test_leader.suite);
-      ("sim-util", Test_sim_util.suite);
       ("fs", Test_fs.suite);
       ("subtree", Test_subtree.suite);
       ("pqid", Test_pqid.suite);
