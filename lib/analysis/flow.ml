@@ -284,10 +284,7 @@ let replay ?(config = default_config) ?engine:ekind (plan : plan) =
     | None -> Naming.Engine.of_env store
   in
   let parents : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let proc i =
-    let ps = Sc.processes w in
-    if i >= 0 && i < List.length ps then Some (List.nth ps i) else None
-  in
+  let proc = Sc.proc w in
   let resolve p name = Schemes.Process_env.resolve ~engine env ~as_:p name in
   let judge_dyn index fl =
     let unknown reason =
@@ -379,12 +376,11 @@ let replay ?(config = default_config) ?engine:ekind (plan : plan) =
     (fun index item ->
       match item with
       | Op op ->
-          let before = List.length (Sc.processes w) in
+          let child = Sc.process_count w in
           (match Sc.apply_checked w op with
           | Ok () -> (
               match op with
-              | Sc.Fork i when List.length (Sc.processes w) > before ->
-                  Hashtbl.replace parents before i
+              | Sc.Fork i -> Hashtbl.replace parents child i
               | _ -> ())
           | Error reason ->
               rev_skips := (index, { Sc.index = !op_idx; op; reason }) :: !rev_skips);

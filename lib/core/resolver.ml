@@ -68,34 +68,6 @@ let resolve_in store o name =
   | Some c -> resolve store c name
   | None -> Entity.undefined
 
-(* Like [resolve_in], also returning every entity whose state the walk
-   consulted (the starting context object, each intermediate entity we
-   asked for a context — including the one that failed to be a context on
-   the failure path). The result is a function of exactly these entities'
-   states: if none of their generations change, the result stands. The
-   final entity of a successful walk is looked up but not consulted, so
-   it is not a dependency. *)
-let resolve_deps store o name =
-  (* Cyclic walks (think ".." bindings: /a/../a/..) consult the same
-     entity more than once; each is listed once, at its first visit, so
-     cache entries stay minimal and generation checks are not repeated. *)
-  let add e rev_deps =
-    if List.exists (Entity.equal e) rev_deps then rev_deps else e :: rev_deps
-  in
-  let rec go ctx atoms rev_deps =
-    match atoms with
-    | [] -> assert false
-    | [ a ] -> (Context.lookup ctx a, List.rev rev_deps)
-    | a :: rest -> (
-        let e' = Context.lookup ctx a in
-        match Store.context_of store e' with
-        | Some next_ctx -> go next_ctx rest (add e' rev_deps)
-        | None -> (Entity.undefined, List.rev (add e' rev_deps)))
-  in
-  match Store.context_of store o with
-  | Some c -> go c (Name.atoms name) [ o ]
-  | None -> (Entity.undefined, [ o ])
-
 let resolve_str store ctx s = resolve store ctx (Name.of_string s)
 
 let deref store ctx name ~prefix =

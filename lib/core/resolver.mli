@@ -58,16 +58,6 @@ val resolve_in : Store.t -> Entity.t -> Name.t -> Entity.t
 (** [resolve_in store o n] resolves [n] in the context that is the state of
     context object [o]; ⊥ when [o] is not a context object. *)
 
-val resolve_deps : Store.t -> Entity.t -> Name.t -> Entity.t * Entity.t list
-(** [resolve_deps store o n] is {!resolve_in} plus the entities whose
-    states the walk consulted, each listed once at its first visit, in
-    walk order, starting with [o] itself (cyclic walks — e.g. [".."]
-    bindings — consult the same entity repeatedly but report it once).
-    The result of the resolution is a function of exactly these entities'
-    states: while none of their {!Store.generation}s change, the result
-    (defined or ⊥) cannot change. Dependency-tracked caches key their
-    entries to this list. *)
-
 val resolve_str : Store.t -> Context.t -> string -> Entity.t
 (** Convenience: parses with {!Name.of_string} first. *)
 

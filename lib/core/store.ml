@@ -1,12 +1,11 @@
 type obj_state = Context of Context.t | Data of string
 
 (* Mutations are tracked at entity granularity: a monotonic global [tick]
-   plus, per entity, the tick of its last state change. Caches key their
-   entries to the generations of the entities on their resolution path,
-   so a mutation invalidates only the entries whose path it touches. A
-   bounded journal of recent (tick, entity) changes backs
-   [touched_since]; when asked about ticks older than the journal covers,
-   we fall back to scanning the generation table. *)
+   plus, per entity, the tick of its last state change. A bounded
+   journal of recent (tick, entity) changes backs [touched_since], which
+   [Compiled.refresh] uses to re-patch only the tables a mutation
+   touched; when asked about ticks older than the journal covers, we
+   fall back to scanning the generation table. *)
 
 let journal_cap = 8192
 let journal_keep = 2048
@@ -115,9 +114,8 @@ let fresh_id t =
 let create_object ?label ?(state = Data "") t =
   let e = Entity.Object (fresh_id t) in
   Entity.Tbl.replace t.objs e state;
-  (* Allocation is a state change for the new entity: a cache entry that
-     concluded "not a context object" about this id (e.g. one recorded
-     against a foreign store) must not survive its birth here. *)
+  (* Allocation is a state change for the new entity, so it bumps the
+     version and [touched_since] reports it. *)
   touch t e;
   (match label with None -> () | Some l -> Entity.Tbl.replace t.labels e l);
   t.rev_objects <- e :: t.rev_objects;

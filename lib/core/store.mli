@@ -72,7 +72,7 @@ val version : t -> int
 (** A counter bumped by every object-state mutation ({!set_obj_state},
     {!bind}, {!unbind}, {!set_context}, {!restore}) and by entity
     allocation. If the version is unchanged, every past resolution still
-    holds. For finer-grained dependency tracking use {!generation}. *)
+    holds. For per-entity tracking use {!generation}. *)
 
 val tick : t -> int
 (** Alias of {!version}: the monotonic global mutation clock. *)
@@ -87,7 +87,7 @@ val generation : t -> Entity.t -> int
 (** The global tick at which this entity's state last changed (object
     allocation counts as a change), or [0] if it never has. A resolution
     that read only entities whose generations are unchanged is still
-    valid — the invariant dependency-tracked caches rely on. *)
+    valid. *)
 
 val touched_since : t -> int -> Entity.t list
 (** [touched_since t since] lists the entities whose state changed after

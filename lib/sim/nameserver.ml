@@ -186,6 +186,9 @@ type t = {
   repl : Naming.Replication.t;
   rule : Naming.Rule.t;
   probes : E.t array;  (** one probe activity per replica *)
+  mutable last_measure : (N.t list * int * Naming.Coherence.report) option;
+      (** the probe list, store version and report of the last
+          {!measure}: reused while both are unchanged *)
   decided : (txn_id, unit) Hashtbl.t;  (** txns already counted below *)
   mutable ae_gen : int;  (** bumped by start/stop; stale ticks die *)
   mutable writes_accepted : int;
@@ -797,6 +800,7 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
       repl;
       rule = Naming.Rule.of_activity asg;
       probes;
+      last_measure = None;
       decided = Hashtbl.create 64;
       ae_gen = 0;
       writes_accepted = 0;
@@ -849,9 +853,22 @@ let equiv t a b = Naming.Replication.same_replica t.repl a b
 
 let engine t = t.engine
 
+(* The equivalence, rule, probe activities and engine are fixed at
+   [create], so the report is a function of the probe list and the
+   store; [Store.version] bumps on every mutation. *)
 let measure ?jobs t names =
-  Naming.Coherence.measure ~equiv:(equiv t) ~engine:t.engine ?jobs t.store
-    t.rule (occurrences t) names
+  let version = S.version t.store in
+  match t.last_measure with
+  | Some (names', version', report)
+    when version = version' && List.equal N.equal names names' ->
+      report
+  | _ ->
+      let report =
+        Naming.Coherence.measure ~equiv:(equiv t) ~engine:t.engine ?jobs
+          t.store t.rule (occurrences t) names
+      in
+      t.last_measure <- Some (names, version, report);
+      report
 
 let converged t =
   match t.mode with

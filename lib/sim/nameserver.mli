@@ -208,7 +208,15 @@ val equiv : t -> Naming.Entity.t -> Naming.Entity.t -> bool
 val measure : ?jobs:int -> t -> Naming.Name.t list -> Naming.Coherence.report
 (** {!Naming.Coherence.measure} through the cluster's {!engine} across
     the replicas' mirrors under {!equiv}: strict coherence for leaf-valued probes, weak coherence
-    for directory-valued probes, incoherence while replicas diverge. *)
+    for directory-valued probes, incoherence while replicas diverge.
+
+    The cluster remembers its last result: a call with the same probe
+    list (structurally equal) while {!Naming.Store.version} of {!store}
+    is unchanged returns the previous report, physically, without
+    resolving anything. Any other call measures afresh. Every store
+    mutation bumps the version, so direct mutations of [store t] that
+    bypass the write path are seen too. The report does not depend on
+    [jobs]. *)
 
 val converged : t -> bool
 (** [`Lww_ae]: all replicas have applied the same set of ops (version

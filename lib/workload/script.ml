@@ -17,20 +17,33 @@ type op =
 type world = {
   fs : Vfs.Fs.t;
   env : Schemes.Process_env.t;
-  mutable rev_procs : E.t list;
+  mutable procs : E.t array;  (* spawn order; slots from [n_procs] on are free *)
+  mutable n_procs : int;
 }
 
 let new_world store =
-  { fs = Vfs.Fs.create store; env = Schemes.Process_env.create store; rev_procs = [] }
+  {
+    fs = Vfs.Fs.create store;
+    env = Schemes.Process_env.create store;
+    procs = [||];
+    n_procs = 0;
+  }
 
 let fs w = w.fs
 let env w = w.env
-let processes w = List.rev w.rev_procs
-
+let process_count w = w.n_procs
+let processes w = List.init w.n_procs (Array.get w.procs)
 let proc w idx =
-  let procs = processes w in
-  if idx >= 0 && idx < List.length procs then Some (List.nth procs idx)
-  else None
+  if idx >= 0 && idx < w.n_procs then Some w.procs.(idx) else None
+
+let add_proc w p =
+  if w.n_procs = Array.length w.procs then begin
+    let grown = Array.make (max 8 (2 * w.n_procs)) p in
+    Array.blit w.procs 0 grown 0 w.n_procs;
+    w.procs <- grown
+  end;
+  w.procs.(w.n_procs) <- p;
+  w.n_procs <- w.n_procs + 1
 
 let dir_at w path =
   let e = Vfs.Fs.lookup w.fs path in
@@ -87,13 +100,13 @@ let apply_checked w op =
       let p =
         Schemes.Process_env.spawn ~label ~root:(Vfs.Fs.root w.fs) w.env
       in
-      w.rev_procs <- p :: w.rev_procs;
+      add_proc w p;
       Ok ()
   | Fork idx -> (
       match proc w idx with
       | Some parent ->
           let child = Schemes.Process_env.fork w.env ~parent in
-          w.rev_procs <- child :: w.rev_procs;
+          add_proc w child;
           Ok ()
       | None -> no_proc idx)
   | Chdir (idx, path) -> (
@@ -154,7 +167,7 @@ let paths = [| "/a"; "/a/b"; "/a/b/c"; "/d"; "/d/e"; "/f" |]
 let binding_names = [| "mnt"; "vice"; "x" |]
 
 let random_op w rng =
-  let n_procs = List.length (processes w) in
+  let n_procs = process_count w in
   let path () = Dsim.Rng.pick_array rng paths in
   let idx () = Dsim.Rng.int rng (max 1 n_procs) in
   match Dsim.Rng.int rng 10 with

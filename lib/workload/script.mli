@@ -29,6 +29,13 @@ val env : world -> Schemes.Process_env.t
 val processes : world -> Naming.Entity.t list
 (** In spawn order. *)
 
+val process_count : world -> int
+(** [List.length (processes w)], in O(1). *)
+
+val proc : world -> int -> Naming.Entity.t option
+(** The process at a spawn-order index, in O(1); [None] outside
+    [[0, process_count w)]. *)
+
 val apply_checked : world -> op -> (unit, string) result
 (** Applies one operation. [Error reason] when the operation cannot
     apply (missing path, bad process index, invalid atom) and was

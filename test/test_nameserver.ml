@@ -179,6 +179,21 @@ let test_spec_of_context_extracts_sample_world () =
       check b "has strict and weak probes" true
         (report.Co.coherent > 0 && report.Co.weakly_coherent > 0)
 
+(* A sample on a store unchanged since the previous one, over the same
+   probe list, is the previous report itself; any store mutation, even
+   one that bypasses the write path, is measured afresh. *)
+let test_measure_reuses_unchanged () =
+  let _, _, cluster = make () in
+  let first = Ns.measure cluster probes in
+  check b "same probes, unchanged store: same report" true
+    (Ns.measure ~jobs:2 cluster (List.map Fun.id probes) == first);
+  Naming.Store.unbind (Ns.store cluster)
+    ~dir:(Ns.resolve_at cluster 0 (N.of_string "/a"))
+    (N.atom "x");
+  let after = Ns.measure cluster probes in
+  check i "direct unbind seen" 1 after.Co.incoherent;
+  check b "and remembered" true (Ns.measure cluster probes == after)
+
 let test_rejects_single_replica () =
   let engine = En.create () in
   let net =
@@ -194,18 +209,44 @@ let test_rejects_single_replica () =
    must equal a fresh interpreter's, sequentially and through the
    parallel sweep (which fans compiled snapshots across domains). *)
 let engine_probes =
-  probes @ List.map N.of_string [ "/a/z"; "/a/b/z"; "/z"; "/a/b/x"; "/b" ]
+  probes
+  @ List.map N.of_string [ "/a/z"; "/a/b/z"; "/z"; "/a/b/x"; "/b"; "/o" ]
 
-let engine_matches_interpreter cluster =
+let measure_matches_interpreter cluster names =
   let store = Ns.store cluster in
+  let measure_with engine jobs =
+    Co.measure ~equiv:(Ns.equiv cluster) ~engine ~jobs store
+      (Ns.rule cluster) (Ns.occurrences cluster) names
+  in
   List.for_all
     (fun jobs ->
-      Ns.measure ~jobs cluster engine_probes
-      = Co.measure ~equiv:(Ns.equiv cluster)
-          ~engine:(Naming.Engine.create `Interpreted store)
-          ~jobs store (Ns.rule cluster) (Ns.occurrences cluster)
-          engine_probes)
+      let fresh = measure_with (Naming.Engine.create `Interpreted store) jobs in
+      (* [Ns.measure] at jobs 2 reuses the jobs 1 report, so the cluster
+         engine's parallel sweep is also checked directly *)
+      Ns.measure ~jobs cluster names = fresh
+      && measure_with (Ns.engine cluster) jobs = fresh)
     [ 1; 2 ]
+
+let engine_matches_interpreter cluster =
+  measure_matches_interpreter cluster engine_probes
+
+(* The checks [engine_stays_exact] adds after each write: a repeated
+   sample with nothing changed (served from the last report), an
+   out-of-band bind and unbind of "/o" at one replica straight through
+   the store, bypassing the write path, and a sample over a different
+   probe list. *)
+let reuse_stays_exact cluster k =
+  let store = Ns.store cluster in
+  let dir = Ns.replica_root cluster (k mod Ns.replicas cluster) in
+  let o = N.atom "o" in
+  let repeated = engine_matches_interpreter cluster in
+  Naming.Store.bind store ~dir o (Option.get (Ns.leaf cluster "k1"));
+  let bound = engine_matches_interpreter cluster in
+  Naming.Store.unbind store ~dir o;
+  let unbound = engine_matches_interpreter cluster in
+  repeated && bound && unbound
+  && measure_matches_interpreter cluster (List.tl engine_probes)
+  && engine_matches_interpreter cluster
 
 let random_binding rng =
   ( Dsim.Rng.pick rng (List.map N.of_string [ "/"; "/a"; "/a/b" ]),
@@ -258,6 +299,7 @@ let engine_stays_exact mode seed =
                 }))
     | `Leader_log, None -> ());
     ok := !ok && engine_matches_interpreter cluster;
+    ok := !ok && reuse_stays_exact cluster k;
     run_for (Dsim.Rng.float rng 1.5);
     ok := !ok && engine_matches_interpreter cluster
   done;
@@ -295,6 +337,8 @@ let suite =
     Alcotest.test_case "resolve over rpc" `Quick test_resolve_over_rpc;
     Alcotest.test_case "spec_of_context on a sample world" `Quick
       test_spec_of_context_extracts_sample_world;
+    Alcotest.test_case "measure reuses an unchanged sample" `Quick
+      test_measure_reuses_unchanged;
     Alcotest.test_case "rejects single replica" `Quick
       test_rejects_single_replica;
     Alcotest.test_case "cluster engine patched in place" `Quick

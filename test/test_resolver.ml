@@ -79,21 +79,6 @@ let test_resolve_in () =
   check entity "from data object" E.undefined
     (R.resolve_in st f (N.of_string "x"))
 
-let test_resolve_deps_dedup () =
-  let st, root, a, bdir, f = fixture () in
-  (* The loop binding sends the walk through root, a and b a second
-     time; each consulted entity must be reported once, at its first
-     visit. *)
-  let result, deps = R.resolve_deps st root (N.of_string "a/b/loop/a/b/f") in
-  check entity "result through cycle" f result;
-  check (Alcotest.list entity) "deps deduped in first-visit order"
-    [ root; a; bdir ] deps;
-  (* the failure path still reports the failing entity (once) *)
-  let r2, deps2 = R.resolve_deps st root (N.of_string "a/b/f/x") in
-  check entity "fails through data object" E.undefined r2;
-  check (Alcotest.list entity) "failing entity reported once"
-    [ root; a; bdir; f ] deps2
-
 let test_resolve_str () =
   let st, root, _, _, f = fixture () in
   check entity "str" f (R.resolve_str st (ctx_of root) "/a/b/f")
@@ -154,8 +139,6 @@ let suite =
     Alcotest.test_case "trace stops at failure" `Quick
       test_trace_stops_at_failure;
     Alcotest.test_case "resolve_in" `Quick test_resolve_in;
-    Alcotest.test_case "resolve_deps dedups cyclic walks" `Quick
-      test_resolve_deps_dedup;
     Alcotest.test_case "resolve_str" `Quick test_resolve_str;
     Alcotest.test_case "deref" `Quick test_deref;
     QCheck_alcotest.to_alcotest prop_all_names_sound;

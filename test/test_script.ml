@@ -132,6 +132,32 @@ let prop_fuzz_invariants =
           d >= 0.0 && d <= 1.0
       | _ -> true)
 
+(* The O(1) process index agrees with the spawn-order list, including
+   out-of-range indices, and counts the spawns and valid forks. *)
+let prop_process_index =
+  QCheck.Test.make ~name:"process index = spawn-order list" ~count:50
+    QCheck.small_nat (fun seed ->
+      let rng = Dsim.Rng.create (Int64.of_int (seed + 1)) in
+      let w = Sc.new_world (S.create ()) in
+      let ops = Sc.random_ops w ~rng ~n:200 in
+      let spawned =
+        List.fold_left
+          (fun n -> function
+            | Sc.Spawn _ -> n + 1
+            | Sc.Fork i when i >= 0 && i < n -> n + 1
+            | _ -> n)
+          0 ops
+      in
+      let ps = Sc.processes w in
+      let n = Sc.process_count w in
+      n = spawned && n = List.length ps
+      && List.for_all
+           (fun i ->
+             (* List.nth_opt raises on a negative index *)
+             let expected = if i < 0 then None else List.nth_opt ps i in
+             Option.equal E.equal (Sc.proc w i) expected)
+           (List.init (n + 3) (fun k -> k - 1)))
+
 let suite =
   [
     Alcotest.test_case "deterministic scenario" `Quick
@@ -141,4 +167,5 @@ let suite =
     Alcotest.test_case "replay equivalence" `Quick test_replay_equivalence;
     Alcotest.test_case "pp_op" `Quick test_pp_op;
     QCheck_alcotest.to_alcotest prop_fuzz_invariants;
+    QCheck_alcotest.to_alcotest prop_process_index;
   ]
