@@ -82,13 +82,12 @@ let partition_sides cfg =
    partition time (whoever leads then is cut off alone), so only the
    sizes are statically known. *)
 let partition_side_sizes cfg =
-  if cfg.partition_for > 0.0 && cfg.replicas >= 2 then
-    if cfg.partition_leader && cfg.mode = `Leader_log then
-      Some (1, cfg.replicas - 1)
-    else
-      let half = max 1 (cfg.replicas / 2) in
-      Some (half, cfg.replicas - half)
-  else None
+  Option.map
+    (fun (left, right) ->
+      if cfg.partition_leader && cfg.mode = `Leader_log then
+        (1, cfg.replicas - 1)
+      else (List.length left, List.length right))
+    (partition_sides cfg)
 
 let crash_victim cfg =
   if cfg.crash_for > 0.0 then Some (cfg.replicas - 1) else None
@@ -117,15 +116,16 @@ let sample_times cfg =
   go 1 []
 
 let ae_first_tick cfg i =
-  cfg.ae_period *. (1.0 +. (float_of_int i /. float_of_int cfg.replicas))
+  Nameserver.first_tick ~period:cfg.ae_period ~replicas:cfg.replicas i
 
-(* The rng stream the write plan is drawn from: [run] creates the root
-   generator and splits network, cluster, then writes — in that order. *)
-let write_rng_of_seed seed =
+(* A run's rng streams: the root generator, then network, cluster and
+   write streams split from it in that order. [run] splits the clients'
+   streams from the root afterwards. *)
+let streams seed =
   let rng = Rng.create (Int64.of_int seed) in
-  let _net_rng = Rng.split rng in
-  let _cluster_rng = Rng.split rng in
-  Rng.split rng
+  let net = Rng.split rng in
+  let cluster = Rng.split rng in
+  (rng, net, cluster, Rng.split rng)
 
 type sample = { time : float; report : Co.report; converged : bool }
 
@@ -153,6 +153,8 @@ type result = {
   events : int;
 }
 
+(* A run has two replicas or more, and one client per replica, so the
+   first endpoint's stats seed the sum. *)
 let sum_rpc (stats : Rpc.stats list) =
   List.fold_left
     (fun (a : Rpc.stats) (s : Rpc.stats) ->
@@ -168,19 +170,7 @@ let sum_rpc (stats : Rpc.stats list) =
         dropped_requests = a.Rpc.dropped_requests + s.Rpc.dropped_requests;
         late_replies = a.Rpc.late_replies + s.Rpc.late_replies;
       })
-    {
-      Rpc.calls = 0;
-      replies = 0;
-      timeouts = 0;
-      retries = 0;
-      exhausted = 0;
-      unavailable = 0;
-      served = 0;
-      dedup_hits = 0;
-      dropped_requests = 0;
-      late_replies = 0;
-    }
-    stats
+    (List.hd stats) (List.tl stats)
 
 (* The write workload: rebinds and unbinds of the spec's leaf binding
    sites, so probe names actually change meaning mid-run. Everything is
@@ -188,35 +178,267 @@ let sum_rpc (stats : Rpc.stats list) =
    seed. *)
 let plan_writes cfg (spec : Nameserver.spec) wrng =
   let sites =
-    List.map (fun (path, _) -> path) spec.links
-    |> List.map (fun path ->
-           let atoms = N.atoms (N.prepend_root path) in
-           match List.rev atoms with
-           | last :: (_ :: _ as rev_parent) ->
-               (N.of_atoms (List.rev rev_parent), last)
-           | _ -> (N.singleton N.root_atom, N.root_atom))
+    List.map
+      (fun (path, _) -> Nameserver.split_last (N.prepend_root path))
+      spec.links
   in
   let keys = List.map fst spec.leaves in
   if sites = [] || keys = [] then []
   else
-    List.init cfg.writes (fun k ->
+    List.init cfg.writes (fun _ ->
         let time = Rng.float wrng cfg.write_window in
         let client = Rng.int wrng cfg.replicas in
         let path, atom = Rng.pick wrng sites in
         let target =
           if Rng.bool wrng 0.25 then None else Some (Rng.pick wrng keys)
         in
-        ignore k;
         (time, client, Nameserver.Write { path; atom; target }))
 
-let planned_writes cfg spec = plan_writes cfg spec (write_rng_of_seed cfg.seed)
+let planned_writes cfg spec =
+  let _, _, _, write_rng = streams cfg.seed in
+  plan_writes cfg spec write_rng
+
+(* ------------------------------------------------------------------ *)
+(* Running a schedule, in stages: inject faults, drive writes, sample,
+   summarise. Only the write driver differs by tier. *)
+
+(* One run's live parts, and the client-side write counts. Under
+   [`Leader_log] every write is a transaction, and acked, nacked and lost
+   count the committed, aborted and unknown ones. *)
+type rig = {
+  cfg : config;
+  engine : Engine.t;
+  network : (Nameserver.request, Nameserver.response) Rpc.message Network.t;
+  cluster : Nameserver.t;
+  clients :
+    (Network.node_id
+    * (Nameserver.request, Nameserver.response) Rpc.endpoint
+    * Rng.t)
+    array;
+      (** one client per replica, on its own machine, partitioned
+          together with its home replica *)
+  mutable sent : int;
+  mutable acked : int;
+  mutable nacked : int;
+  mutable lost : int;
+  mutable latencies : float list;  (** of acked writes, newest first *)
+}
+
+let later rig delay f = ignore (Engine.schedule rig.engine ~delay f)
+
+let inject_faults rig =
+  let cfg = rig.cfg and network = rig.network in
+  let node = Nameserver.replica_node rig.cluster in
+  (match partition_sides cfg with
+  | None -> ()
+  | Some (left, right) ->
+      let side ids =
+        List.concat_map
+          (fun i ->
+            let cnode, _, _ = rig.clients.(i) in
+            [ node i; cnode ])
+          ids
+      in
+      later rig cfg.partition_at (fun () ->
+          if cfg.partition_leader && cfg.mode = `Leader_log then begin
+            (* cut whoever leads right now off alone (minority side) *)
+            let l =
+              Option.value (Nameserver.leader_of rig.cluster)
+                ~default:(cfg.replicas - 1)
+            in
+            Network.partition network (side [ l ])
+              (side (List.filter (( <> ) l) (left @ right)))
+          end
+          else Network.partition network (side left) (side right));
+      later rig (cfg.partition_at +. cfg.partition_for) (fun () ->
+          Network.heal network));
+  Option.iter
+    (fun v ->
+      later rig cfg.crash_at (fun () ->
+          Network.set_node_up network (node v) false);
+      later rig (cfg.crash_at +. cfg.crash_for) (fun () ->
+          Network.set_node_up network (node v) true))
+    (crash_victim cfg);
+  Option.iter
+    (fun (kill_at, _) ->
+      (* the targeted fault: whoever leads at [leader_kill_at] goes down *)
+      later rig kill_at (fun () ->
+          let l = Option.value (Nameserver.leader_of rig.cluster) ~default:0 in
+          Network.set_node_up network (node l) false;
+          later rig cfg.leader_kill_for (fun () ->
+              Network.set_node_up network (node l) true)))
+    (leader_kill_window cfg)
+
+(* Counts the client-visible outcome of a write sent at [start]. *)
+let count rig start = function
+  | `Acked ->
+      rig.acked <- rig.acked + 1;
+      rig.latencies <- (Engine.now rig.engine -. start) :: rig.latencies
+  | `Nacked -> rig.nacked <- rig.nacked + 1
+  | `Lost -> rig.lost <- rig.lost + 1
+
+(* `Lww_ae client: one retrying call to the client's home replica. *)
+let send_write rig (time, client, req) =
+  later rig time (fun () ->
+      let _, ep, crng = rig.clients.(client) in
+      rig.sent <- rig.sent + 1;
+      let count = count rig (Engine.now rig.engine) in
+      Rpc.call_retry ep
+        ~to_:(Nameserver.replica_address rig.cluster client)
+        ~timeout:rig.cfg.call_timeout ~rng:crng
+        ~attempts:rig.cfg.call_attempts req
+        ~on_reply:(function
+          | Ok (Nameserver.Ack _) -> count `Acked
+          | Ok (Nameserver.Nack _) -> count `Nacked
+          | Ok _ -> ()
+          | Error (`Timeout | `Unavailable) -> count `Lost))
+
+(* `Leader_log client protocol: submit to a replica, follow Redirect
+   hints to the leader, then poll the transaction's fate until it is
+   Committed or Aborted — all under one overall txn_deadline, threaded
+   into every RPC as the `Unavailable cutoff, after which the client
+   gives up and records the outcome as unknown. *)
+let submit_txn rig i (time, client, req) =
+  match req with
+  | Nameserver.Write { path; atom; target } ->
+      later rig time (fun () ->
+          let cfg = rig.cfg in
+          let _, ep, crng = rig.clients.(client) in
+          rig.sent <- rig.sent + 1;
+          let start = Engine.now rig.engine in
+          let deadline_at = start +. cfg.txn_deadline in
+          let txn = { Nameserver.client; tseq = i } in
+          let query = Nameserver.Query txn in
+          let settled = ref false in
+          let settle outcome =
+            if not !settled then begin
+              settled := true;
+              count rig start outcome
+            end
+          in
+          (* the same loop submits and then polls: [req] is the Submit
+             until a replica accepts it, the Query after *)
+          let rec call req replica =
+            let next () = call req ((replica + 1) mod cfg.replicas) in
+            let left = deadline_at -. Engine.now rig.engine in
+            if left <= 0.0 then settle `Lost
+            else
+              (* cap each call well under the transaction budget: one
+                 call to an unreachable replica must not eat the whole
+                 deadline — the client needs budget left to rotate to a
+                 live one *)
+              Rpc.call_retry ep
+                ~to_:(Nameserver.replica_address rig.cluster replica)
+                ~timeout:cfg.call_timeout ~rng:crng
+                ~attempts:cfg.call_attempts
+                ~deadline:(Float.min left (2.0 *. cfg.call_timeout))
+                req
+                ~on_reply:(function
+                  | Ok (Nameserver.Submitted _) -> call query replica
+                  | Ok (Nameserver.Outcome_is Nameserver.Committed) ->
+                      settle `Acked
+                  | Ok (Nameserver.Outcome_is (Nameserver.Aborted _))
+                  | Ok (Nameserver.Nack _) ->
+                      settle `Nacked
+                  | Ok (Nameserver.Outcome_is Nameserver.Pending) ->
+                      later rig (cfg.ae_period /. 2.0) (fun () ->
+                          call query replica)
+                  | Ok (Nameserver.Redirect (Some l)) when l <> replica ->
+                      later rig (cfg.call_timeout /. 4.0) (fun () -> call req l)
+                  | Ok (Nameserver.Redirect _) ->
+                      (* election in progress: wait a beat, try the next *)
+                      later rig cfg.ae_period next
+                  | Ok _ -> ()
+                  | Error (`Timeout | `Unavailable) ->
+                      later rig (cfg.call_timeout /. 4.0) next)
+          in
+          call
+            (Nameserver.Submit
+               { txn; action = Nameserver.Bind_group [ (path, atom, target) ] })
+            client)
+  | _ -> send_write rig (time, client, req)
+
+(* Issues the workload; the returned function settles the writes still
+   open once the run has ended. *)
+let drive_writes rig writes =
+  match rig.cfg.mode with
+  | `Lww_ae ->
+      List.iter (send_write rig) writes;
+      ignore
+  | `Leader_log ->
+      List.iteri (submit_txn rig) writes;
+      fun () ->
+        (* Transactions still in flight when the run ends never learned
+           their fate: the client-visible outcome is unknown. *)
+        rig.lost <- rig.sent - rig.acked - rig.nacked
+
+(* Schedules the coherence samples; the returned function reads them
+   back in time order. *)
+let sample ?jobs rig probes =
+  let samples = ref [] in
+  List.iter
+    (fun time ->
+      later rig time (fun () ->
+          let report = Nameserver.measure ?jobs rig.cluster probes in
+          let converged = Nameserver.converged rig.cluster in
+          samples := { time; report; converged } :: !samples))
+    (sample_times rig.cfg);
+  fun () -> List.rev !samples
+
+let summarise ?jobs rig probes samples events =
+  let cfg = rig.cfg in
+  let latencies = List.rev rig.latencies in
+  let heal_at = heal_time cfg in
+  let final_report = Nameserver.measure ?jobs rig.cluster probes in
+  let full (r : Co.report) = r.Co.incoherent = 0 in
+  let converge_time =
+    List.find_map
+      (fun s ->
+        if s.time >= heal_at && s.converged && full s.report then Some s.time
+        else None)
+      samples
+  in
+  let txns n = if cfg.mode = `Leader_log then n else 0 in
+  {
+    config = cfg;
+    samples;
+    final_report;
+    converged = Nameserver.converged rig.cluster && full final_report;
+    heal_at;
+    converge_time;
+    rounds_to_converge =
+      Option.map
+        (fun tc ->
+          int_of_float (Float.ceil ((tc -. heal_at) /. cfg.ae_period)))
+        converge_time;
+    writes_sent = rig.sent;
+    writes_acked = rig.acked;
+    writes_nacked = rig.nacked;
+    writes_lost = rig.lost;
+    txns_committed = txns rig.acked;
+    txns_aborted = txns rig.nacked;
+    txns_unknown = txns rig.lost;
+    latency_mean =
+      (match latencies with
+      | [] -> 0.0
+      | ls -> List.fold_left ( +. ) 0.0 ls /. float_of_int (List.length ls));
+    latency_max = List.fold_left Float.max 0.0 latencies;
+    net = Network.stats rig.network;
+    server_rpc =
+      sum_rpc
+        (List.init cfg.replicas (fun i ->
+             Rpc.stats (Nameserver.endpoint rig.cluster i)));
+    client_rpc =
+      sum_rpc
+        (Array.to_list
+           (Array.map (fun (_, ep, _) -> Rpc.stats ep) rig.clients));
+    ns = Nameserver.stats rig.cluster;
+    events;
+  }
 
 let run ?jobs ?writes ~config:cfg ~spec ~probes () =
   let engine = Engine.create () in
-  let rng = Rng.create (Int64.of_int cfg.seed) in
-  let net_rng = Rng.split rng in
-  let cluster_rng = Rng.split rng in
-  let write_rng = Rng.split rng in
+  let rng, net_rng, cluster_rng, write_rng = streams cfg.seed in
   let net_config =
     {
       Network.default_config with
@@ -229,201 +451,33 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
     Nameserver.create ~network ~rng:cluster_rng ~replicas:cfg.replicas
       ~mode:cfg.mode ?dedup_window:cfg.dedup_window spec
   in
-  (* One client per replica, on its own machine, partitioned together
-     with its home replica. *)
   let clients =
     Array.init cfg.replicas (fun i ->
         let node = Network.add_node network ~label:(Printf.sprintf "c%d" i) in
         (node, Rpc.create network ~node ~port:9 (), Rng.split rng))
   in
-  let later delay f = ignore (Engine.schedule engine ~delay f) in
-  (* Fault schedule. *)
-  (match partition_sides cfg with
-  | None -> ()
-  | Some (left, right) ->
-      let side ids =
-        List.concat_map
-          (fun i ->
-            let cnode, _, _ = clients.(i) in
-            [ Nameserver.replica_node cluster i; cnode ])
-          ids
-      in
-      later cfg.partition_at (fun () ->
-          if cfg.partition_leader && cfg.mode = `Leader_log then begin
-            (* cut whoever leads right now off alone (minority side) *)
-            let l =
-              match Nameserver.leader_of cluster with
-              | Some l -> l
-              | None -> cfg.replicas - 1
-            in
-            Network.partition network (side [ l ])
-              (side (List.filter (( <> ) l) (left @ right)))
-          end
-          else Network.partition network (side left) (side right));
-      later (cfg.partition_at +. cfg.partition_for) (fun () ->
-          Network.heal network));
-  Option.iter
-    (fun v ->
-      let victim = Nameserver.replica_node cluster v in
-      later cfg.crash_at (fun () -> Network.set_node_up network victim false);
-      later (cfg.crash_at +. cfg.crash_for) (fun () ->
-          Network.set_node_up network victim true))
-    (crash_victim cfg);
-  Option.iter
-    (fun (kill_at, _) ->
-      (* the targeted fault: whoever leads at [leader_kill_at] goes down *)
-      later kill_at (fun () ->
-          let l =
-            match Nameserver.leader_of cluster with
-            | Some l -> l
-            | None -> 0
-          in
-          let node = Nameserver.replica_node cluster l in
-          Network.set_node_up network node false;
-          later cfg.leader_kill_for (fun () ->
-              Network.set_node_up network node true)))
-    (leader_kill_window cfg);
-  let heal_at = heal_time cfg in
-  (* Write workload over retrying RPC. *)
-  let writes_sent = ref 0
-  and writes_acked = ref 0
-  and writes_nacked = ref 0
-  and writes_lost = ref 0
-  and txns_committed = ref 0
-  and txns_aborted = ref 0
-  and txns_unknown = ref 0
-  and lat_sum = ref 0.0
-  and lat_max = ref 0.0
-  and lat_n = ref 0 in
-  let note_latency start =
-    let l = Engine.now engine -. start in
-    lat_sum := !lat_sum +. l;
-    lat_n := !lat_n + 1;
-    if l > !lat_max then lat_max := l
+  let rig =
+    {
+      cfg;
+      engine;
+      network;
+      cluster;
+      clients;
+      sent = 0;
+      acked = 0;
+      nacked = 0;
+      lost = 0;
+      latencies = [];
+    }
   in
-  (* `Leader_log client protocol: submit to a replica, follow Redirect
-     hints to the leader, then poll the transaction's fate until it is
-     Committed or Aborted — all under one overall txn_deadline, threaded
-     into every RPC as the `Unavailable cutoff, after which the client
-     gives up and records the outcome as unknown. *)
-  let submit_txn i time client ~path ~atom ~target =
-    later time (fun () ->
-        let _, ep, crng = clients.(client) in
-        incr writes_sent;
-        let start = Engine.now engine in
-        let deadline_at = start +. cfg.txn_deadline in
-        let txn = { Nameserver.client; tseq = i } in
-        let action = Nameserver.Bind_group [ (path, atom, target) ] in
-        let settled = ref false in
-        let settle outcome =
-          if not !settled then begin
-            settled := true;
-            match outcome with
-            | `Committed ->
-                incr txns_committed;
-                incr writes_acked;
-                note_latency start
-            | `Aborted ->
-                incr txns_aborted;
-                incr writes_nacked
-            | `Unknown ->
-                incr txns_unknown;
-                incr writes_lost
-          end
-        in
-        let remaining () = deadline_at -. Engine.now engine in
-        (* cap each call well under the transaction budget: one call to
-           an unreachable replica must not eat the whole deadline — the
-           client needs budget left to rotate to a live one *)
-        let step left = Float.min left (2.0 *. cfg.call_timeout) in
-        let rec submit target_replica =
-          let left = remaining () in
-          if left <= 0.0 then settle `Unknown
-          else
-            Rpc.call_retry ep
-              ~to_:(Nameserver.replica_address cluster target_replica)
-              ~timeout:cfg.call_timeout ~rng:crng
-              ~attempts:cfg.call_attempts ~deadline:(step left)
-              (Nameserver.Submit { txn; action })
-              ~on_reply:(function
-                | Ok (Nameserver.Submitted _) -> poll target_replica
-                | Ok (Nameserver.Outcome_is o) -> settle_outcome o target_replica
-                | Ok (Nameserver.Redirect (Some l))
-                  when l <> target_replica ->
-                    later (cfg.call_timeout /. 4.0) (fun () -> submit l)
-                | Ok (Nameserver.Redirect _) ->
-                    (* election in progress: wait a beat, try the next *)
-                    later cfg.ae_period (fun () ->
-                        submit ((target_replica + 1) mod cfg.replicas))
-                | Ok (Nameserver.Nack _) -> settle `Aborted
-                | Ok _ -> ()
-                | Error (`Timeout | `Unavailable) ->
-                    later (cfg.call_timeout /. 4.0) (fun () ->
-                        submit ((target_replica + 1) mod cfg.replicas)))
-        and settle_outcome o from =
-          match o with
-          | Nameserver.Committed -> settle `Committed
-          | Nameserver.Aborted _ -> settle `Aborted
-          | Nameserver.Pending ->
-              later (cfg.ae_period /. 2.0) (fun () -> poll from)
-        and poll replica =
-          let left = remaining () in
-          if left <= 0.0 then settle `Unknown
-          else
-            Rpc.call_retry ep
-              ~to_:(Nameserver.replica_address cluster replica)
-              ~timeout:cfg.call_timeout ~rng:crng
-              ~attempts:cfg.call_attempts ~deadline:(step left)
-              (Nameserver.Query txn)
-              ~on_reply:(function
-                | Ok (Nameserver.Outcome_is o) -> settle_outcome o replica
-                | Ok (Nameserver.Redirect (Some l)) when l <> replica ->
-                    later (cfg.call_timeout /. 4.0) (fun () -> poll l)
-                | Ok (Nameserver.Redirect _) ->
-                    later cfg.ae_period (fun () ->
-                        poll ((replica + 1) mod cfg.replicas))
-                | Ok (Nameserver.Nack _) -> settle `Aborted
-                | Ok _ -> ()
-                | Error (`Timeout | `Unavailable) ->
-                    later (cfg.call_timeout /. 4.0) (fun () ->
-                        poll ((replica + 1) mod cfg.replicas)))
-        in
-        submit client)
+  inject_faults rig;
+  let settle_open =
+    drive_writes rig
+      (match writes with
+      | Some w -> w
+      | None -> plan_writes cfg spec write_rng)
   in
-  List.iteri
-    (fun i (time, client, req) ->
-      match (cfg.mode, req) with
-      | `Leader_log, Nameserver.Write { path; atom; target } ->
-          submit_txn i time client ~path ~atom ~target
-      | _ ->
-          ignore
-            (Engine.schedule engine ~delay:time (fun () ->
-                 let _, ep, crng = clients.(client) in
-                 incr writes_sent;
-                 let start = Engine.now engine in
-                 Rpc.call_retry ep
-                   ~to_:(Nameserver.replica_address cluster client)
-                   ~timeout:cfg.call_timeout ~rng:crng
-                   ~attempts:cfg.call_attempts req
-                   ~on_reply:(function
-                     | Ok (Nameserver.Ack _) ->
-                         incr writes_acked;
-                         note_latency start
-                     | Ok (Nameserver.Nack _) -> incr writes_nacked
-                     | Ok _ -> ()
-                     | Error (`Timeout | `Unavailable) -> incr writes_lost))))
-    (match writes with
-    | Some w -> w
-    | None -> plan_writes cfg spec write_rng);
-  (* Coherence sampling. *)
-  let samples = ref [] in
-  List.iter
-    (fun time ->
-      later time (fun () ->
-          let report = Nameserver.measure ?jobs cluster probes in
-          let converged = Nameserver.converged cluster in
-          samples := { time; report; converged } :: !samples))
-    (sample_times cfg);
+  let samples = sample ?jobs rig probes in
   let ae_timeout =
     match cfg.mode with
     | `Lww_ae -> cfg.ae_timeout
@@ -438,62 +492,8 @@ let run ?jobs ?writes ~config:cfg ~spec ~probes () =
     ~attempts:cfg.ae_attempts cluster;
   let events = Engine.run ~until:cfg.duration engine in
   Nameserver.stop_anti_entropy cluster;
-  let samples = List.rev !samples in
-  let final_report = Nameserver.measure ?jobs cluster probes in
-  let full (r : Co.report) = r.Co.incoherent = 0 in
-  let converged = Nameserver.converged cluster && full final_report in
-  let converge_time =
-    List.find_map
-      (fun s ->
-        if s.time >= heal_at && s.converged && full s.report then Some s.time
-        else None)
-      samples
-  in
-  let rounds_to_converge =
-    Option.map
-      (fun tc ->
-        int_of_float (Float.ceil ((tc -. heal_at) /. cfg.ae_period)))
-      converge_time
-  in
-  (* Transactions still in flight when the run ends never learned their
-     fate: the client-visible outcome is unknown. *)
-  if cfg.mode = `Leader_log then begin
-    let unresolved =
-      !writes_sent - (!txns_committed + !txns_aborted + !txns_unknown)
-    in
-    if unresolved > 0 then begin
-      txns_unknown := !txns_unknown + unresolved;
-      writes_lost := !writes_lost + unresolved
-    end
-  end;
-  {
-    config = cfg;
-    samples;
-    final_report;
-    converged;
-    heal_at;
-    converge_time;
-    rounds_to_converge;
-    writes_sent = !writes_sent;
-    writes_acked = !writes_acked;
-    writes_nacked = !writes_nacked;
-    writes_lost = !writes_lost;
-    txns_committed = !txns_committed;
-    txns_aborted = !txns_aborted;
-    txns_unknown = !txns_unknown;
-    latency_mean = (if !lat_n = 0 then 0.0 else !lat_sum /. float_of_int !lat_n);
-    latency_max = !lat_max;
-    net = Network.stats network;
-    server_rpc =
-      sum_rpc
-        (List.init cfg.replicas (fun i ->
-             Rpc.stats (Nameserver.endpoint cluster i)));
-    client_rpc =
-      sum_rpc
-        (Array.to_list (Array.map (fun (_, ep, _) -> Rpc.stats ep) clients));
-    ns = Nameserver.stats cluster;
-    events;
-  }
+  settle_open ();
+  summarise ?jobs rig probes (samples ()) events
 
 (* ------------------------------------------------------------------ *)
 (* Explicit schedules: a config plus the exact write workload, with a
@@ -613,6 +613,9 @@ let schedule_of_json text : (schedule, string) Stdlib.result =
           | Some v -> conv v
           | None -> default
         in
+        let number_or name default =
+          or_default name (number (what name)) default
+        in
         let config =
           {
             seed = fi "seed";
@@ -646,24 +649,16 @@ let schedule_of_json text : (schedule, string) Stdlib.result =
                           bad "unknown mode %S (expected lww or leader)" s)
                   | _ -> bad "config field \"mode\" must be a string")
                 `Lww_ae;
-            leader_kill_at =
-              or_default "leader_kill_at"
-                (number (what "leader_kill_at"))
-                default.leader_kill_at;
+            leader_kill_at = number_or "leader_kill_at" default.leader_kill_at;
             leader_kill_for =
-              or_default "leader_kill_for"
-                (number (what "leader_kill_for"))
-                default.leader_kill_for;
+              number_or "leader_kill_for" default.leader_kill_for;
             partition_leader =
               or_default "partition_leader"
                 (function
                   | J.Bool v -> v
                   | _ -> bad "config field \"partition_leader\" must be a bool")
                 default.partition_leader;
-            txn_deadline =
-              or_default "txn_deadline"
-                (number (what "txn_deadline"))
-                default.txn_deadline;
+            txn_deadline = number_or "txn_deadline" default.txn_deadline;
           }
         in
         if config.replicas < 1 then bad "config.replicas must be >= 1";

@@ -157,8 +157,8 @@ val sample_times : config -> float list
 
 val ae_first_tick : config -> int -> float
 (** When replica [i]'s first anti-entropy pull fires (subsequent ticks
-    follow every [ae_period]); mirrors the stagger in
-    {!Nameserver.start_anti_entropy}. *)
+    follow every [ae_period]): {!Nameserver.first_tick} at
+    [ae_period]. *)
 
 (** {1 Explicit schedules}
 

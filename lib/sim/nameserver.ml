@@ -138,20 +138,30 @@ type response =
 (* ------------------------------------------------------------------ *)
 (* Replicas and clusters.                                              *)
 
-type role = Follower | Candidate | Leader
-
+(* What every replica has, whatever its tier: a node, a mirror of the
+   tree and a server endpoint. *)
 type replica = {
   id : int;
   node : Network.node_id;
   root : E.t;
   dirs : (string, E.t) Hashtbl.t;  (** logical path → this mirror's dir *)
+  rng : Rng.t;
+  endpoint : (request, response) Rpc.endpoint;
+}
+
+(* A replica's `Lww_ae state. *)
+type lww = {
   mutable log : op list;  (** newest first *)
   vec : int array;
-  lww : (string * string, int * int) Hashtbl.t;
+  winners : (string * string, int * int) Hashtbl.t;
+      (** (dir, atom) → (stamp, origin) of the write the mirror holds *)
   mutable clock : int;
-  rng : Rng.t;
-  mutable endpoint : (request, response) Rpc.endpoint option;
-  (* leader-log state (unused in `Lww_ae mode) *)
+}
+
+type role = Follower | Candidate | Leader
+
+(* A replica's `Leader_log state. *)
+type leader = {
   mutable term : int;
   mutable voted_for : int option;
   mutable role : role;
@@ -172,8 +182,22 @@ type replica = {
   outcomes : (txn_id, outcome) Hashtbl.t;
 }
 
+(* Each replica's tier state, indexed by replica id. *)
+type tier = Lww_ae of lww array | Leader_log of leader array
+
+type stats = {
+  writes_accepted : int;
+  ops_applied : int;
+  lww_losses : int;
+  pulls : int;
+  pull_failures : int;
+  elections : int;
+  txns_committed : int;
+  txns_aborted : int;
+}
+
 type t = {
-  mode : mode;
+  tier : tier;
   network : (request, response) Rpc.message Network.t;
   store : S.t;
   engine : Naming.Engine.t;
@@ -189,21 +213,16 @@ type t = {
   mutable last_measure : (N.t list * int * Naming.Coherence.report) option;
       (** the probe list, store version and report of the last
           {!measure}: reused while both are unchanged *)
-  decided : (txn_id, unit) Hashtbl.t;  (** txns already counted below *)
+  decided : (txn_id, unit) Hashtbl.t;  (** txns already counted in [stats] *)
   mutable ae_gen : int;  (** bumped by start/stop; stale ticks die *)
-  mutable writes_accepted : int;
-  mutable ops_applied : int;
-  mutable lww_losses : int;
-  mutable pulls : int;
-  mutable pull_failures : int;
-  mutable elections : int;
-  mutable txns_committed : int;
-  mutable txns_aborted : int;
+  mutable stats : stats;  (** an immutable snapshot, replaced by {!bump} *)
   mutable proto_timeout : float;
       (** per-message timeout for leader-log protocol traffic *)
 }
 
 let port = 1
+let now t = Engine.now (Network.engine t.network)
+let bump t f = t.stats <- f t.stats
 let path_key path = N.to_string (N.prepend_root path)
 
 let split_last path =
@@ -212,48 +231,143 @@ let split_last path =
   | [ only ] -> (N.singleton N.root_atom, only)
   | [] -> invalid_arg "Nameserver: empty path"
 
-let get_endpoint r =
-  match r.endpoint with Some e -> e | None -> assert false
+(* Both tiers stagger their replicas' first ticks, so replica order never
+   depends on how simultaneous events happen to interleave. *)
+let first_tick ~period ~replicas i =
+  period *. (1.0 +. (float_of_int i /. float_of_int replicas))
+
+(* Each tier's driver: runs [tick r k] for every replica [r], first at
+   its staggered {!first_tick} and then every [period] ([k] counts the
+   replica's ticks), until the next start or stop. *)
+let every t ~period tick =
+  t.ae_gen <- t.ae_gen + 1;
+  let gen = t.ae_gen in
+  let engine = Network.engine t.network in
+  let n = Array.length t.members in
+  let rec loop r k () =
+    if t.ae_gen = gen then begin
+      tick r k;
+      ignore (Engine.schedule engine ~delay:period (loop r (k + 1)))
+    end
+  in
+  Array.iter
+    (fun r ->
+      let delay = first_tick ~period ~replicas:n r.id in
+      ignore (Engine.schedule engine ~delay (loop r 0)))
+    t.members
+
+(* Both tiers write a mirror binding the same way: [write_refusal]
+   says why [target] cannot be bound in [path] at [r], if it cannot, and
+   [set_binding] binds [atom] in [dir] to the leaf keyed [target], or
+   unbinds it on [None]. *)
+let write_refusal t r path target =
+  if not (Hashtbl.mem r.dirs (path_key path)) then
+    Some ("unknown directory " ^ path_key path)
+  else
+    match target with
+    | Some key when not (Hashtbl.mem t.leaves key) ->
+        Some ("unknown leaf " ^ key)
+    | _ -> None
+
+let set_binding t ~dir atom = function
+  | Some key ->
+      Option.iter (S.bind t.store ~dir atom) (Hashtbl.find_opt t.leaves key)
+  | None -> S.unbind t.store ~dir atom
+
+(* ------------------------------------------------------------------ *)
+(* Last-writer-wins with anti-entropy (`Lww_ae).                       *)
 
 (* Applies one op at one replica: record it (in per-origin order), then
    let last-writer-wins on (stamp, origin) decide whether it touches the
    mirror. The comparison is a total order, so any two replicas that
    have applied the same set of ops hold identical mirrors. *)
-let apply t r op =
-  if op.stamp > r.clock then r.clock <- op.stamp;
-  let have = r.vec.(op.origin) in
+let apply t r s op =
+  if op.stamp > s.clock then s.clock <- op.stamp;
+  let have = s.vec.(op.origin) in
   if op.seq = have + 1 then begin
-    r.vec.(op.origin) <- op.seq;
-    r.log <- op :: r.log;
-    t.ops_applied <- t.ops_applied + 1;
+    s.vec.(op.origin) <- op.seq;
+    s.log <- op :: s.log;
+    bump t (fun c -> { c with ops_applied = c.ops_applied + 1 });
     let key = (path_key op.path, N.atom_to_string op.atom) in
     let newer =
-      match Hashtbl.find_opt r.lww key with
+      match Hashtbl.find_opt s.winners key with
       | None -> true
       | Some (stamp, origin) ->
           op.stamp > stamp || (op.stamp = stamp && op.origin > origin)
     in
     if newer then begin
-      Hashtbl.replace r.lww key (op.stamp, op.origin);
-      match Hashtbl.find_opt r.dirs (fst key) with
-      | None -> ()
-      | Some dir -> (
-          match op.target with
-          | Some leaf_key -> (
-              match Hashtbl.find_opt t.leaves leaf_key with
-              | Some leaf -> S.bind t.store ~dir op.atom leaf
-              | None -> ())
-          | None -> S.unbind t.store ~dir op.atom)
+      Hashtbl.replace s.winners key (op.stamp, op.origin);
+      Option.iter
+        (fun dir -> set_binding t ~dir op.atom op.target)
+        (Hashtbl.find_opt r.dirs (fst key))
     end
-    else t.lww_losses <- t.lww_losses + 1
+    else bump t (fun c -> { c with lww_losses = c.lww_losses + 1 })
   end
 (* op.seq <= have: a duplicate, already applied. A gap (op.seq > have+1)
    cannot arise from the pull protocol, which ships per-origin deltas in
    sequence order; if it somehow does, the op is dropped and a later
    pull re-fetches the origin's suffix in order. *)
 
+let lww_handle t r s = function
+  | Write { path; atom; target } -> (
+      match write_refusal t r path target with
+      | Some reason -> Nack reason
+      | None ->
+          s.clock <- s.clock + 1;
+          let op =
+            {
+              origin = r.id;
+              seq = s.vec.(r.id) + 1;
+              stamp = s.clock;
+              path = N.prepend_root path;
+              atom;
+              target;
+            }
+          in
+          apply t r s op;
+          bump t (fun c -> { c with writes_accepted = c.writes_accepted + 1 });
+          Ack { stamp = op.stamp })
+  | Pull vec ->
+      let have origin seq =
+        origin < Array.length vec && seq <= vec.(origin)
+      in
+      let missing =
+        List.filter (fun op -> not (have op.origin op.seq)) s.log
+      in
+      let sorted =
+        List.sort
+          (fun a b ->
+            match Int.compare a.origin b.origin with
+            | 0 -> Int.compare a.seq b.seq
+            | c -> c)
+          missing
+      in
+      Ops sorted
+  | _ -> Nack "leader-log request in lww-ae mode"
+
+let start_lww_anti_entropy ~period ~timeout ~attempts t states =
+  let n = Array.length t.members in
+  every t ~period (fun r _ ->
+      if Network.node_is_up t.network r.node then begin
+        let s = states.(r.id) in
+        let peer =
+          let k = Rng.int r.rng (n - 1) in
+          t.members.(if k >= r.id then k + 1 else k)
+        in
+        bump t (fun c -> { c with pulls = c.pulls + 1 });
+        Rpc.call_retry r.endpoint
+          ~to_:{ Network.node = peer.node; port }
+          ~timeout ~rng:r.rng ~attempts (Pull (Array.copy s.vec))
+          ~on_reply:(function
+            | Ok (Ops ops) -> List.iter (apply t r s) ops
+            | Ok _ -> ()
+            | Error (`Timeout | `Unavailable) ->
+                bump t (fun c ->
+                    { c with pull_failures = c.pull_failures + 1 }))
+      end)
+
 (* ------------------------------------------------------------------ *)
-(* The leader log (`Leader_log mode).
+(* The leader log (`Leader_log).
 
    A small Raft-shaped replicated log: terms, randomized election
    timeouts drawn from each replica's seeded rng, majority voting with
@@ -269,320 +383,229 @@ let apply t r op =
    Committed entries are applied, in log order, by every replica to its
    own mirror; an action's precondition is evaluated against the mirror
    at application time, so all replicas reach the same commit-or-abort
-   decision and identical mirror states for the same committed prefix. *)
+   decision and identical mirror states for the same committed prefix.
+
+   The functions below take the cluster [t], a replica's shared part [r]
+   and its leader-log state [l]. *)
 
 let majority t = (Array.length t.members / 2) + 1
-let noop_txn r = { client = -1 - r.id; tseq = r.term }
 
-let last_log_info r =
-  let n = Array.length r.llog in
-  if n = 0 then (0, 0) else (n, r.llog.(n - 1).eterm)
+(* Whether [r] and the peers [p] whose [per_peer.(p)] passes [ok] make a
+   majority: a commit's acks, a leader's lease. *)
+let quorum t r per_peer ok =
+  let n = ref 1 in
+  Array.iteri (fun p x -> if p <> r.id && ok x then incr n) per_peer;
+  !n >= majority t
+let noop_txn r l = { client = -1 - r.id; tseq = l.term }
 
-let observe_term r term =
-  if term > r.term then begin
-    r.term <- term;
-    r.voted_for <- None;
-    r.role <- Follower;
-    r.known_leader <- None
+let last_log_info l =
+  let n = Array.length l.llog in
+  if n = 0 then (0, 0) else (n, l.llog.(n - 1).eterm)
+
+let observe_term l term =
+  if term > l.term then begin
+    l.term <- term;
+    l.voted_for <- None;
+    l.role <- Follower;
+    l.known_leader <- None
   end
 
-let find_txn r txn =
-  let found = ref None in
-  Array.iteri
-    (fun i e ->
-      if !found = None && e.txn = txn then found := Some (i + 1))
-    r.llog;
-  !found
+let find_txn l txn =
+  Option.map succ (Array.find_index (fun e -> e.txn = txn) l.llog)
+
+(* Records [txn]'s fate at one replica; the first decision the cluster
+   reaches on a client txn is also counted. *)
+let decide t l txn outcome =
+  if txn.client >= 0 && not (Hashtbl.mem t.decided txn) then begin
+    Hashtbl.replace t.decided txn ();
+    bump t (fun c ->
+        match outcome with
+        | Committed -> { c with txns_committed = c.txns_committed + 1 }
+        | Aborted _ -> { c with txns_aborted = c.txns_aborted + 1 }
+        | Pending -> c)
+  end;
+  Hashtbl.replace l.outcomes txn outcome
 
 (* Both the commit decision and the mirror mutation for one committed
    entry. Preconditions are checked first so the action commits or
    aborts as a unit: an aborted action touches nothing. *)
-let entry_precondition t r action =
+let apply_action t r action =
+  let dir path = Hashtbl.find_opt r.dirs (path_key path) in
+  let unknown path = Aborted ("unknown directory " ^ path_key path) in
   match action with
-  | Bind_group writes ->
-      List.fold_left
-        (fun acc (path, _atom, target) ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              if not (Hashtbl.mem r.dirs (path_key path)) then
-                Some (Printf.sprintf "unknown directory %s" (path_key path))
-              else (
-                match target with
-                | Some key when not (Hashtbl.mem t.leaves key) ->
-                    Some (Printf.sprintf "unknown leaf %s" key)
-                | _ -> None))
-        None writes
-  | Atomic_rename { src_path; src_atom; dst_path; dst_atom = _ } -> (
-      match
-        ( Hashtbl.find_opt r.dirs (path_key src_path),
-          Hashtbl.find_opt r.dirs (path_key dst_path) )
-      with
-      | None, _ -> Some (Printf.sprintf "unknown directory %s" (path_key src_path))
-      | _, None -> Some (Printf.sprintf "unknown directory %s" (path_key dst_path))
-      | Some src_dir, Some _ -> (
+  | Bind_group writes -> (
+      let refusal (path, _, target) = write_refusal t r path target in
+      match List.find_map refusal writes with
+      | Some reason -> Aborted reason
+      | None ->
+          List.iter
+            (fun (path, atom, target) ->
+              set_binding t ~dir:(Option.get (dir path)) atom target)
+            writes;
+          Committed)
+  | Atomic_rename { src_path; src_atom; dst_path; dst_atom } -> (
+      match (dir src_path, dir dst_path) with
+      | None, _ -> unknown src_path
+      | _, None -> unknown dst_path
+      | Some src_dir, Some dst_dir -> (
           match S.obj_state t.store src_dir with
-          | Some (S.Context ctx) when C.mem ctx src_atom -> None
+          | Some (S.Context ctx) when C.mem ctx src_atom ->
+              let target = C.lookup ctx src_atom in
+              S.unbind t.store ~dir:src_dir src_atom;
+              S.bind t.store ~dir:dst_dir dst_atom target;
+              Committed
           | _ ->
-              Some
+              Aborted
                 (Printf.sprintf "%s has no binding %s" (path_key src_path)
                    (N.atom_to_string src_atom))))
 
-let apply_entry t r e =
-  let outcome =
-    match entry_precondition t r e.action with
-    | Some reason -> Aborted reason
-    | None ->
-        (match e.action with
-        | Bind_group writes ->
-            List.iter
-              (fun (path, atom, target) ->
-                let dir = Hashtbl.find r.dirs (path_key path) in
-                match target with
-                | Some key ->
-                    S.bind t.store ~dir atom (Hashtbl.find t.leaves key)
-                | None -> S.unbind t.store ~dir atom)
-              writes
-        | Atomic_rename { src_path; src_atom; dst_path; dst_atom } -> (
-            let src_dir = Hashtbl.find r.dirs (path_key src_path) in
-            let dst_dir = Hashtbl.find r.dirs (path_key dst_path) in
-            match S.obj_state t.store src_dir with
-            | Some (S.Context ctx) ->
-                let target = C.lookup ctx src_atom in
-                S.unbind t.store ~dir:src_dir src_atom;
-                S.bind t.store ~dir:dst_dir dst_atom target
-            | _ -> ()));
-        Committed
-  in
-  if e.txn.client >= 0 then begin
-    t.ops_applied <- t.ops_applied + 1;
-    if not (Hashtbl.mem t.decided e.txn) then begin
-      Hashtbl.replace t.decided e.txn ();
-      match outcome with
-      | Committed -> t.txns_committed <- t.txns_committed + 1
-      | Aborted _ -> t.txns_aborted <- t.txns_aborted + 1
-      | Pending -> ()
-    end
-  end;
-  Hashtbl.replace r.outcomes e.txn outcome
+let apply_entry t r l e =
+  let outcome = apply_action t r e.action in
+  if e.txn.client >= 0 then
+    bump t (fun c -> { c with ops_applied = c.ops_applied + 1 });
+  decide t l e.txn outcome
 
-let apply_committed t r =
-  while r.applied_idx < r.commit_idx do
-    let e = r.llog.(r.applied_idx) in
-    r.applied_idx <- r.applied_idx + 1;
-    apply_entry t r e
+let apply_committed t r l =
+  while l.applied_idx < l.commit_idx do
+    let e = l.llog.(l.applied_idx) in
+    l.applied_idx <- l.applied_idx + 1;
+    apply_entry t r l e
   done
 
-let advance_commit t r =
+let advance_commit t r l =
   (* only current-term entries commit by counting (Raft §5.4.2);
      earlier-term entries commit as part of the prefix *)
-  let len = Array.length r.llog in
-  let advanced = ref false in
-  for idx = r.commit_idx + 1 to len do
-    if idx > r.commit_idx && r.llog.(idx - 1).eterm = r.term then begin
-      let acks = ref 1 in
-      Array.iteri
-        (fun p m -> if p <> r.id && m >= idx then incr acks)
-        r.match_idx;
-      if !acks >= majority t then begin
-        r.commit_idx <- idx;
-        advanced := true
-      end
+  for idx = l.commit_idx + 1 to Array.length l.llog do
+    if l.llog.(idx - 1).eterm = l.term then begin
+      if quorum t r l.match_idx (fun m -> m >= idx) then l.commit_idx <- idx
     end
   done;
-  if !advanced then apply_committed t r
+  apply_committed t r l
 
-let rec broadcast_append t r =
-  let engine = Network.engine t.network in
-  let term_at = r.term in
-  Array.iter
-    (fun peer ->
-      if peer.id <> r.id then begin
-        let ni = max 1 r.next_idx.(peer.id) in
-        let prev_idx = ni - 1 in
-        let prev_term = if prev_idx = 0 then 0 else r.llog.(prev_idx - 1).eterm in
-        let len = Array.length r.llog in
-        let entries =
-          if ni > len then []
-          else Array.to_list (Array.sub r.llog (ni - 1) (len - ni + 1))
-        in
-        let sent = prev_idx + List.length entries in
-        Rpc.call (get_endpoint r)
-          ~to_:{ Network.node = peer.node; port }
-          ~timeout:t.proto_timeout
-          (Append_entries
-             {
-               term = r.term;
-               leader = r.id;
-               prev_idx;
-               prev_term;
-               entries;
-               commit = r.commit_idx;
-             })
-          ~on_reply:(function
-            | Ok (Appended { term; ok; matched }) ->
-                observe_term r term;
-                if r.role = Leader && r.term = term_at then begin
-                  r.peer_acked.(peer.id) <- Engine.now engine;
-                  if ok then begin
-                    r.match_idx.(peer.id) <- max r.match_idx.(peer.id) matched;
-                    r.next_idx.(peer.id) <- max r.next_idx.(peer.id) (matched + 1);
-                    advance_commit t r
-                  end
-                  else if r.next_idx.(peer.id) > 1 then begin
-                    (* log mismatch: walk back and re-ship the suffix *)
-                    r.next_idx.(peer.id) <- ni - 1;
-                    if sent > 0 then broadcast_append_to t r peer.id
-                  end
-                end
-            | Ok _ | Error _ -> ())
-      end)
-    t.members
-
-and broadcast_append_to t r peer_id =
-  let peer = t.members.(peer_id) in
-  let term_at = r.term in
-  let ni = max 1 r.next_idx.(peer_id) in
+(* Ships [peer] the leader's log from its next index on. A refusal from
+   a peer whose log does not match walks the next index back one entry
+   and ships again, until the logs agree. *)
+let rec append_to t r l peer =
+  let term_at = l.term in
+  let ni = max 1 l.next_idx.(peer.id) in
   let prev_idx = ni - 1 in
-  let prev_term = if prev_idx = 0 then 0 else r.llog.(prev_idx - 1).eterm in
-  let len = Array.length r.llog in
+  let prev_term = if prev_idx = 0 then 0 else l.llog.(prev_idx - 1).eterm in
+  let len = Array.length l.llog in
   let entries =
     if ni > len then []
-    else Array.to_list (Array.sub r.llog (ni - 1) (len - ni + 1))
+    else Array.to_list (Array.sub l.llog (ni - 1) (len - ni + 1))
   in
-  Rpc.call (get_endpoint r)
+  Rpc.call r.endpoint
     ~to_:{ Network.node = peer.node; port }
     ~timeout:t.proto_timeout
     (Append_entries
        {
-         term = r.term;
+         term = l.term;
          leader = r.id;
          prev_idx;
          prev_term;
          entries;
-         commit = r.commit_idx;
+         commit = l.commit_idx;
        })
     ~on_reply:(function
       | Ok (Appended { term; ok; matched }) ->
-          observe_term r term;
-          if r.role = Leader && r.term = term_at then begin
-            r.peer_acked.(peer_id) <- Engine.now (Network.engine t.network);
+          observe_term l term;
+          if l.role = Leader && l.term = term_at then begin
+            l.peer_acked.(peer.id) <- now t;
             if ok then begin
-              r.match_idx.(peer_id) <- max r.match_idx.(peer_id) matched;
-              r.next_idx.(peer_id) <- max r.next_idx.(peer_id) (matched + 1);
-              advance_commit t r
+              l.match_idx.(peer.id) <- max l.match_idx.(peer.id) matched;
+              l.next_idx.(peer.id) <- max l.next_idx.(peer.id) (matched + 1);
+              advance_commit t r l
             end
-            else if r.next_idx.(peer_id) > 1 then begin
-              r.next_idx.(peer_id) <- ni - 1;
-              broadcast_append_to t r peer_id
+            else if l.next_idx.(peer.id) > 1 then begin
+              l.next_idx.(peer.id) <- ni - 1;
+              append_to t r l peer
             end
           end
       | Ok _ | Error _ -> ())
 
-let become_leader t r =
-  let engine = Network.engine t.network in
-  let now = Engine.now engine in
-  r.role <- Leader;
-  r.known_leader <- Some r.id;
-  r.election_backoff <- 1;
-  let len = Array.length r.llog in
-  Array.iteri
-    (fun p _ ->
-      r.next_idx.(p) <- len + 1;
-      r.match_idx.(p) <- 0;
-      r.peer_acked.(p) <- now)
-    t.members;
+let broadcast_append t r l =
+  Array.iter
+    (fun peer -> if peer.id <> r.id then append_to t r l peer)
+    t.members
+
+let become_leader t r l =
+  l.role <- Leader;
+  l.known_leader <- Some r.id;
+  l.election_backoff <- 1;
+  let n = Array.length t.members in
+  Array.fill l.next_idx 0 n (Array.length l.llog + 1);
+  Array.fill l.match_idx 0 n 0;
+  Array.fill l.peer_acked 0 n (now t);
   (* no-op entry: commits the predecessor's tail, anchors this term *)
-  r.llog <-
-    Array.append r.llog
-      [| { eterm = r.term; txn = noop_txn r; action = Bind_group [] } |];
-  broadcast_append t r
+  l.llog <-
+    Array.append l.llog
+      [| { eterm = l.term; txn = noop_txn r l; action = Bind_group [] } |];
+  broadcast_append t r l
 
-let start_election t r =
-  let engine = Network.engine t.network in
-  let now = Engine.now engine in
-  r.term <- r.term + 1;
-  t.elections <- t.elections + 1;
-  r.role <- Candidate;
-  r.voted_for <- Some r.id;
-  r.votes <- 1;
-  r.known_leader <- None;
-  r.last_heartbeat <- now;
-  let last_idx, last_term = last_log_info r in
-  let term_at = r.term in
-  if r.votes >= majority t then become_leader t r
-  else
-    Array.iter
-      (fun peer ->
-        if peer.id <> r.id then
-          (* retried: a dropped vote request must not waste the whole
-             election round *)
-          Rpc.call_retry (get_endpoint r)
-            ~to_:{ Network.node = peer.node; port }
-            ~timeout:t.proto_timeout ~rng:r.rng ~attempts:2
-            (Request_vote { term = r.term; candidate = r.id; last_idx; last_term })
-            ~on_reply:(function
-              | Ok (Voted { term; granted }) ->
-                  observe_term r term;
-                  if r.role = Candidate && r.term = term_at && granted then begin
-                    r.votes <- r.votes + 1;
-                    if r.votes >= majority t then become_leader t r
-                  end
-              | Ok _ | Error _ -> ()))
-      t.members
-
-let handle t r req =
-  match req with
-  | Resolve name -> Resolved (Naming.Engine.resolve_in t.engine r.root name)
-  | (Write _ | Pull _) when t.mode = `Leader_log ->
-      Nack "lww-ae request in leader-log mode"
-  | (Submit _ | Query _ | Request_vote _ | Append_entries _)
-    when t.mode = `Lww_ae ->
-      Nack "leader-log request in lww-ae mode"
-  | Submit { txn; action } ->
-      if r.role <> Leader then Redirect r.known_leader
-      else (
-        (* log-level dedup: a resubmission of a txn already appended (or
-           already decided) is answered without a second append, so the
-           exactly-once guarantee survives client-side redirect loops *)
-        match Hashtbl.find_opt r.outcomes txn with
-        | Some o -> Outcome_is o
-        | None -> (
-            match find_txn r txn with
-            | Some index -> Submitted { term = r.term; index }
-            | None ->
-                let e = { eterm = r.term; txn; action } in
-                r.llog <- Array.append r.llog [| e |];
-                t.writes_accepted <- t.writes_accepted + 1;
-                broadcast_append t r;
-                Submitted { term = r.term; index = Array.length r.llog }))
-  | Query txn -> (
-      match Hashtbl.find_opt r.outcomes txn with
-      | Some o -> Outcome_is o
-      | None ->
-          if r.role = Leader then (
-            match find_txn r txn with
-            | Some _ -> Outcome_is Pending
-            | None ->
-                (* a leader that has committed an entry of its own term
-                   and finds no trace of the txn knows it can never
-                   commit (leader completeness): a sticky abort *)
-                if
-                  r.commit_idx > 0
-                  && r.llog.(r.commit_idx - 1).eterm = r.term
-                then begin
-                  let o = Aborted "lost in leader change" in
-                  Hashtbl.replace r.outcomes txn o;
-                  if not (Hashtbl.mem t.decided txn) then begin
-                    Hashtbl.replace t.decided txn ();
-                    t.txns_aborted <- t.txns_aborted + 1
-                  end;
-                  Outcome_is o
+let start_election t r l =
+  l.term <- l.term + 1;
+  bump t (fun c -> { c with elections = c.elections + 1 });
+  l.role <- Candidate;
+  l.voted_for <- Some r.id;
+  l.votes <- 1;
+  l.known_leader <- None;
+  l.last_heartbeat <- now t;
+  let last_idx, last_term = last_log_info l in
+  let term_at = l.term in
+  (* a lone vote is never a majority: clusters have 2 replicas or more *)
+  Array.iter
+    (fun peer ->
+      if peer.id <> r.id then
+        (* retried: a dropped vote request must not waste the whole
+           election round *)
+        Rpc.call_retry r.endpoint
+          ~to_:{ Network.node = peer.node; port }
+          ~timeout:t.proto_timeout ~rng:r.rng ~attempts:2
+          (Request_vote { term = l.term; candidate = r.id; last_idx; last_term })
+          ~on_reply:(function
+            | Ok (Voted { term; granted }) ->
+                observe_term l term;
+                if l.role = Candidate && l.term = term_at && granted then begin
+                  l.votes <- l.votes + 1;
+                  if l.votes >= majority t then become_leader t r l
                 end
-                else Outcome_is Pending)
-          else Redirect r.known_leader)
+            | Ok _ | Error _ -> ()))
+    t.members
+
+let leader_handle t r l = function
+  | Submit { txn; action } -> (
+      (* log-level dedup: a resubmission of a txn already appended (or
+         already decided) is answered without a second append, so the
+         exactly-once guarantee survives client-side redirect loops *)
+      match (l.role, Hashtbl.find_opt l.outcomes txn, find_txn l txn) with
+      | (Follower | Candidate), _, _ -> Redirect l.known_leader
+      | Leader, Some o, _ -> Outcome_is o
+      | Leader, None, Some index -> Submitted { term = l.term; index }
+      | Leader, None, None ->
+          l.llog <- Array.append l.llog [| { eterm = l.term; txn; action } |];
+          bump t (fun c -> { c with writes_accepted = c.writes_accepted + 1 });
+          broadcast_append t r l;
+          Submitted { term = l.term; index = Array.length l.llog })
+  | Query txn -> (
+      match (Hashtbl.find_opt l.outcomes txn, l.role) with
+      | Some o, _ -> Outcome_is o
+      | None, (Follower | Candidate) -> Redirect l.known_leader
+      | None, Leader ->
+          (* a leader that has committed an entry of its own term and
+             finds no trace of the txn knows it can never commit (leader
+             completeness): a sticky abort *)
+          if
+            find_txn l txn = None && l.commit_idx > 0
+            && l.llog.(l.commit_idx - 1).eterm = l.term
+          then begin
+            let o = Aborted "lost in leader change" in
+            decide t l txn o;
+            Outcome_is o
+          end
+          else Outcome_is Pending)
   | Request_vote { term; candidate; last_idx; last_term } ->
-      observe_term r term;
+      observe_term l term;
       (* Same-term tie-break: a candidate yields to a lower-id rival.
          Its own self-vote dies with its candidacy (the role check in
          the vote-reply handler keeps it from ever counting a
@@ -590,101 +613,129 @@ let handle t r req =
          per term — split votes break in one round instead of stalling
          a full timeout. *)
       if
-        term = r.term && r.role = Candidate && candidate < r.id
-        && r.voted_for = Some r.id
+        term = l.term && l.role = Candidate && candidate < r.id
+        && l.voted_for = Some r.id
       then begin
-        r.role <- Follower;
-        r.voted_for <- None
+        l.role <- Follower;
+        l.voted_for <- None
       end;
-      let my_idx, my_term = last_log_info r in
+      let my_idx, my_term = last_log_info l in
       let up_to_date =
         last_term > my_term || (last_term = my_term && last_idx >= my_idx)
       in
       let granted =
-        term = r.term && up_to_date
-        && match r.voted_for with None -> true | Some c -> c = candidate
+        term = l.term && up_to_date
+        && match l.voted_for with None -> true | Some c -> c = candidate
       in
       if granted then begin
-        r.voted_for <- Some candidate;
-        r.last_heartbeat <- Engine.now (Network.engine t.network)
+        l.voted_for <- Some candidate;
+        l.last_heartbeat <- now t
       end;
-      Voted { term = r.term; granted }
+      Voted { term = l.term; granted }
   | Append_entries { term; leader; prev_idx; prev_term; entries; commit } ->
-      observe_term r term;
-      if term < r.term then Appended { term = r.term; ok = false; matched = 0 }
+      observe_term l term;
+      if term < l.term then Appended { term = l.term; ok = false; matched = 0 }
       else begin
-        r.role <- Follower;
-        r.known_leader <- Some leader;
-        r.election_backoff <- 1;
-        r.last_heartbeat <- Engine.now (Network.engine t.network);
-        let len = Array.length r.llog in
+        l.role <- Follower;
+        l.known_leader <- Some leader;
+        l.election_backoff <- 1;
+        l.last_heartbeat <- now t;
+        let len = Array.length l.llog in
         let prev_ok =
           prev_idx = 0
-          || (prev_idx <= len && r.llog.(prev_idx - 1).eterm = prev_term)
+          || (prev_idx <= len && l.llog.(prev_idx - 1).eterm = prev_term)
         in
-        if not prev_ok then Appended { term = r.term; ok = false; matched = 0 }
+        if not prev_ok then Appended { term = l.term; ok = false; matched = 0 }
         else begin
           List.iteri
             (fun i e ->
+              (* a new entry, or a conflict: drop the (uncommitted)
+                 suffix from [idx] on and take the leader's entry *)
               let idx = prev_idx + i + 1 in
-              if idx <= Array.length r.llog then begin
-                if r.llog.(idx - 1).eterm <> e.eterm then begin
-                  (* conflict: drop the (uncommitted) suffix, take the
-                     leader's entry *)
-                  r.llog <- Array.sub r.llog 0 (idx - 1);
-                  r.llog <- Array.append r.llog [| e |]
-                end
-              end
-              else r.llog <- Array.append r.llog [| e |])
+              if idx > Array.length l.llog || l.llog.(idx - 1).eterm <> e.eterm
+              then
+                l.llog <- Array.append (Array.sub l.llog 0 (idx - 1)) [| e |])
             entries;
           let matched = prev_idx + List.length entries in
-          let new_commit = min commit (Array.length r.llog) in
-          if new_commit > r.commit_idx then begin
-            r.commit_idx <- new_commit;
-            apply_committed t r
+          let new_commit = min commit (Array.length l.llog) in
+          if new_commit > l.commit_idx then begin
+            l.commit_idx <- new_commit;
+            apply_committed t r l
           end;
-          Appended { term = r.term; ok = true; matched }
+          Appended { term = l.term; ok = true; matched }
         end
       end
-  | Write { path; atom; target } -> (
-      let key = path_key path in
-      match Hashtbl.find_opt r.dirs key with
-      | None -> Nack (Printf.sprintf "unknown directory %s" key)
-      | Some _ -> (
-          match target with
-          | Some leaf_key when not (Hashtbl.mem t.leaves leaf_key) ->
-              Nack (Printf.sprintf "unknown leaf %s" leaf_key)
-          | _ ->
-              r.clock <- r.clock + 1;
-              let op =
-                {
-                  origin = r.id;
-                  seq = r.vec.(r.id) + 1;
-                  stamp = r.clock;
-                  path = N.prepend_root path;
-                  atom;
-                  target;
-                }
-              in
-              apply t r op;
-              t.writes_accepted <- t.writes_accepted + 1;
-              Ack { stamp = op.stamp }))
-  | Pull vec ->
-      let have origin seq =
-        origin < Array.length vec && seq <= vec.(origin)
-      in
-      let missing =
-        List.filter (fun op -> not (have op.origin op.seq)) r.log
-      in
-      let sorted =
-        List.sort
-          (fun a b ->
-            match Int.compare a.origin b.origin with
-            | 0 -> Int.compare a.seq b.seq
-            | c -> c)
-          missing
-      in
-      Ops sorted
+  | _ -> Nack "lww-ae request in leader-log mode"
+
+(* The leader-log driver: one staggered recurring tick per replica. A
+   leader's tick checks its lease (step down when a majority has not
+   answered within an election timeout — this is what deposes a
+   minority-side leader during a partition) and sends heartbeats; a
+   follower's or candidate's tick starts an election when it has not
+   heard from a live leader within its randomized timeout. Crashed
+   nodes forfeit any role on their tick and rejoin as followers. *)
+let start_leader_protocol ~period ~timeout t states =
+  t.proto_timeout <- timeout;
+  let base = 2.0 *. period in
+  (* the lease outlives one heartbeat round trip, else a slow (but
+     healthy) network deposes a working leader every few ticks *)
+  let lease = 3.0 *. period in
+  (* Election timeouts are id-staggered into near-disjoint ranges: in
+     this simulation one message flight can rival the heartbeat period,
+     so purely random draws from a shared range would send two
+     candidates into split votes about half the time. The stagger makes
+     the lowest-id live replica fire first (its Request_vote resets the
+     others' timers); the randomized tail plus backoff still breaks any
+     residual tie. *)
+  let span = base /. 2.0 in
+  let redraw r l =
+    base
+    +. (float_of_int r.id *. span)
+    +. Rng.float r.rng (span *. float_of_int l.election_backoff)
+  in
+  Array.iter (fun r -> states.(r.id).election_timeout <- redraw r states.(r.id))
+    t.members;
+  (* Followers check their timers at quarter-period granularity —
+     coarser ticks would quantize the staggered timeouts back into
+     collision; leaders heartbeat at full-period cadence. *)
+  every t ~period:(period /. 4.0) (fun r k ->
+      let l = states.(r.id) in
+      let now = now t in
+      if Network.node_is_up t.network r.node then begin
+        match l.role with
+        | Leader ->
+            if k mod 4 = 0 then begin
+              let leased last = now -. last <= lease in
+              if not (quorum t r l.peer_acked leased) then begin
+                l.role <- Follower;
+                l.known_leader <- None;
+                l.last_heartbeat <- now
+              end
+              else broadcast_append t r l
+            end
+        | Follower | Candidate ->
+            if now -. l.last_heartbeat >= l.election_timeout then begin
+              start_election t r l;
+              l.election_backoff <- min (l.election_backoff * 2) 2;
+              l.election_timeout <- redraw r l
+            end
+      end
+      else begin
+        if l.role <> Follower then begin
+          l.role <- Follower;
+          l.known_leader <- None
+        end;
+        l.last_heartbeat <- now
+      end)
+
+(* ------------------------------------------------------------------ *)
+(* The cluster.                                                        *)
+
+let handle t r req =
+  match (req, t.tier) with
+  | Resolve name, _ -> Resolved (Naming.Engine.resolve_in t.engine r.root name)
+  | _, Lww_ae states -> lww_handle t r states.(r.id) req
+  | _, Leader_log states -> leader_handle t r states.(r.id) req
 
 let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
     (spec : spec) =
@@ -709,33 +760,43 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
         S.bind store ~dir:root N.root_atom root;
         let dirs = Hashtbl.create 64 in
         Hashtbl.replace dirs (path_key (N.singleton N.root_atom)) root;
-        {
-          id;
-          node;
-          root;
-          dirs;
-          log = [];
-          vec = Array.make n 0;
-          lww = Hashtbl.create 64;
-          clock = 0;
-          rng = Rng.split rng;
-          endpoint = None;
-          term = 0;
-          voted_for = None;
-          role = Follower;
-          known_leader = None;
-          llog = [||];
-          commit_idx = 0;
-          applied_idx = 0;
-          votes = 0;
-          last_heartbeat = 0.0;
-          election_timeout = Float.infinity;
-          election_backoff = 1;
-          next_idx = Array.make n 1;
-          match_idx = Array.make n 0;
-          peer_acked = Array.make n 0.0;
-          outcomes = Hashtbl.create 64;
-        })
+        let rng = Rng.split rng in
+        let endpoint =
+          Rpc.create network ~node ~port ~dedup:true ?dedup_window ()
+        in
+        { id; node; root; dirs; rng; endpoint })
+  in
+  let tier =
+    match mode with
+    | `Lww_ae ->
+        Lww_ae
+          (Array.init n (fun _ ->
+               {
+                 log = [];
+                 vec = Array.make n 0;
+                 winners = Hashtbl.create 64;
+                 clock = 0;
+               }))
+    | `Leader_log ->
+        Leader_log
+          (Array.init n (fun _ ->
+               {
+                 term = 0;
+                 voted_for = None;
+                 role = Follower;
+                 known_leader = None;
+                 llog = [||];
+                 commit_idx = 0;
+                 applied_idx = 0;
+                 votes = 0;
+                 last_heartbeat = 0.0;
+                 election_timeout = Float.infinity;
+                 election_backoff = 1;
+                 next_idx = Array.make n 1;
+                 match_idx = Array.make n 0;
+                 peer_acked = Array.make n 0.0;
+                 outcomes = Hashtbl.create 64;
+               }))
   in
   (* Mirror directories, and one replica group per logical path. *)
   let mirror_group path =
@@ -791,7 +852,7 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
   in
   let t =
     {
-      mode;
+      tier;
       network;
       store;
       engine = Naming.Engine.of_env ~default:`Compiled store;
@@ -803,29 +864,27 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
       last_measure = None;
       decided = Hashtbl.create 64;
       ae_gen = 0;
-      writes_accepted = 0;
-      ops_applied = 0;
-      lww_losses = 0;
-      pulls = 0;
-      pull_failures = 0;
-      elections = 0;
-      txns_committed = 0;
-      txns_aborted = 0;
+      stats =
+        {
+          writes_accepted = 0;
+          ops_applied = 0;
+          lww_losses = 0;
+          pulls = 0;
+          pull_failures = 0;
+          elections = 0;
+          txns_committed = 0;
+          txns_aborted = 0;
+        };
       proto_timeout = 2.0;
     }
   in
   Array.iter
-    (fun r ->
-      r.endpoint <-
-        Some
-          (Rpc.create network ~node:r.node ~port
-             ~handler:(fun req -> Some (handle t r req))
-             ~dedup:true ?dedup_window ()))
+    (fun r -> Rpc.set_handler r.endpoint (fun req -> Some (handle t r req)))
     members;
   t
 
 let store t = t.store
-let mode t = t.mode
+let mode t = match t.tier with Lww_ae _ -> `Lww_ae | Leader_log _ -> `Leader_log
 let replicas t = Array.length t.members
 
 let member t i =
@@ -836,7 +895,7 @@ let member t i =
 let replica_node t i = (member t i).node
 let replica_address t i = { Network.node = (member t i).node; port }
 let replica_root t i = (member t i).root
-let endpoint t i = get_endpoint (member t i)
+let endpoint t i = (member t i).endpoint
 let leaf t key = Hashtbl.find_opt t.leaves key
 
 let resolve_at t i name =
@@ -871,189 +930,56 @@ let measure ?jobs t names =
       report
 
 let converged t =
-  match t.mode with
-  | `Lww_ae ->
-      let reference = t.members.(0).vec in
-      Array.for_all
-        (fun r ->
-          let ok = ref true in
-          Array.iteri
-            (fun i v -> if v <> reference.(i) then ok := false)
-            r.vec;
-          !ok)
-        t.members
-  | `Leader_log ->
+  match t.tier with
+  | Lww_ae states -> Array.for_all (fun s -> s.vec = states.(0).vec) states
+  | Leader_log states ->
       (* identical committed-and-applied logs with no uncommitted
          stragglers: the leader's log repair drives every replica here
          once a stable leader has replicated its final no-op *)
-      let c0 = t.members.(0).commit_idx in
+      let c0 = states.(0).commit_idx in
       Array.for_all
-        (fun r ->
-          r.commit_idx = c0 && r.applied_idx = c0
-          && Array.length r.llog = c0)
-        t.members
+        (fun l ->
+          l.commit_idx = c0 && l.applied_idx = c0
+          && Array.length l.llog = c0)
+        states
 
 let leader_of t =
-  Array.fold_left
-    (fun acc r ->
-      if r.role = Leader && Network.node_is_up t.network r.node then
-        match acc with
-        | Some l when t.members.(l).term >= r.term -> acc
-        | _ -> Some r.id
-      else acc)
-    None t.members
+  match t.tier with
+  | Lww_ae _ -> None
+  | Leader_log states ->
+      Array.fold_left
+        (fun acc r ->
+          let l = states.(r.id) in
+          if l.role = Leader && Network.node_is_up t.network r.node then
+            match acc with
+            | Some p when states.(p).term >= l.term -> acc
+            | _ -> Some r.id
+          else acc)
+        None t.members
 
-let term_at t i = (member t i).term
-let commit_index t i = (member t i).commit_idx
-let outcome_at t i txn = Hashtbl.find_opt (member t i).outcomes txn
+let leader_state t i =
+  let r = member t i in
+  match t.tier with
+  | Leader_log states -> states.(r.id)
+  | Lww_ae _ -> invalid_arg "Nameserver: not a leader-log cluster"
+
+let term_at t i = (leader_state t i).term
+let commit_index t i = (leader_state t i).commit_idx
+let outcome_at t i txn = Hashtbl.find_opt (leader_state t i).outcomes txn
 
 let committed_log t i =
-  let r = member t i in
-  Array.to_list (Array.sub r.llog 0 r.commit_idx)
+  let l = leader_state t i in
+  Array.to_list (Array.sub l.llog 0 l.commit_idx)
   |> List.map (fun e -> (e.txn, e.action))
 
-(* ------------------------------------------------------------------ *)
-(* Anti-entropy (`Lww_ae) and the leader heartbeat (`Leader_log).      *)
-
-let start_lww_anti_entropy ~period ~timeout ~attempts t =
-  t.ae_gen <- t.ae_gen + 1;
-  let gen = t.ae_gen in
-  let engine = Network.engine t.network in
-  let n = Array.length t.members in
-  let rec tick r () =
-    if t.ae_gen = gen then begin
-      if Network.node_is_up t.network r.node then begin
-        let peer =
-          let k = Rng.int r.rng (n - 1) in
-          t.members.(if k >= r.id then k + 1 else k)
-        in
-        t.pulls <- t.pulls + 1;
-        Rpc.call_retry (get_endpoint r)
-          ~to_:{ Network.node = peer.node; port }
-          ~timeout ~rng:r.rng ~attempts (Pull (Array.copy r.vec))
-          ~on_reply:(function
-            | Ok (Ops ops) -> List.iter (apply t r) ops
-            | Ok _ -> ()
-            | Error (`Timeout | `Unavailable) ->
-                t.pull_failures <- t.pull_failures + 1)
-      end;
-      ignore (Engine.schedule engine ~delay:period (tick r))
-    end
-  in
-  Array.iter
-    (fun r ->
-      (* stagger the first ticks so replica order never depends on how
-         simultaneous events happen to interleave *)
-      let delay = period *. (1.0 +. (float_of_int r.id /. float_of_int n)) in
-      ignore (Engine.schedule engine ~delay (tick r)))
-    t.members
-
-(* The leader-log driver: one staggered recurring tick per replica. A
-   leader's tick checks its lease (step down when a majority has not
-   answered within an election timeout — this is what deposes a
-   minority-side leader during a partition) and sends heartbeats; a
-   follower's or candidate's tick starts an election when it has not
-   heard from a live leader within its randomized timeout. Crashed
-   nodes forfeit any role on their tick and rejoin as followers. *)
-let start_leader_protocol ~period ~timeout t =
-  t.ae_gen <- t.ae_gen + 1;
-  t.proto_timeout <- timeout;
-  let gen = t.ae_gen in
-  let engine = Network.engine t.network in
-  let n = Array.length t.members in
-  let base = 2.0 *. period in
-  (* the lease outlives one heartbeat round trip, else a slow (but
-     healthy) network deposes a working leader every few ticks *)
-  let lease = 3.0 *. period in
-  (* Election timeouts are id-staggered into near-disjoint ranges: in
-     this simulation one message flight can rival the heartbeat period,
-     so purely random draws from a shared range would send two
-     candidates into split votes about half the time. The stagger makes
-     the lowest-id live replica fire first (its Request_vote resets the
-     others' timers); the randomized tail plus backoff still breaks any
-     residual tie. *)
-  let span = base /. 2.0 in
-  let redraw r =
-    base
-    +. (float_of_int r.id *. span)
-    +. Rng.float r.rng (span *. float_of_int r.election_backoff)
-  in
-  Array.iter (fun r -> r.election_timeout <- redraw r) t.members;
-  (* Followers check their timers at quarter-period granularity —
-     coarser ticks would quantize the staggered timeouts back into
-     collision; leaders heartbeat at full-period cadence. *)
-  let sub = period /. 4.0 in
-  let rec tick r k () =
-    if t.ae_gen = gen then begin
-      let now = Engine.now engine in
-      if Network.node_is_up t.network r.node then begin
-        match r.role with
-        | Leader ->
-            if k mod 4 = 0 then begin
-              let live = ref 1 in
-              Array.iteri
-                (fun p last ->
-                  if p <> r.id && now -. last <= lease then incr live)
-                r.peer_acked;
-              if !live < majority t then begin
-                r.role <- Follower;
-                r.known_leader <- None;
-                r.last_heartbeat <- now
-              end
-              else broadcast_append t r
-            end
-        | Follower | Candidate ->
-            if now -. r.last_heartbeat >= r.election_timeout then begin
-              start_election t r;
-              r.election_backoff <- min (r.election_backoff * 2) 2;
-              r.election_timeout <- redraw r
-            end
-      end
-      else begin
-        if r.role <> Follower then begin
-          r.role <- Follower;
-          r.known_leader <- None
-        end;
-        r.last_heartbeat <- now
-      end;
-      ignore (Engine.schedule engine ~delay:sub (tick r (k + 1)))
-    end
-  in
-  Array.iter
-    (fun r ->
-      let delay = sub *. (1.0 +. (float_of_int r.id /. float_of_int n)) in
-      ignore (Engine.schedule engine ~delay (tick r 0)))
-    t.members
-
 let start_anti_entropy ?(period = 5.0) ?(timeout = 2.0) ?(attempts = 3) t =
-  match t.mode with
-  | `Lww_ae -> start_lww_anti_entropy ~period ~timeout ~attempts t
-  | `Leader_log -> start_leader_protocol ~period ~timeout t
+  match t.tier with
+  | Lww_ae states -> start_lww_anti_entropy ~period ~timeout ~attempts t states
+  | Leader_log states -> start_leader_protocol ~period ~timeout t states
 
 let stop_anti_entropy t = t.ae_gen <- t.ae_gen + 1
 
-type stats = {
-  writes_accepted : int;
-  ops_applied : int;
-  lww_losses : int;
-  pulls : int;
-  pull_failures : int;
-  elections : int;
-  txns_committed : int;
-  txns_aborted : int;
-}
-
-let stats (t : t) =
-  {
-    writes_accepted = t.writes_accepted;
-    ops_applied = t.ops_applied;
-    lww_losses = t.lww_losses;
-    pulls = t.pulls;
-    pull_failures = t.pull_failures;
-    elections = t.elections;
-    txns_committed = t.txns_committed;
-    txns_aborted = t.txns_aborted;
-  }
+let stats t = t.stats
 
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf

@@ -31,6 +31,10 @@ type spec = {
           key (hard links) *)
 }
 
+val split_last : Naming.Name.t -> Naming.Name.t * Naming.Name.atom
+(** A path's parent directory (the root for a one-atom path) and last
+    atom. @raise Invalid_argument on the empty path. *)
+
 val spec_of_context :
   ?max_depth:int ->
   ?max_nodes:int ->
@@ -259,9 +263,15 @@ val start_anti_entropy :
     deterministic.
 
     [`Leader_log]: starts the leader protocol instead — [period] is the
-    heartbeat interval, election timeouts are drawn per replica from
-    [[2·period, 4·period)], and [timeout] bounds each protocol message
-    ([attempts] is unused; heartbeats retransmit naturally). *)
+    heartbeat interval, replica [i]'s election timeout is drawn from
+    [[(2 + i)·period, (2 + i + b)·period)] with backoff [b] = 1, or 2
+    after a fruitless election (replica 2 of 3 can wait up to
+    [6·period]), and [timeout] bounds each protocol message ([attempts]
+    is unused; heartbeats retransmit naturally). *)
+
+val first_tick : period:float -> replicas:int -> int -> float
+(** [period·(1 + i/replicas)]: when replica [i]'s first anti-entropy
+    tick fires (the leader protocol staggers at [period / 4]). *)
 
 val stop_anti_entropy : t -> unit
 (** Stops scheduling new ticks (already-scheduled ones still fire). *)
