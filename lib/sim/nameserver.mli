@@ -229,7 +229,10 @@ val converged : t -> bool
     fully-committed, fully-applied log with no uncommitted stragglers —
     again identical mirrors, by determinism of application. *)
 
-(** {1 Leader-log introspection} *)
+(** {1 Leader-log introspection}
+
+    Only {!leader_of} accepts an [`Lww_ae] cluster (it has no leader);
+    the others raise [Invalid_argument] on one. *)
 
 val leader_of : t -> int option
 (** The live replica currently acting as leader (the highest-term one,
