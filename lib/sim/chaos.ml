@@ -356,7 +356,8 @@ let submit_txn rig i (time, client, req) =
             (Nameserver.Submit
                { txn; action = Nameserver.Bind_group [ (path, atom, target) ] })
             client)
-  | _ -> send_write rig (time, client, req)
+  | _ -> (* not a binding write: sent as under [`Lww_ae] *)
+      send_write rig (time, client, req)
 
 (* Issues the workload; the returned function settles the writes still
    open once the run has ended. *)
