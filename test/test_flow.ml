@@ -120,6 +120,64 @@ let test_sample_witnesses () =
   check sl "skips" [ "NG103"; "NG105" ] (codes_of "skips");
   check sl "exchange" [] (codes_of "exchange")
 
+(* --- message text pinned against later ops ------------------------------ *)
+
+(* A flow's witness names the nodes it resolved to when it was judged.
+   The ops after it unlink /a/f and re-create it — a new node with the
+   same label — and rebind the head both flows went through; the
+   messages must still name the old node ids. *)
+let rebind_text =
+  {script|mkdir /a
+add-file /a/f "one"
+mkdir /b
+add-file /b/f "two"
+spawn p
+bind 0 h /b
+fork 0
+bind 1 h /a
+use 1 h/f
+send 1 0 h/f
+unlink /a/f
+add-file /a/f "three"
+bind 1 h /b
+use 1 h/f
+|script}
+
+let messages_of text =
+  match F.parse text with
+  | Error msg -> Alcotest.failf "fixture does not parse: %s" msg
+  | Ok (plan, _) ->
+      let _r, rep = A.Flowpasses.report ~label:"witness" plan in
+      List.map
+        (fun (d : A.Diagnostic.t) ->
+          (d.A.Diagnostic.code, d.A.Diagnostic.message))
+        rep.A.Engine.diagnostics
+
+let pair = Alcotest.(list (pair string string))
+
+let test_messages_survive_later_ops () =
+  check pair "messages name the nodes judged at the time"
+    [
+      ( "NG101",
+        "send 1 0 h/f: proc 1:p' (sender) → n2:f via [h → n1:a; n1:a.f → \
+         n2:f]; proc 0:p (receiver) → n4:f via [h → n3:b; n3:b.f → n4:f]" );
+      ( "NG104",
+        "use 1 h/f: resolves n2:f but fork parent 0 resolves n4:f" );
+    ]
+    (messages_of rebind_text)
+
+(* The source side of a read of "/" resolves without a single step, so
+   its part of the message carries no "via [...]". *)
+let test_empty_trace_message () =
+  check pair "a side with no steps"
+    [
+      ( "NG102",
+        "read 0 /a/f /: scope of /a/f → n0:/; proc 0:p (reader) → n1:a via \
+         [/ → n1:a]" );
+    ]
+    (messages_of
+       "mkdir /a\nadd-file /a/f \"x\"\nspawn p\nchroot 0 /a\nread 0 /a/f /\n")
+
 (* --- strict mode and the skip report ---------------------------------- *)
 
 let ops_with_skip =
@@ -318,6 +376,10 @@ let suite =
     Alcotest.test_case "sample scripts replay agrees" `Quick
       test_samples_replay_agrees;
     Alcotest.test_case "sample script witnesses" `Quick test_sample_witnesses;
+    Alcotest.test_case "messages survive later ops" `Quick
+      test_messages_survive_later_ops;
+    Alcotest.test_case "message without a trace" `Quick
+      test_empty_trace_message;
     Alcotest.test_case "run_report" `Quick test_run_report;
     Alcotest.test_case "strict run" `Quick test_run_strict;
     Alcotest.test_case "op roundtrip" `Quick test_op_roundtrip;

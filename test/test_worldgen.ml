@@ -182,6 +182,36 @@ let prop_estimate_brackets_exact =
           base.Coh.samples;
       true)
 
+(* Coverage of the 95% interval, measured: over 1000 rng seeds the
+   interval may miss the exact degree about 50 times. Allow nominal
+   plus three standard deviations (50 + 3·sqrt(1000·0.05·0.95) ≈ 70);
+   a stopping rule that narrowed the interval too eagerly, or an
+   interval formula that undercovers, shows up as more misses. *)
+let prop_estimate_coverage =
+  QCheck.Test.make ~name:"95% estimate interval misses at most nominal + 3σ"
+    ~count:1 QCheck.unit (fun () ->
+      let w = W.build `Unixlike ~size:3_000 ~seed:1L in
+      let st = w.Harness.Sample.store in
+      let rule = w.Harness.Sample.rule in
+      let occs = occurrences w in
+      let probes = Array.of_seq (W.probes_seq w) in
+      let exact =
+        Coh.degree (Coh.measure_seq st rule occs (Array.to_seq probes))
+      in
+      let sampler = W.uniform_sampler probes in
+      let misses = ref 0 in
+      for seed = 0 to 999 do
+        let e =
+          Coh.estimate ~epsilon:0.02 ~rng:(Dsim.Rng.create (Int64.of_int seed))
+            st rule occs sampler
+        in
+        if exact < e.Coh.ci_low || exact > e.Coh.ci_high then incr misses
+      done;
+      if !misses > 70 then
+        QCheck.Test.fail_reportf "%d of 1000 intervals miss the exact %.4f"
+          !misses exact;
+      true)
+
 let suite =
   [
     Alcotest.test_case "deterministic rebuild" `Quick test_deterministic;
@@ -196,4 +226,5 @@ let suite =
     Alcotest.test_case "probes_seq resolves" `Quick
       test_probes_seq_resolvable;
     QCheck_alcotest.to_alcotest prop_estimate_brackets_exact;
+    QCheck_alcotest.to_alcotest prop_estimate_coverage;
   ]
