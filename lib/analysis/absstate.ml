@@ -316,23 +316,21 @@ let apply t ~index op =
 
 (* ------------------------------------------------------------------ *)
 
-let pp_value t ppf = function
-  | Bot -> Format.pp_print_string ppf "⊥"
-  | Node id -> (
-      match node t id with
-      | { label; _ } -> Format.fprintf ppf "n%d:%s" id label
-      | exception Not_found -> Format.fprintf ppf "n%d" id)
+(* Node ids are dense and nodes are never removed, so an array of labels
+   renders any value the analysis produced, at any later time. *)
+type labels = string array
 
-let pp_trace t ppf trace =
-  let pp_step ppf { at; atom; target } =
-    match at with
-    | Bot -> Format.fprintf ppf "%s → %a" atom (pp_value t) target
-    | Node _ ->
-        Format.fprintf ppf "%a.%s → %a" (pp_value t) at atom (pp_value t)
-          target
+let labels t = Array.init t.next_node (fun id -> (node t id).label)
+
+let value_to_string labels = function
+  | Bot -> "⊥"
+  | Node id when id < Array.length labels ->
+      "n" ^ string_of_int id ^ ":" ^ labels.(id)
+  | Node id -> "n" ^ string_of_int id
+
+let trace_to_string labels trace =
+  let step { at; atom; target } =
+    (match at with Bot -> atom | Node _ -> value_to_string labels at ^ "." ^ atom)
+    ^ " → " ^ value_to_string labels target
   in
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       pp_step)
-    trace
+  String.concat "; " (List.map step trace)

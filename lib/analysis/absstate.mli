@@ -81,5 +81,17 @@ val parent_dir_of : t -> string -> value
     directory or the path is unparseable. *)
 
 val equal_value : value -> value -> bool
-val pp_value : t -> Format.formatter -> value -> unit
-val pp_trace : t -> Format.formatter -> step list -> unit
+
+type labels
+(** The label of every node created so far. Labels never change and
+    nodes are never removed, so a value or trace rendered against the
+    final labels reads as it would have when it was resolved. *)
+
+val labels : t -> labels
+
+val value_to_string : labels -> value -> string
+(** ["n<id>:<label>"], or ["⊥"]. *)
+
+val trace_to_string : labels -> step list -> string
+(** ["atom → value"] (a lookup in the activity's own context) or
+    ["value.atom → value"] per step, joined by ["; "]. *)

@@ -23,19 +23,18 @@ let default_config =
 type reason = Missing_ref of string | Fuel
 type outcome = Coherent | Incoherent | Vacuous | Unknown of reason
 
+type role =
+  | Proc of { proc : int; label : string; what : string }
+  | Scope of { path : string; source_rule : bool }
+
 type side = {
-  role : string;
+  role : role;
   value : A.value;
-  rendered : string;
-  trace : string;
+  steps : A.step list;
   stale : A.stale option;
 }
 
-type divergence = {
-  parent : int;
-  parent_rendered : string;
-  own_rendered : string;
-}
+type divergence = { parent : int; parent_value : A.value }
 
 type verdict = {
   index : int;
@@ -54,6 +53,7 @@ type result = {
   procs : int;
   nodes : int;
   dirs : int;
+  labels : A.labels;
 }
 
 let name_of = function
@@ -80,17 +80,9 @@ let classify2 va vb =
 (* ------------------------------------------------------------------ *)
 (* Static analysis                                                     *)
 
-let side_of st role (v, trace) stale =
-  {
-    role;
-    value = v;
-    rendered = Format.asprintf "%a" (A.pp_value st) v;
-    trace = Format.asprintf "%a" (A.pp_trace st) trace;
-    stale;
-  }
+let side_of role (value, steps, stale) = { role; value; steps; stale }
 
-let proc_role st i what =
-  Printf.sprintf "proc %d:%s (%s)" i (A.proc_label st i) what
+let proc_role st proc what = Proc { proc; label = A.proc_label st proc; what }
 
 (* The scope a name written inside the host tree is read in: the whole
    tree for absolute names (mirror of [Fs.lookup]), the object's
@@ -122,21 +114,14 @@ let judge st ~config ~index fl =
         let atoms = atoms_of name in
         match fl with
         | Use { proc; _ } ->
-            let v, trace, stale = A.resolve_proc st proc atoms in
-            let s = side_of st (proc_role st proc "use") (v, trace) stale in
+            let ((v, _, _) as r) = A.resolve_proc st proc atoms in
+            let s = side_of (proc_role st proc "use") r in
             let divergence =
               match A.proc_parent st proc with
               | Some parent when A.mem_proc st parent ->
                   let pv, _, _ = A.resolve_proc st parent atoms in
                   if A.equal_value pv v then None
-                  else
-                    Some
-                      {
-                        parent;
-                        parent_rendered =
-                          Format.asprintf "%a" (A.pp_value st) pv;
-                        own_rendered = s.rendered;
-                      }
+                  else Some { parent; parent_value = pv }
               | _ -> None
             in
             let outcome =
@@ -150,15 +135,14 @@ let judge st ~config ~index fl =
               | `Receiver -> A.resolve_proc st receiver atoms
               | `Sender -> ra
             in
-            let mk role (v, trace, stale) = side_of st role (v, trace) stale in
             {
               index;
               flow = fl;
               outcome = classify2 va vb;
               sides =
                 [
-                  mk (proc_role st sender "sender") ra;
-                  mk (proc_role st receiver "receiver") rb;
+                  side_of (proc_role st sender "sender") ra;
+                  side_of (proc_role st receiver "receiver") rb;
                 ];
               divergence = None;
             }
@@ -169,24 +153,18 @@ let judge st ~config ~index fl =
                 let parent = A.parent_dir_of st path in
                 match source_scope st ~parent name with
                 | None -> unknown (Missing_ref (no_object path))
-                | Some ((va, _) as ra) ->
+                | Some (va, steps) ->
+                    let scope source_rule =
+                      side_of (Scope { path; source_rule }) (va, steps, None)
+                    in
                     let sb =
                       match config.embedded_rule with
                       | `Reader ->
-                          let v, trace, stale =
-                            A.resolve_proc st reader atoms
-                          in
-                          side_of st
-                            (proc_role st reader "reader")
-                            (v, trace) stale
-                      | `Source ->
-                          side_of st
-                            (Printf.sprintf "scope of %s (source rule)" path)
-                            ra None
+                          side_of (proc_role st reader "reader")
+                            (A.resolve_proc st reader atoms)
+                      | `Source -> scope true
                     in
-                    let sa =
-                      side_of st (Printf.sprintf "scope of %s" path) ra None
-                    in
+                    let sa = scope false in
                     {
                       index;
                       flow = fl;
@@ -223,6 +201,7 @@ let analyze ?(config = default_config) (plan : plan) =
     procs = A.n_procs st;
     nodes = A.n_nodes st;
     dirs = A.n_dirs st;
+    labels = A.labels st;
   }
 
 (* Each analysis builds its own abstract state and store from its plan,
@@ -405,6 +384,13 @@ let flow_to_string = function
   | Read { reader; path; name } ->
       Printf.sprintf "read %d %s %s" reader path (N.to_string name)
 
+let role_to_string = function
+  | Proc { proc; label; what } ->
+      Printf.sprintf "proc %d:%s (%s)" proc label what
+  | Scope { path; source_rule } ->
+      Printf.sprintf "scope of %s%s" path
+        (if source_rule then " (source rule)" else "")
+
 let step_to_string = function
   | Op op -> Sc.op_to_string op
   | Flow fl -> flow_to_string fl
@@ -457,12 +443,3 @@ let pp_outcome ppf = function
   | Vacuous -> Format.pp_print_string ppf "vacuous"
   | Unknown Fuel -> Format.pp_print_string ppf "unknown (fuel exhausted)"
   | Unknown (Missing_ref r) -> Format.fprintf ppf "unknown (%s)" r
-
-let pp_verdict ppf v =
-  Format.fprintf ppf "@[<v2>step %d: %s — %a%a@]" v.index
-    (flow_to_string v.flow) pp_outcome v.outcome
-    (fun ppf sides ->
-      List.iter
-        (fun s -> Format.fprintf ppf "@,%s: %s  [%s]" s.role s.rendered s.trace)
-        sides)
-    v.sides

@@ -57,20 +57,30 @@ type reason =
 
 type outcome = Coherent | Incoherent | Vacuous | Unknown of reason
 
+(** Whose resolution a side is: a process's, as
+    ["proc 1:p0 (receiver)"], or the scope of an object, as
+    ["scope of /a/b"] (["scope of /a/b (source rule)"] for the reader's
+    side under the [`Source] embedded rule). *)
+type role =
+  | Proc of { proc : int; label : string; what : string }
+  | Scope of { path : string; source_rule : bool }
+
 type side = {
-  role : string;  (** e.g. ["proc 1 (receiver)"] or ["scope of /a/b"] *)
+  role : role;
   value : Absstate.value;
-  rendered : string;  (** the value, printed *)
-  trace : string;  (** the abstract resolution trace, printed *)
+  steps : Absstate.step list;  (** the abstract resolution trace *)
   stale : Absstate.stale option;
       (** Set when the name's head was explicitly unbound earlier —
           the unbind-then-use witness. *)
 }
+(** Sides are kept as data, and rendered ({!role_to_string},
+    {!Absstate.value_to_string}) only by the diagnostics that print
+    them. *)
 
 type divergence = {
   parent : int;  (** fork parent of the resolving process *)
-  parent_rendered : string;
-  own_rendered : string;
+  parent_value : Absstate.value;
+      (** the parent's resolution; the process's own is its [Use] side *)
 }
 
 type verdict = {
@@ -93,6 +103,7 @@ type result = {
   procs : int;
   nodes : int;
   dirs : int;
+  labels : Absstate.labels;  (** renders the verdicts' values and steps *)
 }
 
 val analyze : ?config:config -> plan -> result
@@ -138,7 +149,7 @@ val parse : string -> (plan * int array, string) Stdlib.result
     1-based source line of each step. *)
 
 val flow_to_string : flow -> string
+val role_to_string : role -> string
 val step_to_string : step -> string
 val pp_plan : Format.formatter -> plan -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
-val pp_verdict : Format.formatter -> verdict -> unit

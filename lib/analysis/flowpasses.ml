@@ -7,40 +7,39 @@ let skip_pass = "skips"
 let flow_name = function
   | F.Use { name; _ } | F.Send { name; _ } | F.Read { name; _ } -> name
 
-let side_str (s : F.side) =
-  if String.equal s.trace "" then Printf.sprintf "%s → %s" s.role s.rendered
-  else Printf.sprintf "%s → %s via [%s]" s.role s.rendered s.trace
+(* Values and traces are rendered here, only for the diagnostics that
+   print them; silent verdicts cost no text at all. *)
+let side_str labels (s : F.side) =
+  let role = F.role_to_string s.role in
+  let value = Absstate.value_to_string labels s.value in
+  match s.steps with
+  | [] -> Printf.sprintf "%s → %s" role value
+  | steps ->
+      Printf.sprintf "%s → %s via [%s]" role value
+        (Absstate.trace_to_string labels steps)
 
-let of_verdict (v : F.verdict) =
-  let fl_s = F.flow_to_string v.flow in
+let of_verdict labels (v : F.verdict) =
   let name = flow_name v.flow in
-  let mk ~code ~severity msg =
-    D.make ~code ~severity ~pass:flow_pass ~name ~loc:v.index msg
+  let mk ~code ~severity fmt =
+    Printf.ksprintf
+      (D.make ~code ~severity ~pass:flow_pass ~name ~loc:v.index)
+      ("%s: " ^^ fmt) (F.flow_to_string v.flow)
   in
-  let sides_str () = String.concat "; " (List.map side_str v.sides) in
+  let sides_str () = String.concat "; " (List.map (side_str labels) v.sides) in
   let base =
     match (v.outcome, v.flow) with
     | F.Incoherent, F.Send _ ->
-        [
-          mk ~code:"NG101" ~severity:D.Error
-            (Printf.sprintf "%s: %s" fl_s (sides_str ()));
-        ]
+        [ mk ~code:"NG101" ~severity:D.Error "%s" (sides_str ()) ]
     | F.Incoherent, F.Read _ ->
-        [
-          mk ~code:"NG102" ~severity:D.Error
-            (Printf.sprintf "%s: %s" fl_s (sides_str ()));
-        ]
+        [ mk ~code:"NG102" ~severity:D.Error "%s" (sides_str ()) ]
     | F.Incoherent, F.Use _ -> []
     | F.Unknown F.Fuel, _ ->
         [
           mk ~code:"NG106" ~severity:D.Info
-            (Printf.sprintf "%s: not decided within the fuel budget" fl_s);
+            "not decided within the fuel budget";
         ]
     | F.Unknown (F.Missing_ref reason), _ ->
-        [
-          mk ~code:"NG105" ~severity:D.Warning
-            (Printf.sprintf "%s: %s" fl_s reason);
-        ]
+        [ mk ~code:"NG105" ~severity:D.Warning "%s" reason ]
     | (F.Coherent | F.Vacuous), _ -> []
   in
   let stales =
@@ -53,18 +52,19 @@ let of_verdict (v : F.verdict) =
              (b.Absstate.binding, b.Absstate.unbound_at))
     |> List.map (fun ((st : Absstate.stale), role) ->
            mk ~code:"NG103" ~severity:D.Warning
-             (Printf.sprintf "%s: %s resolves through %S, unbound at op %d"
-                fl_s role st.Absstate.binding st.Absstate.unbound_at))
+             "%s resolves through %S, unbound at op %d"
+             (F.role_to_string role) st.Absstate.binding st.Absstate.unbound_at)
   in
   let divs =
-    match v.divergence with
-    | Some { F.parent; parent_rendered; own_rendered } ->
+    match (v.divergence, v.sides) with
+    | Some { F.parent; parent_value }, [ own ] ->
+        let value = Absstate.value_to_string labels in
         [
           mk ~code:"NG104" ~severity:D.Warning
-            (Printf.sprintf "%s: resolves %s but fork parent %d resolves %s"
-               fl_s own_rendered parent parent_rendered);
+            "resolves %s but fork parent %d resolves %s" (value own.F.value)
+            parent (value parent_value);
         ]
-    | None -> []
+    | _ -> []
   in
   base @ stales @ divs
 
@@ -73,7 +73,8 @@ let of_skip (plan_idx, (sk : Workload.Script.skip)) =
     (Format.asprintf "%a" Workload.Script.pp_skip sk)
 
 let diagnostics (r : F.result) =
-  List.concat_map of_verdict r.F.verdicts @ List.map of_skip r.F.skips
+  List.concat_map (of_verdict r.F.labels) r.F.verdicts
+  @ List.map of_skip r.F.skips
 
 let report ?min_severity ?config ~label plan =
   let r = F.analyze ?config plan in
