@@ -316,17 +316,15 @@ let apply t ~index op =
 
 (* ------------------------------------------------------------------ *)
 
-(* Node ids are dense and nodes are never removed, so an array of labels
-   renders any value the analysis produced, at any later time. *)
+(* Node ids are dense (0 .. next_node - 1), so an array indexed by id
+   holds every label. *)
 type labels = string array
 
 let labels t = Array.init t.next_node (fun id -> (node t id).label)
 
 let value_to_string labels = function
   | Bot -> "⊥"
-  | Node id when id < Array.length labels ->
-      "n" ^ string_of_int id ^ ":" ^ labels.(id)
-  | Node id -> "n" ^ string_of_int id
+  | Node id -> "n" ^ string_of_int id ^ ":" ^ labels.(id)
 
 let trace_to_string labels trace =
   let step { at; atom; target } =
