@@ -617,8 +617,8 @@ let run_worlds () =
                 (fun jobs ->
                   let rng = Dsim.Rng.create (Int64.of_int seed) in
                   let t0 = Unix.gettimeofday () in
-                  (* engine construction (e.g. the compile) is part of
-                     what an estimate costs — timed with it *)
+                  (* the compiled rows run on the store's own engine,
+                     whose tables the exact sweep above already built *)
                   let engine =
                     Naming.Engine.create kind w.Harness.Sample.store
                   in

@@ -254,13 +254,13 @@ let replay ?(config = default_config) ?engine:ekind (plan : plan) =
   let env = Sc.env w in
   let fs = Sc.fs w in
   let asg = Schemes.Process_env.assignment env in
-  (* One engine for the whole replay, the interpreter by default. Script
-     ops mutate the store between flows; a compiled engine re-patches
+  (* One engine for the whole replay, the store's own by default. Script
+     ops mutate the store between flows; the compiled engine re-patches
      only the tables those ops touched. *)
   let engine =
-    match ekind with
-    | Some k -> Naming.Engine.create k store
-    | None -> Naming.Engine.of_env store
+    Naming.Engine.select
+      ?engine:(Option.map (fun k -> Naming.Engine.create k store) ekind)
+      store
   in
   let parents : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let proc = Sc.proc w in

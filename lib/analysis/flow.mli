@@ -130,9 +130,8 @@ val replay :
     [Naming.Coherence.check] under the configured rule, the rest
     through the per-activity resolutions of [Schemes.Process_env]. All
     resolutions share one {!Naming.Engine} of the given kind for the
-    replayed world (the interpreter by default; [NAMING_ENGINE] or
-    [?engine] overrides) — exercising incremental recompilation when
-    compiled, since script ops mutate the store between flows. *)
+    replayed world ({!Naming.Engine.select}'s by default: the store's
+    own compiled engine, which script ops patch between flows). *)
 
 val agrees : outcome -> outcome -> bool
 (** [agrees static dynamic] — the soundness relation: a static

@@ -62,11 +62,7 @@ let classify results =
           | None -> Coherent d))
 
 let predict ?(fuel = default_fuel) ?engine store rule occs name =
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> Naming.Engine.of_env store
-  in
+  let engine = Naming.Engine.select ?engine store in
   if occs = [] then invalid_arg "Predict.predict: no occurrences";
   if N.length name > fuel then
     {

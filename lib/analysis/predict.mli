@@ -61,9 +61,10 @@ val predict :
   Naming.Occurrence.t list ->
   Naming.Name.t ->
   t
-(** Traces go through [engine] (default {!Naming.Engine.of_env}: the
-    interpreter unless [NAMING_ENGINE] says otherwise); every engine
-    produces the same steps, so predictions are engine-independent.
+(** Traces go through [engine] (default {!Naming.Engine.select}'s: the
+    store's own engine unless [NAMING_ENGINE] says otherwise); every
+    engine produces the same steps, so predictions are
+    engine-independent.
     @raise Invalid_argument on an empty occurrence list. *)
 
 val agrees : t -> Naming.Coherence.verdict -> bool

@@ -60,17 +60,21 @@ let strict_degree r =
 (* The parallel fan-out behind [?jobs]: one verdict per probe, computed
    across domains with the store frozen (a mutation mid-sweep raises
    instead of racing) and an engine shard per worker ({!Engine.shard}:
-   the shared interpreter, or a compiled snapshot of the caller's
-   engine). Verdicts come back in probe order, so every derived
-   quantity equals the sequential path's. *)
+   the shared interpreter, or a compiled shard sharing the caller's
+   tables). Afterwards the caller's engine builds the tables its shards
+   walked into without finding. Verdicts come back in probe order, so
+   every derived quantity equals the sequential path's. *)
 let classify_parallel ?equiv engine pool store rule occs probes =
   Engine.prepare engine;
-  Store.read_only store (fun () ->
-      fst
-        (Pool.map_local pool
-           ~local:(fun () -> Engine.shard engine)
-           (fun shard name -> check ?equiv ~engine:shard store rule occs name)
-           probes))
+  let verdicts, shards =
+    Store.read_only store (fun () ->
+        Pool.map_local pool
+          ~local:(fun () -> Engine.shard engine)
+          (fun shard name -> check ?equiv ~engine:shard store rule occs name)
+          probes)
+  in
+  Engine.adopt engine shards;
+  verdicts
 
 let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
   let engine = Engine.select ?engine store in

@@ -31,11 +31,12 @@ val check :
     classifies the outcome. With [equiv], resolutions that are equivalent
     but unequal yield [Weakly_coherent]. Resolutions go through an
     {!Engine}, chosen by {!Engine.select}: an explicit [?engine] wins,
-    then [NAMING_ENGINE], then the interpreter. The batch entry points
-    below select once and share that engine across every (occurrence,
-    probe) pair; a caller that owns a long-lived engine (a
-    {!Compiled} one it keeps patched) passes it as [?engine]. Every
-    engine produces the same verdicts.
+    else the store's own compiled engine (the interpreter under
+    [NAMING_ENGINE=interpreted]). The batch entry points below select
+    once and share that engine across every (occurrence, probe) pair;
+    since the store keeps its engine, repeated calls on one store reuse
+    the tables earlier calls built. Every engine produces the same
+    verdicts.
     @raise Invalid_argument on an empty occurrence list. *)
 
 val is_coherent :
@@ -76,10 +77,10 @@ val measure :
 (** Every batch entry point takes [?jobs]: with [jobs > 1] the probes
     are swept in parallel on a {!Pool} of that many domains — the store
     frozen ({!Store.read_only}) for the duration, one {!Engine.shard}
-    per worker (the shared interpreter, or a {!Compiled.snapshot} of
-    the caller's engine). Results are returned in probe order and are structurally equal to
-    the sequential ones; [jobs = 1] (or omitting it) runs today's
-    sequential path unchanged. *)
+    per worker (the shared interpreter, or a {!Compiled.snapshot} that
+    shares the caller's tables). Results are returned in probe order
+    and are structurally equal to the sequential ones; [jobs = 1] (or
+    omitting it) runs the sequential path. *)
 
 val measure_seq :
   ?equiv:(Entity.t -> Entity.t -> bool) ->

@@ -1,47 +1,59 @@
 (* The resolution compiler: a naming world flattened into one packed
-   integer arena.
+   integer arena, one table per context object, each built the first
+   time a walk steps into it.
 
-   Every context object of the store becomes a {e node}: an open-addressed
-   hash table of interned atom ids, stored as a region of the shared int
-   arena. A region is a header word (the region's probe mask) followed by
-   stride-4 cells [key; slot; next; nextmask] — the bound atom, the
-   target's slot index, the {e arena offset} of the target's region when
-   the target is itself a context object (-1 otherwise), and that
-   region's probe mask. Because child links are arena offsets rather
-   than heap pointers, the walk keeps the arena base in a register and a
-   resolution step costs exactly two dependent loads: the probed key
-   (its cell neighbours share the cache line) and the child's key.
-   Integer loads and compares only — no Context map descent, no Store
-   hashtable lookup, no allocation.
+   A context object's {e table} is an open-addressed hash table of
+   interned atom ids, stored as a region of the int arena. A region is a
+   header word (the region's probe mask) followed by four-word cells
+   [atom; target; link; linkmask] — the bound atom, the target entity's
+   id, the arena offset of the target's table when it has one (-1
+   otherwise), and that table's probe mask. Because child links are
+   arena offsets rather than heap pointers, the walk keeps the arena
+   base in a register and a resolution step costs exactly two dependent
+   loads: the probed key (its cell neighbours share the cache line) and
+   the child's key. Integer loads and compares only — no Context map
+   descent, no Store hashtable lookup, no allocation.
 
-   Every distinct binding target also has a {e slot}: an index into side
-   arrays giving the target entity (for the final step) and the arena
-   offset of its region (the source of truth the cached cell links
-   mirror). The slot indirection is what keeps incremental recompilation
-   O(touched subtree): a bind rebuilds exactly the region of the
-   directory it touched, in place when the new table fits the region's
-   capacity. Two non-local events invalidate cached cells in parents
-   that were not themselves touched: an entity {e gaining or losing}
-   context-object-hood (promotion/demotion) and a rebuild that {e moves
-   a region} (capacity growth). In both cases [refresh] re-syncs every
-   live cell from the slot table — a rare, linear sweep that buys the
-   two-load resolution step.
+   Entities are indexed by their store id (ids are dense and shared by
+   objects and activities): [ents] maps an id to its entity and [offs]
+   to the offset of its table, -1 when it has none. Those two arrays
+   are the source of truth that the cells' cached links mirror.
+
+   Tables are built lazily. A walk that meets a link of -1 with atoms
+   left takes the cold path: the target's table is looked up in [offs],
+   built on the spot when the target is a context object, and the cell
+   is patched so the next walk takes the two-load step. [compile]
+   instead lays every table out up front in an exactly sized arena and
+   keeps building new context objects' tables as they appear.
+
+   Mutations are folded in by [refresh] through [Store.touched_since]:
+   a touched entity that has a table gets it rebuilt, in place when the
+   new table fits the region (a demoted entity's table is rebuilt
+   empty, so every atom misses there, as in the interpreter); one that
+   has none is left for its first walk. A rebuild that {e moves} a
+   region (capacity growth) re-syncs every cached link from [offs] — a
+   rare linear sweep that buys the two-load step. Abandoned regions are
+   simply left behind: the arena is a bump allocator.
 
    Starting context {e values} (which have no backing context object)
-   get the same treatment: [resolve] packs the context into an entry
-   region, memoised by physical equality in a small ring, so repeated
-   resolutions against one activity's context skip the Context map
-   entirely. Entry regions are re-synced with the rest of the arena.
+   are packed into small private entry tables, memoised by physical
+   equality in a ring, so repeated resolutions against one activity's
+   context skip the Context map entirely.
 
-   Regions abandoned by growth, demotion, or entry-ring eviction are
-   simply left behind — the arena is a bump allocator with no
-   compaction, which is what makes snapshots cheap blits. *)
+   A shard ([snapshot]) shares the arena, [ents] and [offs] with its
+   owner and owns only its entry ring. Under [Store.read_only] nothing
+   changes them, and a shard never writes them: a walk into a context
+   object with no table finishes on the interpreter — exact, since the
+   store is frozen — and the shard remembers the object so the owner can
+   build its table after the batch ([adopt]). *)
 
 type stats = {
+  tables : int;
   nodes : int;
   slots : int;
   table_cells : int;
   bindings : int;
+  arena_words : int;
   full_compiles : int;
   node_builds : int;
   patches : int;
@@ -54,18 +66,19 @@ type t = {
   store : Store.t;
   tick : int ref;  (* the store's own clock cell: staleness polls inline *)
   mutable gen : int;  (* store tick the tables reflect *)
-  slot_of : int Entity.Tbl.t;  (* entity -> slot *)
-  mutable slot_ents : Entity.t array;  (* slot -> entity *)
-  mutable slot_off : int array;  (* slot -> region offset, -1 = no node *)
-  mutable n_slots : int;
+  owner : bool;  (* false for shards, which never write shared tables *)
+  eager : bool;  (* build every context object's table, not on first use *)
+  mutable ents : Entity.t array;  (* id -> entity, for ids the tables name *)
+  mutable offs : int array;  (* id -> table offset, -1 = none *)
   mutable arena : int array;
   mutable arena_top : int;  (* bump pointer *)
-  mutable obj_off : int array;  (* object id -> region offset, -1 = none *)
-  mutable entry_ctxs : Context.t array;  (* memoised entry contexts *)
-  mutable entry_offs : int array;  (* their region offsets *)
+  entry_ctxs : Context.t array;  (* memoised entry contexts *)
+  entry_tabs : int array array;  (* their tables: header at 0, cells from 1 *)
+  entry_ents : Entity.t array array;  (* their targets, by cell slot *)
   mutable entry_n : int;  (* filled ring prefix *)
   mutable entry_next : int;  (* round-robin eviction cursor *)
-  mutable full_compiles : int;
+  mutable misses : Entity.t list;  (* a shard's walks that found no table *)
+  full_compiles : int;
   mutable node_builds : int;
   mutable patches : int;
   mutable patched_nodes : int;
@@ -73,12 +86,59 @@ type t = {
 
 let store t = t.store
 
-(* ------------------------------------------------------------------ *)
-(* Arena regions                                                       *)
+let id_of = function
+  | Entity.Undefined -> -1
+  | Entity.Object i | Entity.Activity i -> i
 
-(* [alloc_region t cap] carves a fresh region of [cap] stride-4 cells
-   (all empty) and returns its offset; the header word before the offset
-   holds the region's probe mask, which never changes afterwards. *)
+let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
+
+(* Cells for [ctx] at load factor <= 1/2, so probes always terminate on
+   an empty cell. *)
+let capacity ctx = next_pow2 (2 * Context.cardinal ctx) 4
+
+let create ~eager store =
+  let n = Store.id_bound store in
+  {
+    store;
+    tick = Store.tick_cell store;
+    gen = Store.tick store;
+    owner = true;
+    eager;
+    ents = Array.make n Entity.undefined;
+    offs = Array.make n (-1);
+    arena = [||];
+    arena_top = 0;
+    entry_ctxs = Array.make entry_ring Context.empty;
+    entry_tabs = Array.make entry_ring [||];
+    entry_ents = Array.make entry_ring [||];
+    entry_n = 0;
+    entry_next = 0;
+    misses = [];
+    full_compiles = (if eager then 1 else 0);
+    node_builds = 0;
+    patches = 0;
+    patched_nodes = 0;
+  }
+
+(* Cover every id the store has handed out (ids only grow). *)
+let ensure_ids t n =
+  let cap = Array.length t.offs in
+  if n > cap then begin
+    let n = max n (2 * cap) in
+    let ents = Array.make n Entity.undefined and offs = Array.make n (-1) in
+    Array.blit t.ents 0 ents 0 cap;
+    Array.blit t.offs 0 offs 0 cap;
+    t.ents <- ents;
+    t.offs <- offs
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Tables                                                              *)
+
+(* [alloc_region t cap] carves a fresh region of [cap] four-word cells
+   and returns its offset; the header word before the offset holds the
+   region's probe mask, which never changes afterwards. Space past the
+   bump pointer is always -1 (empty). *)
 let alloc_region t cap =
   let need = 1 + (4 * cap) in
   let len = Array.length t.arena in
@@ -89,300 +149,309 @@ let alloc_region t cap =
   end;
   let off = t.arena_top + 1 in
   t.arena.(off - 1) <- (4 * cap) - 4;
-  Array.fill t.arena off (4 * cap) (-1);
   t.arena_top <- t.arena_top + need;
   off
 
-let slot_for t e =
-  match Entity.Tbl.find t.slot_of e with
-  | s -> s
-  | exception Not_found ->
-      let s = t.n_slots in
-      let cap = Array.length t.slot_ents in
-      if s >= cap then begin
-        let ents = Array.make (2 * cap) Entity.undefined in
-        let offs = Array.make (2 * cap) (-1) in
-        Array.blit t.slot_ents 0 ents 0 cap;
-        Array.blit t.slot_off 0 offs 0 cap;
-        t.slot_ents <- ents;
-        t.slot_off <- offs
-      end;
-      t.slot_ents.(s) <- e;
-      t.slot_off.(s) <- -1;
-      t.n_slots <- s + 1;
-      Entity.Tbl.replace t.slot_of e s;
-      s
+let link t e =
+  let id = id_of e in
+  if id < 0 || id >= Array.length t.offs then -1 else t.offs.(id)
 
-let set_obj_off t e off =
-  let id = Entity.id e in
-  let cap = Array.length t.obj_off in
-  if id >= cap then begin
-    let grown = Array.make (max (2 * cap) (id + 1)) (-1) in
-    Array.blit t.obj_off 0 grown 0 cap;
-    t.obj_off <- grown
-  end;
-  t.obj_off.(id) <- off
+let mask_at t off = if off < 0 then 0 else t.arena.(off - 1)
 
-(* Give a context object a (minimal, empty) region if it has none. *)
-let node_for t e =
-  let s = slot_for t e in
-  let off = t.slot_off.(s) in
-  if off >= 0 then off
-  else begin
-    let off = alloc_region t 4 in
-    t.slot_off.(s) <- off;
-    set_obj_off t e off;
-    off
+(* Set the cached link of the cell at [c] to the table at [off] (-1 for
+   none). *)
+let set_link t cells c off =
+  cells.(c + 2) <- off;
+  cells.(c + 3) <- mask_at t off
+
+let rec place t cells base mask i a target off =
+  if cells.(base + i) = -1 then begin
+    cells.(base + i) <- a;
+    cells.(base + i + 1) <- target;
+    set_link t cells (base + i) off
   end
+  else place t cells base mask ((i + 4) land mask) a target off
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
+(* Place atom [a] bound to [target] (an id or a slot) in the table at
+   [base]. *)
+let bind_cell t cells base a target off =
+  let mask = cells.(base - 1) in
+  place t cells base mask ((a lsl 2) land mask) a target off
 
-(* Fill the region at [off] from a context. The region's capacity (and
-   so its mask) is fixed; callers guarantee load factor <= 1/2, so
-   probes always terminate on an empty cell. Requires the regions of
-   every context-object target to be allocated already, so the cached
-   links are exact (compile and refresh run an allocation pass first, or
-   re-sync afterwards). *)
-let build_into t off ctx =
+(* Fill the empty table at [off] from a context; its capacity (and so
+   its mask) is fixed, and callers guarantee it fits. Cells link to the
+   targets' tables as [offs] has them now; later builds patch or re-sync
+   them. *)
+let fill t off ctx =
   let arena = t.arena in
-  let mask4 = arena.(off - 1) in
-  Array.fill arena off (mask4 + 4) (-1);
-  Context.iter
+  Context.iter_unordered
     (fun a e ->
-      let s = slot_for t e in
-      (* slot_for can grow nothing in the arena, so [arena] stays valid *)
-      let coff = t.slot_off.(s) in
-      let rec place i =
-        if arena.(off + i) = -1 then begin
-          arena.(off + i) <- Name.atom_id a;
-          arena.(off + i + 1) <- s;
-          arena.(off + i + 2) <- coff;
-          arena.(off + i + 3) <- (if coff < 0 then 0 else arena.(coff - 1))
-        end
-        else place ((i + 4) land mask4)
-      in
-      place ((Name.atom_id a lsl 2) land mask4))
+      let id = id_of e in
+      (* a dangling binding may name an id the store never issued *)
+      if id >= Array.length t.offs then ensure_ids t (id + 1);
+      t.ents.(id) <- e;
+      bind_cell t arena off (Name.atom_id a) id t.offs.(id))
     ctx;
   t.node_builds <- t.node_builds + 1
 
-(* Rebuild the region of entity [e] (slot [s]) from [ctx]: in place when
-   the table still fits, into a fresh region otherwise. Returns whether
-   the region moved (parents' cached links are then stale). *)
-let rebuild_node t e s ctx =
-  let needed = next_pow2 (2 * Context.cardinal ctx) 4 in
-  let off = t.slot_off.(s) in
-  if off >= 0 && t.arena.(off - 1) >= (4 * needed) - 4 then begin
-    build_into t off ctx;
+let build t e ctx =
+  let off = alloc_region t (capacity ctx) in
+  let id = id_of e in
+  t.ents.(id) <- e;
+  t.offs.(id) <- off;
+  fill t off ctx;
+  off
+
+(* The table of [e] for a walk about to step into it: the owner builds
+   it on first use; a shard only reads. -1 when [e] has no table — not
+   a context object, or (in a shard) not built yet. *)
+let table t e =
+  let id = id_of e in
+  if id < 0 || id >= Array.length t.offs then -1
+  else
+    let off = t.offs.(id) in
+    if off >= 0 || not t.owner then off
+    else
+      match Store.context_of t.store e with
+      | Some ctx -> build t e ctx
+      | None -> -1
+
+(* Re-point every live cell's cached link at its target's current
+   table — the repair pass after a rebuild moved a region. Entry tables
+   are swept too; abandoned regions are unreachable from [offs] and
+   skipped. *)
+let resync t =
+  let arena = t.arena in
+  Array.iter
+    (fun off ->
+      if off >= 0 then begin
+        let last = off + arena.(off - 1) in
+        let c = ref off in
+        while !c <= last do
+          if arena.(!c) >= 0 then set_link t arena !c t.offs.(arena.(!c + 1));
+          c := !c + 4
+        done
+      end)
+    t.offs;
+  for k = 0 to t.entry_n - 1 do
+    let tab = t.entry_tabs.(k) and ents = t.entry_ents.(k) in
+    let c = ref 1 in
+    while !c < Array.length tab do
+      if tab.(!c) >= 0 then set_link t tab !c (link t ents.(tab.(!c + 1)));
+      c := !c + 4
+    done
+  done
+
+(* Rebuild [e]'s table from its current state (empty once demoted),
+   reporting whether the region moved. *)
+let rebuild t e off =
+  let ctx =
+    match Store.context_of t.store e with Some c -> c | None -> Context.empty
+  in
+  if t.arena.(off - 1) >= (4 * capacity ctx) - 4 then begin
+    Array.fill t.arena off (t.arena.(off - 1) + 4) (-1);
+    fill t off ctx;
     false
   end
   else begin
-    let off' = alloc_region t needed in
-    t.slot_off.(s) <- off';
-    set_obj_off t e off';
-    build_into t off' ctx;
+    ignore (build t e ctx);
     true
   end
 
-(* Re-point every live cell's cached link and mask at its slot's current
-   region — the repair pass after promotions/demotions or region moves
-   invalidate cells in parents that were not themselves touched. Entry
-   regions are swept too; abandoned regions are not reachable from any
-   slot or entry and are skipped. *)
-let resync_region t off =
-  let arena = t.arena in
-  let mask4 = arena.(off - 1) in
-  let i = ref 0 in
-  while !i <= mask4 do
-    if arena.(off + !i) >= 0 then begin
-      let coff = t.slot_off.(arena.(off + !i + 1)) in
-      arena.(off + !i + 2) <- coff;
-      arena.(off + !i + 3) <- (if coff < 0 then 0 else arena.(coff - 1))
-    end;
-    i := !i + 4
-  done
-
-let resync_links t =
-  for s = 0 to t.n_slots - 1 do
-    if t.slot_off.(s) >= 0 then resync_region t t.slot_off.(s)
-  done;
-  for k = 0 to t.entry_n - 1 do
-    resync_region t t.entry_offs.(k)
-  done
-
-(* Allocation pass over changed entities: give every (possibly new)
-   context object a region and clear the offset of every demoted one,
-   returning whether any {e pre-existing} slot flipped context-object-
-   hood — exactly the case where some cell's cached links may now be
-   stale. (A brand-new entity has no slot until a parent's rebuild
-   references it, so its links are created correct.) *)
-let allocate_changed t touched =
-  List.fold_left
-    (fun flipped e ->
-      match Store.context_of t.store e with
-      | Some _ -> (
-          match Entity.Tbl.find_opt t.slot_of e with
-          | Some s when t.slot_off.(s) >= 0 -> flipped
-          | Some _ ->
-              ignore (node_for t e);
-              true
-          | None ->
-              ignore (node_for t e);
-              flipped)
-      | None -> (
-          match Entity.Tbl.find_opt t.slot_of e with
-          | Some s when t.slot_off.(s) >= 0 ->
-              (* The abandoned region stays in the arena; a later
-                 re-promotion allocates a fresh one. *)
-              t.slot_off.(s) <- -1;
-              set_obj_off t e (-1);
-              true
-          | Some _ | None -> flipped))
-    false touched
-
-(* Rebuild the tables of the changed context objects, reporting whether
-   any region moved. *)
-let rebuild_changed t touched =
-  List.fold_left
-    (fun moved e ->
-      t.patched_nodes <- t.patched_nodes + 1;
-      match Store.context_of t.store e with
-      | Some ctx ->
-          let s = Entity.Tbl.find t.slot_of e in
-          rebuild_node t e s ctx || moved
-      | None -> moved)
-    false touched
-
 let refresh_slow t =
+  if not t.owner then
+    invalid_arg "Compiled: a shard's store changed while it was in use";
   let touched = Store.touched_since t.store t.gen in
   t.gen <- Store.tick t.store;
+  ensure_ids t (Store.id_bound t.store);
   match touched with
   | [] -> ()
   | _ ->
       t.patches <- t.patches + 1;
-      let flipped = allocate_changed t touched in
-      let moved = rebuild_changed t touched in
-      if flipped || moved then resync_links t
+      let moved =
+        List.fold_left
+          (fun moved e ->
+            t.patched_nodes <- t.patched_nodes + 1;
+            let off = t.offs.(id_of e) in
+            if off >= 0 then rebuild t e off || moved
+            else begin
+              (if t.eager then
+                 match Store.context_of t.store e with
+                 | Some ctx -> ignore (build t e ctx)
+                 | None -> ());
+              moved
+            end)
+          false touched
+      in
+      if moved then resync t
 
 let refresh t = if !(t.tick) <> t.gen then refresh_slow t
 
+(* Every context object's table, in one exactly sized arena: offsets are
+   laid out first (in allocation order, which keeps a directory's table
+   near its parent's), so every cell's link is exact when it is
+   filled. *)
 let compile store =
-  let t =
-    {
-      store;
-      tick = Store.tick_cell store;
-      gen = Store.tick store;
-      slot_of = Entity.Tbl.create 256;
-      slot_ents = Array.make 256 Entity.undefined;
-      slot_off = Array.make 256 (-1);
-      n_slots = 0;
-      arena = Array.make 1024 (-1);
-      arena_top = 0;
-      obj_off = Array.make 256 (-1);
-      entry_ctxs = Array.make entry_ring Context.empty;
-      entry_offs = Array.make entry_ring (-1);
-      entry_n = 0;
-      entry_next = 0;
-      full_compiles = 1;
-      node_builds = 0;
-      patches = 0;
-      patched_nodes = 0;
-    }
+  let t = create ~eager:true store in
+  let top = ref 0 in
+  let dirs =
+    List.filter_map
+      (fun e ->
+        match Store.context_of store e with
+        | None -> None
+        | Some ctx ->
+            let cap = capacity ctx in
+            let off = !top + 1 in
+            t.ents.(id_of e) <- e;
+            t.offs.(id_of e) <- off;
+            top := off + (4 * cap);
+            Some (off, cap, ctx))
+      (Store.objects store)
   in
-  let ctxobjs = Store.context_objects store in
-  List.iter
-    (fun e ->
-      match Store.context_of store e with
-      | Some ctx ->
-          let s = slot_for t e in
-          ignore (rebuild_node t e s ctx)
-      | None -> ())
-    ctxobjs;
-  (* regions were built in registration order; one sweep makes every
-     cached link exact regardless of that order *)
-  resync_links t;
+  t.arena <- Array.make !top (-1);
+  t.arena_top <- !top;
+  List.iter (fun (off, cap, _) -> t.arena.(off - 1) <- (4 * cap) - 4) dirs;
+  List.iter (fun (off, _, ctx) -> fill t off ctx) dirs;
   t
 
-(* A snapshot owns copies of every mutable structure (arena included —
-   plain int blits), because workers lazily pack entry regions for the
-   context values they encounter: sibling domains must never bump a
-   shared arena. The price is O(world) per worker, the same as a cache
-   shard's copy. *)
+type Store.engine += Own of t
+
+let of_store store =
+  match Store.engine store with
+  | Some (Own t) -> t
+  | Some _ | None ->
+      let t = create ~eager:false store in
+      Store.set_engine store (Own t);
+      t
+
+(* A shard shares every table with its owner and owns only its entry
+   ring: nothing is copied, so a worker costs O(1) to create. It does
+   not refresh — the owner is refreshed on its own domain before the
+   fan-out. *)
 let snapshot t =
-  refresh t;
   {
     t with
-    slot_of = Entity.Tbl.copy t.slot_of;
-    slot_ents = Array.copy t.slot_ents;
-    slot_off = Array.copy t.slot_off;
-    arena = Array.copy t.arena;
-    obj_off = Array.copy t.obj_off;
-    entry_ctxs = Array.copy t.entry_ctxs;
-    entry_offs = Array.copy t.entry_offs;
+    owner = false;
+    entry_ctxs = Array.make entry_ring Context.empty;
+    entry_tabs = Array.make entry_ring [||];
+    entry_ents = Array.make entry_ring [||];
+    entry_n = 0;
+    entry_next = 0;
+    misses = [];
     full_compiles = 0;
     node_builds = 0;
     patches = 0;
     patched_nodes = 0;
   }
 
+let adopt t shards =
+  refresh t;
+  List.iter
+    (fun s ->
+      List.iter (fun e -> ignore (table t e)) s.misses;
+      s.misses <- [])
+    shards
+
 (* ------------------------------------------------------------------ *)
 (* Resolution                                                          *)
 
+(* Where a walk goes when the next table is not available to it: the
+   owner's [table] already built any context object's table, so for it
+   the target is not a context object; a shard finishes the walk on the
+   interpreter over the frozen store. *)
+let fallback t e atoms =
+  if t.owner then Entity.undefined
+  else
+    match Store.context_of t.store e with
+    | None -> Entity.undefined
+    | Some _ ->
+        t.misses <- e :: t.misses;
+        Resolver.resolve_in t.store e (Name.of_atoms atoms)
+
 (* The hot loop: probe fused with the step, the child's region offset
-   and probe mask read from the matched cell itself. A single top-level
+   and probe mask read from the matched cell itself. A top-level
    tail-recursive function — every argument lives in a register, no
    closure is allocated, and the self tail call compiles to a jump. The
    cell's four fields load in parallel (their addresses share a base),
    so the dependent chain from one step to the next is a single L1
-   load. *)
-let rec walk slot_ents arena off i mask4 a atoms =
+   load. A link of -1 leaves the loop for [cold]. *)
+let rec walk t ents arena off i mask a atoms =
   let k = Array.unsafe_get arena (off + i) in
   if k = a then
     match atoms with
-    | [] -> Array.unsafe_get slot_ents (Array.unsafe_get arena (off + i + 1))
+    | [] -> Array.unsafe_get ents (Array.unsafe_get arena (off + i + 1))
     | a' :: rest ->
         let off' = Array.unsafe_get arena (off + i + 2) in
-        if off' < 0 then Entity.undefined
+        if off' < 0 then cold t (off + i) atoms
         else
-          let m' = Array.unsafe_get arena (off + i + 3) in
+          let m = Array.unsafe_get arena (off + i + 3) in
           let a' = Name.atom_id a' in
-          walk slot_ents arena off' ((a' lsl 2) land m') m' a' rest
+          walk t ents arena off' ((a' lsl 2) land m) m a' rest
   else if k < 0 then Entity.undefined
-  else walk slot_ents arena off ((i + 4) land mask4) mask4 a atoms
+  else walk t ents arena off ((i + 4) land mask) mask a atoms
 
-let node_of t e =
-  match e with
-  | Entity.Object id when id < Array.length t.obj_off ->
-      Array.unsafe_get t.obj_off id
-  | _ -> -1
+(* The cell at [c] matched but caches no link: find (or, in the owner,
+   build) the target's table, patch the owner's cell and go on. *)
+and cold t c atoms =
+  let e = t.ents.(t.arena.(c + 1)) in
+  let off = table t e in
+  if off >= 0 then begin
+    if t.owner then set_link t t.arena c off;
+    descend t off atoms
+  end
+  else fallback t e atoms
+
+and descend t off atoms =
+  match atoms with
+  | [] -> assert false
+  | a :: rest ->
+      let mask = Array.unsafe_get t.arena (off - 1) in
+      let a = Name.atom_id a in
+      walk t t.ents t.arena off ((a lsl 2) land mask) mask a rest
+
+(* The owner's table of [o], or a fallback when it has none yet. *)
+let resolve_in_cold t o atoms =
+  let off = table t o in
+  if off >= 0 then descend t off atoms else fallback t o atoms
 
 let resolve_in t o name =
   refresh t;
-  let off = node_of t o in
-  if off < 0 then Entity.undefined
-  else
-    match Name.atoms name with
-    | [] -> assert false
-    | a :: rest ->
-        let mask4 = t.arena.(off - 1) in
-        let a = Name.atom_id a in
-        walk t.slot_ents t.arena off ((a lsl 2) land mask4) mask4 a rest
+  match o with
+  | Entity.Object id when id < Array.length t.offs && t.offs.(id) >= 0 ->
+      descend t t.offs.(id) (Name.atoms name)
+  | _ -> resolve_in_cold t o (Name.atoms name)
+
+(* The private entry table for a starting context value: the same cell
+   layout from index 1, with each key's target a slot of the entry's
+   own target array (so a shard never needs [ents]). *)
+let entry_table t ctx =
+  let cap = capacity ctx in
+  let tab = Array.make (1 + (4 * cap)) (-1) in
+  tab.(0) <- (4 * cap) - 4;
+  let ents = Array.make (Context.cardinal ctx) Entity.undefined in
+  let k = ref 0 in
+  Context.iter_unordered
+    (fun a e ->
+      ents.(!k) <- e;
+      bind_cell t tab 1 (Name.atom_id a) !k (link t e);
+      incr k)
+    ctx;
+  (tab, ents)
 
 let rec entry_find t ctx k =
   if k >= t.entry_n then -1
-  else if t.entry_ctxs.(k) == ctx then t.entry_offs.(k)
+  else if t.entry_ctxs.(k) == ctx then k
   else entry_find t ctx (k + 1)
 
-(* The packed entry region for a starting context value, memoised by
-   physical equality: context values are immutable, so a hit can never
-   be stale (the region's cached links are kept fresh by resync like
-   any node's). Misses pack the context and evict round-robin. *)
-let entry_table t ctx =
-  let off = entry_find t ctx 0 in
-  if off >= 0 then off
+(* The ring slot of a starting context value, memoised by physical
+   equality: context values are immutable, so a hit can never be stale
+   (its links are kept fresh like any table's). Misses pack the context
+   and evict round-robin. *)
+let entry t ctx =
+  let k = entry_find t ctx 0 in
+  if k >= 0 then k
   else begin
-    let cap = next_pow2 (2 * Context.cardinal ctx) 4 in
-    let off = alloc_region t cap in
-    build_into t off ctx;
+    let tab, ents = entry_table t ctx in
     let k =
       if t.entry_n < entry_ring then begin
         let k = t.entry_n in
@@ -396,109 +465,125 @@ let entry_table t ctx =
       end
     in
     t.entry_ctxs.(k) <- ctx;
-    t.entry_offs.(k) <- off;
-    off
+    t.entry_tabs.(k) <- tab;
+    t.entry_ents.(k) <- ents;
+    k
   end
 
-(* Resolution relative to a context value: every atom, including the
-   first, through packed tables — the first via the memoised entry
-   region of the value. *)
+(* An entry cell at [c] caches no link. Entry tables are private, so
+   shards patch theirs too. *)
+let entry_cold t k tab c atoms =
+  let e = t.entry_ents.(k).(tab.(c + 1)) in
+  let off = table t e in
+  if off >= 0 then begin
+    set_link t tab c off;
+    descend t off atoms
+  end
+  else fallback t e atoms
+
+let rec enter t k tab i mask a atoms =
+  let key = Array.unsafe_get tab (1 + i) in
+  if key = a then
+    match atoms with
+    | [] ->
+        Array.unsafe_get
+          (Array.unsafe_get t.entry_ents k)
+          (Array.unsafe_get tab (2 + i))
+    | a' :: rest ->
+        let off = Array.unsafe_get tab (3 + i) in
+        if off < 0 then entry_cold t k tab (1 + i) atoms
+        else
+          let m = Array.unsafe_get tab (4 + i) in
+          let a' = Name.atom_id a' in
+          walk t t.ents t.arena off ((a' lsl 2) land m) m a' rest
+  else if key < 0 then Entity.undefined
+  else enter t k tab ((i + 4) land mask) mask a atoms
+
+(* Resolution relative to a context value: the first atom through the
+   memoised entry table of the value, every further one through the
+   packed tables. *)
 let resolve t ctx name =
   refresh t;
   match Name.atoms name with
   | [] -> assert false
   | a :: rest ->
-      let off =
-        if t.entry_n > 0 && Array.unsafe_get t.entry_ctxs 0 == ctx then
-          Array.unsafe_get t.entry_offs 0
-        else entry_table t ctx
+      let k =
+        if t.entry_n > 0 && Array.unsafe_get t.entry_ctxs 0 == ctx then 0
+        else entry t ctx
       in
-      let mask4 = t.arena.(off - 1) in
+      let tab = Array.unsafe_get t.entry_tabs k in
+      let mask = Array.unsafe_get tab 0 in
       let a = Name.atom_id a in
-      walk t.slot_ents t.arena off ((a lsl 2) land mask4) mask4 a rest
+      enter t k tab ((a lsl 2) land mask) mask a rest
 
-(* One non-fused probe, for the trace path: the base cell index of atom
-   [a] in the region at [off], or -1 when unbound there. *)
-let probe arena off a =
-  let mask4 = arena.(off - 1) in
-  let rec go i =
-    let k = arena.(off + i) in
-    if k = a then i else if k < 0 then -1 else go ((i + 4) land mask4)
-  in
-  go ((a lsl 2) land mask4)
+(* One step for the trace path: the target of [a] in context object
+   [dir], from its table, or from the store when a shard has none. *)
+let step t dir a =
+  let off = table t dir in
+  if off < 0 then Store.lookup t.store ~dir a
+  else
+    let arena = t.arena in
+    let mask = arena.(off - 1) in
+    let a = Name.atom_id a in
+    let rec go i =
+      let k = arena.(off + i) in
+      if k = a then t.ents.(arena.(off + i + 1))
+      else if k < 0 then Entity.undefined
+      else go ((i + 4) land mask)
+    in
+    go ((a lsl 2) land mask)
 
 (* The trace mirror of [Resolver.resolve_trace_into]: same steps, same
    buffer, so trace consumers (Predict) can run over compiled form and
-   produce identical evidence. *)
+   produce identical evidence. Whether a walk continues is the store's
+   answer, since a demoted object keeps its (empty) table. *)
 let resolve_trace_into buf t ctx name =
   refresh t;
   Resolver.buffer_clear buf;
-  let arena = t.arena in
-  let rec go at off atoms =
+  let rec go at atoms =
     match atoms with
     | [] -> assert false
-    | [ a ] ->
-        let i = probe arena off (Name.atom_id a) in
+    | a :: rest ->
         let e =
-          if i < 0 then Entity.undefined
-          else t.slot_ents.(arena.(off + i + 1))
+          if Entity.is_undefined at then Context.lookup ctx a else step t at a
         in
         Resolver.buffer_push buf { Resolver.at; atom = a; target = e };
-        e
-    | a :: rest ->
-        let i = probe arena off (Name.atom_id a) in
-        let e =
-          if i < 0 then Entity.undefined
-          else t.slot_ents.(arena.(off + i + 1))
-        in
-        Resolver.buffer_push buf { Resolver.at; atom = a; target = e };
-        if i < 0 then Entity.undefined
-        else
-          let off' = arena.(off + i + 2) in
-          if off' < 0 then Entity.undefined else go e off' rest
+        if rest = [] then e
+        else if Store.is_context_object t.store e then go e rest
+        else Entity.undefined
   in
-  let first atoms =
-    match atoms with
-    | [] -> assert false
-    | [ a ] ->
-        let e = Context.lookup ctx a in
-        Resolver.buffer_push buf
-          { Resolver.at = Entity.undefined; atom = a; target = e };
-        e
-    | a :: rest ->
-        let e = Context.lookup ctx a in
-        Resolver.buffer_push buf
-          { Resolver.at = Entity.undefined; atom = a; target = e };
-        let off = node_of t e in
-        if off < 0 then Entity.undefined else go e off rest
-  in
-  first (Name.atoms name)
+  go Entity.undefined (Name.atoms name)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 
 let stats t =
-  (* Abandoned regions (growth, demotion, entry eviction) still occupy
-     arena space; count only regions a slot currently owns. *)
-  let live = ref 0 and table_cells = ref 0 and bindings = ref 0 in
-  for s = 0 to t.n_slots - 1 do
-    let off = t.slot_off.(s) in
-    if off >= 0 then begin
-      incr live;
-      let mask4 = t.arena.(off - 1) in
-      table_cells := !table_cells + ((mask4 + 4) / 4);
-      let i = ref 0 in
-      while !i <= mask4 do
-        if t.arena.(off + !i) >= 0 then incr bindings;
-        i := !i + 4
-      done
-    end
-  done;
+  (* Abandoned regions and demoted objects' empty tables still occupy
+     arena space; count only current context objects' tables. *)
+  let nodes = ref 0 and slots = ref 0 in
+  let table_cells = ref 0 and bindings = ref 0 in
+  Array.iteri
+    (fun id off ->
+      let e = t.ents.(id) in
+      if Entity.is_defined e then incr slots;
+      if off >= 0 && Store.is_context_object t.store e then begin
+        incr nodes;
+        let mask = t.arena.(off - 1) in
+        table_cells := !table_cells + ((mask + 4) / 4);
+        let i = ref 0 in
+        while !i <= mask do
+          if t.arena.(off + !i) >= 0 then incr bindings;
+          i := !i + 4
+        done
+      end)
+    t.offs;
   {
-    nodes = !live;
-    slots = t.n_slots;
+    tables = List.length (Store.context_objects t.store);
+    nodes = !nodes;
+    slots = !slots;
     table_cells = !table_cells;
     bindings = !bindings;
+    arena_words = t.arena_top;
     full_compiles = t.full_compiles;
     node_builds = t.node_builds;
     patches = t.patches;
@@ -507,7 +592,7 @@ let stats t =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "nodes=%d slots=%d cells=%d bindings=%d builds=%d patches=%d \
+    "tables=%d/%d slots=%d cells=%d bindings=%d builds=%d patches=%d \
      patched_nodes=%d"
-    s.nodes s.slots s.table_cells s.bindings s.node_builds s.patches
+    s.nodes s.tables s.slots s.table_cells s.bindings s.node_builds s.patches
     s.patched_nodes

@@ -1,13 +1,15 @@
 (** The resolution compiler: a naming world packed into flat int tables.
 
-    [compile store] flattens every context object of the store into an
-    open-addressed hash table of interned atom ids, so that resolving a
-    compound name is one integer table probe per path component —
-    no Context map descent, no Store hashtable lookup, and no allocation
-    on the resolve path. The compiled form tracks the store's mutation
-    clock ({!Store.tick} / {!Store.touched_since}) and recompiles
-    {e incrementally}: a bind patches exactly the node of the directory
-    it touched, not the world.
+    Each context object becomes an open-addressed hash table of interned
+    atom ids in one int arena, so that resolving a compound name is one
+    integer table probe per path component — no Context map descent, no
+    Store hashtable lookup, and no allocation on the resolve path. A
+    table is built the first time a walk steps into its directory, so a
+    caller pays only for the part of the world it visits. The engine
+    tracks the store's mutation clock ({!Store.tick} /
+    {!Store.touched_since}) and patches {e incrementally}: a bind
+    rebuilds exactly the table of the directory it touched, not the
+    world.
 
     Results are defined to be identical to {!Resolver}'s on every input:
     the compiled engine is an implementation of the paper's section-2
@@ -15,25 +17,39 @@
 
 type t
 
+val of_store : Store.t -> t
+(** The store's own engine, created (with no tables yet) on the first
+    call and kept in the store's {!Store.engine} slot; every later call
+    returns the same engine. This is {!Engine.select}'s default. *)
+
 val compile : Store.t -> t
-(** Compile the current state of the store. Subsequent store mutations
-    are folded in lazily by the next resolve (or eagerly by
-    {!refresh}). *)
+(** A separate engine with every context object's table built up front
+    in an exactly sized arena, and built for new context objects as
+    they appear. Subsequent store mutations are folded in by the next
+    resolve (or eagerly by {!refresh}). *)
 
 val store : t -> Store.t
 
 val refresh : t -> unit
-(** Bring the tables up to date with the store: rebuilds only the nodes
+(** Bring the tables up to date with the store: rebuilds only the tables
     of entities reported by {!Store.touched_since} since the last
-    refresh. A no-op when the store tick is unchanged. Call this before
-    sharing {!snapshot}s with parallel workers so the workers never
-    patch concurrently. *)
+    refresh. A no-op when the store tick is unchanged. Call this on the
+    owning domain before taking {!snapshot}s for parallel workers.
+    @raise Invalid_argument on a shard whose store has changed. *)
 
 val snapshot : t -> t
-(** A refreshed shallow copy for a parallel worker: shares the packed
-    tables (safe under {!Store.read_only}, where no patching can occur)
-    but owns its entry-point index, so concurrent resolves in sibling
-    domains never contend. Per-run counters start at zero. *)
+(** A shard for a parallel worker, O(1) to take: it shares the arena
+    and id tables with [t] (safe under {!Store.read_only}, where no
+    patching can occur) and owns only its entry ring, so concurrent
+    resolves in sibling domains never contend. A shard never writes the
+    shared tables: a walk into a context object whose table is not
+    built yet finishes on the interpreter, and the shard remembers the
+    object for {!adopt}. It does not refresh [t]. Per-run counters
+    start at zero. *)
+
+val adopt : t -> t list -> unit
+(** [adopt t shards], on [t]'s domain after the batch, builds the tables
+    the shards walked into without finding. *)
 
 val resolve : t -> Context.t -> Name.t -> Entity.t
 (** [resolve t c n] — same result as [Resolver.resolve (store t) c n]:
@@ -51,12 +67,15 @@ val resolve_trace_into : Resolver.buffer -> t -> Context.t -> Name.t -> Entity.t
 (** {1 Statistics} *)
 
 type stats = {
-  nodes : int;  (** live compiled nodes (= context objects) *)
-  slots : int;  (** distinct entities referenced by the tables *)
+  tables : int;  (** context objects in the store *)
+  nodes : int;  (** of those, the ones with a built table *)
+  slots : int;  (** distinct entities the tables know *)
   table_cells : int;  (** total open-addressing cells across nodes *)
   bindings : int;  (** occupied cells (= defined bindings) *)
-  full_compiles : int;  (** whole-world compiles (1, or 0 for snapshots) *)
-  node_builds : int;  (** per-node table (re)builds, initial + patches *)
+  arena_words : int;  (** arena in use, abandoned regions included *)
+  full_compiles : int;
+      (** 1 for {!compile}; 0 for a store's own engine and for shards *)
+  node_builds : int;  (** per-table builds, first use + patches *)
   patches : int;  (** incremental refresh rounds that found changes *)
   patched_nodes : int;  (** touched entities processed by those rounds *)
 }

@@ -75,4 +75,5 @@ let fold f c init =
   List.fold_left (fun acc (a, e) -> f a e acc) init (bindings c)
 
 let iter f c = List.iter (fun (a, e) -> f a e) (bindings c)
+let iter_unordered f c = Name.Atom_id_map.iter f c
 let exists p c = Name.Atom_id_map.exists p c

@@ -52,6 +52,10 @@ val fold : (Name.atom -> Entity.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Name.atom -> Entity.t -> unit) -> t -> unit
 (** In increasing atom (string) order, like {!bindings}. *)
 
+val iter_unordered : (Name.atom -> Entity.t -> unit) -> t -> unit
+(** {!iter} in interning order, which needs no sort: for consumers that
+    only place bindings (the compiled engine's hash tables). *)
+
 val exists : (Name.atom -> Entity.t -> bool) -> t -> bool
 (** [exists p c] is true iff some defined binding satisfies [p].
     Short-circuits on the first hit. *)

@@ -4,7 +4,7 @@ type t = Interpreted of Store.t | Compiled of Compiled.t
 let create kind store =
   match kind with
   | `Interpreted -> Interpreted store
-  | `Compiled -> Compiled (Compiled.compile store)
+  | `Compiled -> Compiled (Compiled.of_store store)
 
 let parse_kind = function
   | "interpreted" -> Ok `Interpreted
@@ -21,9 +21,15 @@ let env_kind () =
       | Ok k -> Some k
       | Error msg -> invalid_arg (env_var ^ "=" ^ msg))
 
-let of_env ?(default = `Interpreted) store =
-  let kind = match env_kind () with Some k -> k | None -> default in
-  create kind store
+(* Inside a read-only section other domains may be reading the store,
+   so its own engine (which builds tables as walks reach them) is not
+   handed out there: the stateless interpreter is. *)
+let of_env store =
+  match env_kind () with
+  | Some `Interpreted -> Interpreted store
+  | Some `Compiled | None ->
+      if Store.is_read_only store then Interpreted store
+      else Compiled (Compiled.of_store store)
 
 let select ?engine store =
   match engine with Some e -> e | None -> of_env store
@@ -56,3 +62,8 @@ let shard = function
   | Compiled c -> Compiled (Compiled.snapshot c)
 
 let compiled = function Compiled c -> Some c | Interpreted _ -> None
+
+let adopt t shards =
+  match t with
+  | Interpreted _ -> ()
+  | Compiled c -> Compiled.adopt c (List.filter_map compiled shards)

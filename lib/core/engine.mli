@@ -3,25 +3,29 @@
     Every resolve consumer (coherence sweeps, workload replays, the
     analyzers, the simulator) goes through an engine:
 
+    - {e compiled} — {!Compiled}: packed int-table dispatch. Every store
+      keeps one of its own ({!Compiled.of_store}), created on first use;
+      it builds a directory's table the first time a walk steps into
+      it and patches the tables a mutation touched, so every caller —
+      one-shot batch calls, replays, a replicated cluster — shares one
+      engine per store that only ever pays for what was walked.
     - {e interpreted} — {!Resolver}: walk the context objects
-      atom-by-atom on every call. No warm-up and no state; the
-      reference semantics, and what every one-shot batch call runs.
-    - {e compiled} — {!Compiled}: packed int-table dispatch with
-      incremental recompilation. Pays a whole-world compile up front,
-      so it is the engine a long-lived owner keeps (a replicated
-      cluster patches one for its whole life).
+      atom-by-atom on every call. No state; the reference semantics and
+      the property tests' oracle.
 
     The two produce identical results on every input (a property test
     holds them to it); they differ only in cost model. Call sites take
-    [?engine] and fall back to [of_env], so the environment variable
-    [NAMING_ENGINE=interpreted|compiled] re-runs any unchanged workload
-    under another engine. *)
+    [?engine] and fall back to {!select}, so the environment variable
+    [NAMING_ENGINE=interpreted] re-runs any unchanged workload on the
+    reference interpreter. *)
 
 type kind = [ `Interpreted | `Compiled ]
 
 type t = Interpreted of Store.t | Compiled of Compiled.t
 
 val create : kind -> Store.t -> t
+(** [`Compiled] is the store's own engine; [`Interpreted] the
+    interpreter over the store. *)
 
 val parse_kind : string -> (kind, string) result
 (** ["interpreted"] or ["compiled"]; the error message lists the
@@ -31,14 +35,16 @@ val env_kind : unit -> kind option
 (** The kind requested by [NAMING_ENGINE], or [None] when unset/empty.
     @raise Invalid_argument on an unrecognised value. *)
 
-val of_env : ?default:kind -> Store.t -> t
-(** [of_env ?default store] reads [NAMING_ENGINE]; unset or empty falls
-    back to [default] (itself defaulting to [`Interpreted]).
+val of_env : Store.t -> t
+(** The store's own compiled engine, unless [NAMING_ENGINE=interpreted]
+    asks for the interpreter. Inside a {!Store.read_only} section (where
+    other domains may be reading the store) it is the interpreter too.
     @raise Invalid_argument on an unrecognised value. *)
 
 val select : ?engine:t -> Store.t -> t
 (** The call-site selector: an explicit [?engine] wins; otherwise
-    [of_env] — [NAMING_ENGINE], else the interpreter. *)
+    {!of_env} — the store's own engine, or the interpreter under
+    [NAMING_ENGINE=interpreted]. *)
 
 val kind : t -> kind
 val label : t -> string
@@ -59,11 +65,17 @@ val resolve_trace_into :
 
 val prepare : t -> unit
 (** Bring the engine up to date with its store ({!Compiled.refresh});
-    call before {!Store.read_only} fan-out so worker shards never patch
-    concurrently. No-op for the interpreter. *)
+    call on the owning domain before {!Store.read_only} fan-out, so
+    worker shards never patch. No-op for the interpreter. *)
 
 val shard : t -> t
-(** A per-domain engine over the same store: a {!Compiled.snapshot};
-    [Interpreted] is stateless and shared. *)
+(** A per-domain engine over the same store: a {!Compiled.snapshot},
+    which shares the tables and finishes walks into unbuilt ones on the
+    interpreter; [Interpreted] is stateless and shared. *)
+
+val adopt : t -> t list -> unit
+(** [adopt t shards], after the batch on [t]'s domain: build the tables
+    the shards walked into without finding ({!Compiled.adopt}). No-op
+    for the interpreter. *)
 
 val compiled : t -> Compiled.t option

@@ -80,34 +80,38 @@ let is_tree store ~root ~ignore =
   visit root;
   !ok
 
-let all_names store ctx ~max_depth ?(skip = default_skip) () =
-  (* Breadth-first enumeration of resolvable names. *)
-  let results = ref [] in
-  let frontier = ref [] in
-  (* Seed with length-1 names from the starting context value. *)
-  Context.iter
-    (fun a e ->
-      if (not (skip a)) && Entity.is_defined e then
-        frontier := (Name.singleton a, e) :: !frontier)
-    ctx;
-  let frontier = ref (List.rev !frontier) in
-  let depth = ref 1 in
-  while !frontier <> [] && !depth <= max_depth do
-    results := List.rev_append !frontier !results;
-    let next = ref [] in
-    if !depth < max_depth then
-      List.iter
-        (fun (n, e) ->
-          List.iter
-            (fun (a, dst) ->
-              if (not (skip a)) && Entity.is_defined dst then
-                next := (Name.snoc n a, dst) :: !next)
-            (out_edges store e))
-        !frontier;
-    frontier := List.rev !next;
-    incr depth
-  done;
-  List.rev !results
+(* Breadth-first enumeration of resolvable names, one level at a time:
+   only the current level is materialised, and the next is expanded from
+   it once it has been consumed. *)
+let names_seq store ctx ~max_depth ?(skip = default_skip) () =
+  let keep a e = (not (skip a)) && Entity.is_defined e in
+  let expand frontier =
+    List.rev
+      (List.fold_left
+         (fun next (n, e) ->
+           List.fold_left
+             (fun next (a, dst) ->
+               if keep a dst then (Name.snoc n a, dst) :: next else next)
+             next (out_edges store e))
+         [] frontier)
+  in
+  let rec level frontier depth () =
+    if frontier = [] || depth > max_depth then Seq.Nil
+    else
+      Seq.append (List.to_seq frontier)
+        (fun () ->
+          if depth < max_depth then level (expand frontier) (depth + 1) ()
+          else Seq.Nil)
+        ()
+  in
+  level
+    (List.filter_map
+       (fun (a, e) -> if keep a e then Some (Name.singleton a, e) else None)
+       (Context.bindings ctx))
+    1
+
+let all_names store ctx ~max_depth ?skip () =
+  List.of_seq (names_seq store ctx ~max_depth ?skip ())
 
 let names_of store ctx ~target ~max_depth ?skip () =
   List.filter_map

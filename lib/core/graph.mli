@@ -42,6 +42,17 @@ val all_names :
     [".."], which otherwise make the enumeration explode). Names are listed
     in breadth-first order. *)
 
+val names_seq :
+  Store.t ->
+  Context.t ->
+  max_depth:int ->
+  ?skip:(Name.atom -> bool) ->
+  unit ->
+  (Name.t * Entity.t) Seq.t
+(** {!all_names} as a lazy sequence, produced one breadth-first level at
+    a time: only the level being consumed is resident. {!all_names} is
+    its list view. Do not mutate the store while consuming it. *)
+
 val names_of :
   Store.t ->
   Context.t ->

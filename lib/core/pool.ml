@@ -9,7 +9,8 @@
    caller alone drains the batch, so joining a batch can never wait on
    work that nobody is running. Helper thunks that arrive after their
    batch has drained find the counter exhausted and return without
-   creating participant state. *)
+   creating participant state; a participant creates its state only
+   after claiming a task, so that never happens after the batch. *)
 
 type t = {
   lock : Mutex.t;
@@ -138,33 +139,48 @@ let map_local ?jobs:requested t ~local f xs =
         let completed = ref 0 in
         let failure = ref None in
         let locals = ref [] in
+        (* A participant claims its first index before creating its
+           state: the batch cannot drain until that task completes, so
+           [local ()] never runs after the batch has returned. *)
+        let fail i e bt =
+          Mutex.lock bl;
+          (match !failure with
+          | Some (j, _, _) when j <= i -> ()
+          | Some _ | None -> failure := Some (i, e, bt));
+          Mutex.unlock bl
+        in
+        let complete () =
+          Mutex.lock bl;
+          incr completed;
+          if !completed = n then Condition.broadcast drained;
+          Mutex.unlock bl
+        in
+        (* [task i] runs one claimed index, then claims the next. *)
+        let rec run task i =
+          task i;
+          complete ();
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then run task i
+        in
         let participant () =
-          if Atomic.get next < n then begin
-            let w = local () in
-            Mutex.lock bl;
-            locals := w :: !locals;
-            Mutex.unlock bl;
-            let rec loop () =
-              let i = Atomic.fetch_and_add next 1 in
-              if i < n then begin
-                (match f w arr.(i) with
-                | v -> results.(i) <- Some v
-                | exception e ->
-                    let bt = Printexc.get_raw_backtrace () in
-                    Mutex.lock bl;
-                    (match !failure with
-                    | Some (j, _, _) when j <= i -> ()
-                    | Some _ | None -> failure := Some (i, e, bt));
-                    Mutex.unlock bl);
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then
+            match local () with
+            | w ->
                 Mutex.lock bl;
-                incr completed;
-                if !completed = n then Condition.broadcast drained;
+                locals := w :: !locals;
                 Mutex.unlock bl;
-                loop ()
-              end
-            in
-            loop ()
-          end
+                run
+                  (fun i ->
+                    match f w arr.(i) with
+                    | v -> results.(i) <- Some v
+                    | exception e -> fail i e (Printexc.get_raw_backtrace ()))
+                  i
+            | exception e ->
+                (* no state, no tasks: fail every index this participant
+                   claims, so the batch still drains *)
+                let bt = Printexc.get_raw_backtrace () in
+                run (fun i -> fail i e bt) i
         in
         Mutex.lock t.lock;
         for _ = 2 to p do

@@ -10,6 +10,8 @@ type obj_state = Context of Context.t | Data of string
 let journal_cap = 8192
 let journal_keep = 2048
 
+type engine = ..
+
 type t = {
   tick : int ref;  (* a ref, not a mutable field, so engines can hold the cell and poll staleness without a call *)
   mutable next_id : int;
@@ -22,6 +24,7 @@ type t = {
   labels : string Entity.Tbl.t;
   mutable rev_activities : Entity.t list;
   mutable rev_objects : Entity.t list;
+  mutable engine : engine option;
 }
 
 let create () =
@@ -37,8 +40,11 @@ let create () =
     labels = Entity.Tbl.create 64;
     rev_activities = [];
     rev_objects = [];
+    engine = None;
   }
 
+let engine t = t.engine
+let set_engine t e = t.engine <- Some e
 let version t = !(t.tick)
 let tick = version
 let tick_cell t = t.tick
@@ -201,6 +207,7 @@ let pp_entity t ppf e =
   | Some l -> Format.fprintf ppf "%s(%a)" l Entity.pp e
   | None -> Entity.pp ppf e
 
+let id_bound t = t.next_id
 let activities t = List.rev t.rev_activities
 let objects t = List.rev t.rev_objects
 

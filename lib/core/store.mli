@@ -68,6 +68,11 @@ val objects : t -> Entity.t list
 val context_objects : t -> Entity.t list
 val cardinal : t -> int
 
+val id_bound : t -> int
+(** Entity ids are dense and shared by objects and activities: every
+    entity this store allocated has an id below [id_bound t], so
+    id-indexed arrays of that length cover the whole store. *)
+
 val version : t -> int
 (** A counter bumped by every object-state mutation ({!set_obj_state},
     {!bind}, {!unbind}, {!set_context}, {!restore}) and by entity
@@ -100,6 +105,17 @@ val touched_since : t -> int -> Entity.t list
     never any untouched one), but unordered and O(entities in the
     store). Incremental consumers ({!Compiled}) only rely on
     completeness, so overflow costs time, not correctness. *)
+
+(** {1 The store's own engine} *)
+
+type engine = ..
+(** A slot for the resolution engine the store keeps for itself
+    ({!Engine.select}'s default: {!Compiled} extends this type). The
+    store never looks inside it; setting it is not a mutation (no tick,
+    allowed in a {!read_only} section). *)
+
+val engine : t -> engine option
+val set_engine : t -> engine -> unit
 
 val read_only : t -> (unit -> 'a) -> 'a
 (** [read_only t f] runs [f] with the store frozen: any mutation

@@ -84,8 +84,8 @@ let embedded_degree ?engine ?jobs w =
       if !meaningful = 0 then Some 1.0
       else Some (float_of_int !coherent /. float_of_int !meaningful)
 
-(* The three degrees share one engine, so under NAMING_ENGINE=compiled
-   the world is compiled once for the whole row. *)
+(* The three degrees share one engine (the store's own, by default), so
+   a directory's table is built once for the whole row. *)
 let measure ?engine ?jobs w =
   let engine = Naming.Engine.select ?engine w.store in
   {

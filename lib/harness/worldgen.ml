@@ -274,4 +274,4 @@ let probes_seq ?(max_depth = 8) (w : Sample.world) =
     (N.singleton N.root_atom)
     (Seq.map
        (fun (n, _e) -> N.prepend_root n)
-       (List.to_seq (Naming.Graph.all_names w.store root_ctx ~max_depth ())))
+       (Naming.Graph.names_seq w.store root_ctx ~max_depth ()))

@@ -76,4 +76,7 @@ val uniform_sampler :
 val probes_seq : ?max_depth:int -> Sample.world -> Naming.Name.t Seq.t
 (** The exact-measure counterpart of {!sampler}: "/" followed by every
     absolute name of the world reachable within [max_depth] (default 8)
-    atoms of the root, for feeding {!Naming.Coherence.measure_seq}. *)
+    atoms of the root, in {!Naming.Graph.all_names} order, for feeding
+    {!Naming.Coherence.measure_seq}. Produced lazily, one breadth-first
+    level at a time ({!Naming.Graph.names_seq}), so a streaming sweep
+    never holds the whole probe list. *)

@@ -7,19 +7,10 @@ type t = {
   store : S.t;
   asg : Naming.Rule.Assignment.t;
   mutable rev_activities : E.t list;
-  mutable env_engine : Naming.Engine.t option;
-      (* lazily built when NAMING_ENGINE overrides the default resolve
-         path, so e.g. the compiled engine compiles once per
-         environment, not once per resolution *)
 }
 
 let create store =
-  {
-    store;
-    asg = Naming.Rule.Assignment.create ();
-    rev_activities = [];
-    env_engine = None;
-  }
+  { store; asg = Naming.Rule.Assignment.create (); rev_activities = [] }
 
 let store t = t.store
 let assignment t = t.asg
@@ -88,20 +79,8 @@ let resolve ?engine t ~as_ name =
     else if C.mem ctx (N.head name) then name
     else N.cons N.self_atom name
   in
-  match engine with
-  | Some e -> Naming.Engine.resolve_in e (context_object t as_) name
-  | None -> (
-      match Naming.Engine.env_kind () with
-      | None -> Naming.Resolver.resolve t.store ctx name
-      | Some kind ->
-          let e =
-            match t.env_engine with
-            | Some e when Naming.Engine.kind e = kind -> e
-            | _ ->
-                let e = Naming.Engine.create kind t.store in
-                t.env_engine <- Some e;
-                e
-          in
-          Naming.Engine.resolve_in e (context_object t as_) name)
+  Naming.Engine.resolve_in
+    (Naming.Engine.select ?engine t.store)
+    (context_object t as_) name
 
 let resolve_str ?engine t ~as_ s = resolve ?engine t ~as_ (N.of_string s)

@@ -78,10 +78,8 @@ val resolve :
     whose head is bound directly in the activity's context (a
     per-process attachment) resolves there; any other relative name is
     resolved from the working directory (the ["."] binding). The walk
-    goes through [engine] when given, else the plain interpreter —
-    unless [NAMING_ENGINE] overrides the latter, in which case an
-    engine of that kind is built once per environment and reused.
-    Every path returns the same entity. *)
+    goes through [engine] when given, else {!Naming.Engine.select}'s
+    (the store's own engine). Every engine returns the same entity. *)
 
 val resolve_str :
   ?engine:Naming.Engine.t ->

@@ -200,11 +200,6 @@ type t = {
   tier : tier;
   network : (request, response) Rpc.message Network.t;
   store : S.t;
-  engine : Naming.Engine.t;
-      (* serves every Resolve request and coherence sample for the
-         cluster's whole life; compiled by default (NAMING_ENGINE
-         overrides), so writes and anti-entropy patch its tables in
-         place instead of each sample rebuilding them *)
   leaves : (string, E.t) Hashtbl.t;
   members : replica array;
   repl : Naming.Replication.t;
@@ -733,7 +728,9 @@ let start_leader_protocol ~period ~timeout t states =
 
 let handle t r req =
   match (req, t.tier) with
-  | Resolve name, _ -> Resolved (Naming.Engine.resolve_in t.engine r.root name)
+  | Resolve name, _ ->
+      Resolved
+        (Naming.Engine.resolve_in (Naming.Engine.select t.store) r.root name)
   | _, Lww_ae states -> lww_handle t r states.(r.id) req
   | _, Leader_log states -> leader_handle t r states.(r.id) req
 
@@ -855,7 +852,6 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
       tier;
       network;
       store;
-      engine = Naming.Engine.of_env ~default:`Compiled store;
       leaves;
       members;
       repl;
@@ -899,7 +895,7 @@ let endpoint t i = (member t i).endpoint
 let leaf t key = Hashtbl.find_opt t.leaves key
 
 let resolve_at t i name =
-  Naming.Engine.resolve_in t.engine (member t i).root name
+  Naming.Engine.resolve_in (Naming.Engine.select t.store) (member t i).root name
 
 let write_local t i req = handle t (member t i) req
 
@@ -910,9 +906,7 @@ let occurrences t =
 
 let equiv t a b = Naming.Replication.same_replica t.repl a b
 
-let engine t = t.engine
-
-(* The equivalence, rule, probe activities and engine are fixed at
+(* The equivalence, rule and probe activities are fixed at
    [create], so the report is a function of the probe list and the
    store; [Store.version] bumps on every mutation. *)
 let measure ?jobs t names =
@@ -923,8 +917,8 @@ let measure ?jobs t names =
       report
   | _ ->
       let report =
-        Naming.Coherence.measure ~equiv:(equiv t) ~engine:t.engine ?jobs
-          t.store t.rule (occurrences t) names
+        Naming.Coherence.measure ~equiv:(equiv t) ?jobs t.store t.rule
+          (occurrences t) names
       in
       t.last_measure <- Some (names, version, report);
       report

@@ -175,14 +175,6 @@ val port : int
 
 val store : t -> Naming.Store.t
 
-val engine : t -> Naming.Engine.t
-(** The engine serving [Resolve] requests, {!resolve_at} and
-    {!measure}, built once at {!create} and kept for the cluster's
-    life. Compiled by default ([NAMING_ENGINE] overrides): writes and
-    anti-entropy patch its tables in place, so coherence samples reuse
-    them instead of rebuilding per call. Every engine returns the same
-    entities. *)
-
 val replicas : t -> int
 val replica_node : t -> int -> Network.node_id
 val replica_address : t -> int -> Network.address
@@ -210,9 +202,11 @@ val equiv : t -> Naming.Entity.t -> Naming.Entity.t -> bool
 (** Replica equivalence: mirror directories of the same logical path. *)
 
 val measure : ?jobs:int -> t -> Naming.Name.t list -> Naming.Coherence.report
-(** {!Naming.Coherence.measure} through the cluster's {!engine} across
-    the replicas' mirrors under {!equiv}: strict coherence for leaf-valued probes, weak coherence
-    for directory-valued probes, incoherence while replicas diverge.
+(** {!Naming.Coherence.measure} across the replicas' mirrors under
+    {!equiv}, through the store's own engine (writes and anti-entropy
+    patch its tables in place): strict coherence for leaf-valued probes,
+    weak coherence for directory-valued probes, incoherence while
+    replicas diverge.
 
     The cluster remembers its last result: a call with the same probe
     list (structurally equal) while {!Naming.Store.version} of {!store}

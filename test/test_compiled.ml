@@ -136,14 +136,20 @@ let test_engine_select () =
   (* env-dependent defaults only checked when NAMING_ENGINE is unset, so
      the suite still passes when CI re-runs it under another engine *)
   (match Eng.env_kind () with
-  | Some _ -> ()
-  | None ->
-      check Alcotest.string "default interpreted" "interpreted"
+  | Some `Interpreted -> ()
+  | Some `Compiled | None ->
+      check Alcotest.string "default compiled" "compiled"
         (Eng.label (Eng.of_env st));
-      check Alcotest.string "explicit default" "compiled"
-        (Eng.label (Eng.of_env ~default:`Compiled st));
-      check Alcotest.string "select falls back to the interpreter"
-        "interpreted" (Eng.label (Eng.select st)));
+      let own () =
+        match Eng.select st with
+        | Eng.Compiled c -> c
+        | Eng.Interpreted _ -> Alcotest.fail "select gave the interpreter"
+      in
+      check b "select returns the store's own engine" true
+        (own () == own () && own () == Cp.of_store st);
+      check Alcotest.string "interpreter inside a read-only section"
+        "interpreted"
+        (S.read_only st (fun () -> Eng.label (Eng.select st))));
   let engine = Eng.create `Compiled st in
   check Alcotest.string "explicit engine wins" "compiled"
     (Eng.label (Eng.select ~engine st))
@@ -370,6 +376,116 @@ let test_snapshot_parity () =
         (fun n r -> check entity (N.to_string n) (R.resolve_in st root n) r)
         names results
 
+(* ------------------------------------------------------------------ *)
+(* The store's own engine: one per store, tables built on first use,   *)
+(* patched in place, shared by shards.                                 *)
+
+let uses_compiled () = Eng.env_kind () <> Some `Interpreted
+
+(* Batch calls interleaved with random binds and unbinds, at jobs 1 and
+   2: every result equals a fresh interpreter's, and the store keeps one
+   engine throughout — patched, never rebuilt. *)
+let prop_store_engine_lifecycle =
+  QCheck.Test.make ~name:"store engine: patched in place = interpreter"
+    ~count:30 QCheck.small_nat (fun seed ->
+      let rng, st, root, dirs, files = build_world seed in
+      let own = Cp.of_store st in
+      let asg = Naming.Rule.Assignment.create () in
+      let acts =
+        List.map
+          (fun k ->
+            let a = S.create_activity st in
+            let o =
+              if k = 0 then root
+              else
+                S.create_context_object
+                  ~ctx:(C.of_bindings [ (N.root_atom, Dsim.Rng.pick rng !dirs) ])
+                  st
+            in
+            Naming.Rule.Assignment.set asg a o;
+            a)
+          [ 0; 1; 2 ]
+      in
+      let rule = Naming.Rule.of_activity asg in
+      let occs = List.map Naming.Occurrence.generated acts in
+      let sampler =
+        { Naming.Coherence.split = Dsim.Rng.split; draw = random_name }
+      in
+      let interp () = Eng.create `Interpreted st in
+      let agree jobs =
+        let probes = List.init 20 (fun _ -> random_name rng) in
+        let measured = Naming.Coherence.measure ~jobs st rule occs probes in
+        let classified = Naming.Coherence.classify ~jobs st rule occs probes in
+        let seed = Int64.of_int (Dsim.Rng.int rng 1000) in
+        let estimate ?engine () =
+          Naming.Coherence.estimate ?engine ~jobs ~epsilon:0.05
+            ~max_samples:512 ~rng:(Dsim.Rng.create seed) st rule occs sampler
+        in
+        measured
+        = Naming.Coherence.measure ~engine:(interp ()) st rule occs probes
+        && classified
+           = Naming.Coherence.classify ~engine:(interp ()) st rule occs probes
+        && estimate () = estimate ~engine:(interp ()) ()
+      in
+      let ok = ref true in
+      for round = 0 to 7 do
+        for k = 0 to Dsim.Rng.int rng 3 do
+          random_mutation rng st dirs files ((10 * round) + k)
+        done;
+        ok := !ok && agree (1 + (round mod 2))
+      done;
+      let s = Cp.stats own in
+      !ok && Cp.of_store st == own && s.Cp.full_compiles = 0
+      && ((not (uses_compiled ())) || s.Cp.patches > 0))
+
+(* An estimate touches a few thousand names: only the directories its
+   walks pass through get a table. *)
+let test_lazy_tables () =
+  let w = Harness.Worldgen.build `Unixlike ~size:20_000 ~seed:3L in
+  let st = w.Harness.Sample.store in
+  ignore
+    (Naming.Coherence.estimate ~jobs:1 ~rng:(Dsim.Rng.create 1L) st
+       w.Harness.Sample.rule
+       (List.map Naming.Occurrence.generated w.Harness.Sample.activities)
+       (Harness.Worldgen.sampler w));
+  let s = Cp.stats (Cp.of_store st) in
+  check i "every context object counted" (List.length (S.context_objects st))
+    s.Cp.tables;
+  check b "fewer tables built than context objects" true
+    (s.Cp.nodes < s.Cp.tables);
+  if uses_compiled () then check b "some tables built" true (s.Cp.nodes > 0)
+
+(* A shard never writes shared tables: a walk into a directory with no
+   table finishes on the interpreter, and the owner builds the table
+   afterwards from what the shard missed. *)
+let test_shard_fallback () =
+  let st, _, root = fixture () in
+  let own = Cp.of_store st in
+  let ctx = Option.get (S.context_of st root) in
+  let names = List.map N.of_string unix_paths in
+  Cp.refresh own;
+  let before = Cp.stats own in
+  check i "no tables yet" 0 before.Cp.nodes;
+  let shard = Cp.snapshot own in
+  S.read_only st (fun () ->
+      List.iter
+        (fun n ->
+          check entity (N.to_string n) (R.resolve_in st root n)
+            (Cp.resolve_in shard root n);
+          check entity (N.to_string n ^ " (ctx)") (R.resolve st ctx n)
+            (Cp.resolve shard ctx n))
+        names);
+  let after = Cp.stats own in
+  check i "arena top unchanged" before.Cp.arena_words after.Cp.arena_words;
+  check i "still no tables" 0 after.Cp.nodes;
+  Cp.adopt own [ shard ];
+  check b "owner built what the shard missed" true ((Cp.stats own).Cp.nodes > 0);
+  List.iter
+    (fun n ->
+      check entity (N.to_string n) (R.resolve_in st root n)
+        (Cp.resolve_in own root n))
+    names
+
 let suite =
   [
     Alcotest.test_case "matches the interpreter" `Quick test_matches_interpreter;
@@ -388,4 +504,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compiled_transparent;
     QCheck_alcotest.to_alcotest prop_patch_equals_recompile;
     QCheck_alcotest.to_alcotest prop_engine_verdict_parity;
+    QCheck_alcotest.to_alcotest prop_store_engine_lifecycle;
+    Alcotest.test_case "lazy tables" `Quick test_lazy_tables;
+    Alcotest.test_case "shard falls back to the interpreter" `Quick
+      test_shard_fallback;
   ]

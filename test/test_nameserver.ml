@@ -224,7 +224,7 @@ let measure_matches_interpreter cluster names =
       (* [Ns.measure] at jobs 2 reuses the jobs 1 report, so the cluster
          engine's parallel sweep is also checked directly *)
       Ns.measure ~jobs cluster names = fresh
-      && measure_with (Ns.engine cluster) jobs = fresh)
+      && measure_with (Naming.Engine.select store) jobs = fresh)
     [ 1; 2 ]
 
 let engine_matches_interpreter cluster =
@@ -315,7 +315,7 @@ let test_cluster_engine () =
   | Some _ -> ()
   | None ->
       check Alcotest.string "compiled by default" "compiled"
-        (Naming.Engine.label (Ns.engine cluster)));
+        (Naming.Engine.label (Naming.Engine.select (Ns.store cluster))));
   List.iter
     (fun mode ->
       check b "patched engine = interpreter" true (engine_stays_exact mode 0))

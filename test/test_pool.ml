@@ -229,6 +229,41 @@ let prop_quoting_matches_printf =
       let lines = String.split_on_char '\n' dump in
       List.mem expect_file lines && List.mem expect_label lines)
 
+(* A helper domain may pick up its batch's participant thunk late. It
+   must claim a task before creating participant state, so no [local ()]
+   is still running once [map_local] has returned: there that call
+   would be an engine shard taken while the caller may already be
+   writing the store again. To make the race likely, the caller's
+   [local ()] waits (briefly) for a woken helper to enter its own, and
+   a helper's [local ()] waits (briefly) to see whether its batch
+   returns meanwhile. *)
+let wait_for flag n =
+  let k = ref 0 in
+  while (not (Atomic.get flag)) && !k < n do
+    incr k;
+    Domain.cpu_relax ()
+  done
+
+let test_no_late_local () =
+  let pool = P.create ~jobs:2 in
+  let caller = Domain.self () in
+  let late = Atomic.make 0 in
+  for _ = 1 to 100_000 do
+    let returned = Atomic.make false and helping = Atomic.make false in
+    let local () =
+      if Domain.self () = caller then wait_for helping 60
+      else begin
+        Atomic.set helping true;
+        wait_for returned 60;
+        if Atomic.get returned then Atomic.incr late
+      end
+    in
+    ignore (P.map_local pool ~local (fun () x -> x) [ 1; 2 ]);
+    Atomic.set returned true
+  done;
+  P.shutdown pool;
+  check i "local () calls after their batch returned" 0 (Atomic.get late)
+
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_order;
@@ -246,4 +281,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_exchange_parity;
     QCheck_alcotest.to_alcotest prop_flow_parity;
     QCheck_alcotest.to_alcotest prop_quoting_matches_printf;
+    Alcotest.test_case "no local () after the batch returns" `Quick
+      test_no_late_local;
   ]

@@ -131,6 +131,56 @@ let test_probes_seq_resolvable () =
   in
   check b "population is non-trivial" true (n_probes > 100)
 
+(* The eager breadth-first enumeration probes_seq was built on before it
+   streamed: every level appended to one result list. *)
+let eager_probes ?(max_depth = 8) (w : Harness.Sample.world) =
+  let st = w.Harness.Sample.store in
+  let skip a = N.atom_equal a N.self_atom || N.atom_equal a N.parent_atom in
+  let root_ctx =
+    match S.context_of st (Naming.Context.lookup w.Harness.Sample.ctx N.root_atom) with
+    | Some c -> c
+    | None -> Naming.Context.empty
+  in
+  let results = ref [] in
+  let frontier = ref [] in
+  Naming.Context.iter
+    (fun a e ->
+      if (not (skip a)) && E.is_defined e then
+        frontier := (N.singleton a, e) :: !frontier)
+    root_ctx;
+  let frontier = ref (List.rev !frontier) in
+  let depth = ref 1 in
+  while !frontier <> [] && !depth <= max_depth do
+    results := List.rev_append !frontier !results;
+    let next = ref [] in
+    if !depth < max_depth then
+      List.iter
+        (fun (n, e) ->
+          List.iter
+            (fun (a, dst) ->
+              if (not (skip a)) && E.is_defined dst then
+                next := (N.snoc n a, dst) :: !next)
+            (Naming.Graph.out_edges st e))
+        !frontier;
+    frontier := List.rev !next;
+    incr depth
+  done;
+  N.singleton N.root_atom
+  :: List.map (fun (n, _) -> N.prepend_root n) (List.rev !results)
+
+let prop_probes_seq_order =
+  QCheck.Test.make ~name:"probes_seq streams the eager enumeration" ~count:30
+    QCheck.(triple (int_bound 2) (int_range 64 600) (int_bound 1000))
+    (fun (t, size, seed) ->
+      let w =
+        W.build (List.nth all_templates t) ~size ~seed:(Int64.of_int seed)
+      in
+      let max_depth = 1 + (seed mod 8) in
+      List.equal N.equal (List.of_seq (W.probes_seq w)) (eager_probes w)
+      && List.equal N.equal
+           (List.of_seq (W.probes_seq ~max_depth w))
+           (eager_probes ~max_depth w))
+
 (* The b18 acceptance property: on small worlds where the exact sweep
    is cheap, the estimator run with a uniform sampler over the
    enumerated probe population must (a) produce a confidence interval
@@ -227,4 +277,5 @@ let suite =
       test_probes_seq_resolvable;
     QCheck_alcotest.to_alcotest prop_estimate_brackets_exact;
     QCheck_alcotest.to_alcotest prop_estimate_coverage;
+    QCheck_alcotest.to_alcotest prop_probes_seq_order;
   ]
