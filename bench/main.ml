@@ -617,10 +617,17 @@ let run_worlds () =
                 (fun jobs ->
                   let rng = Dsim.Rng.create (Int64.of_int seed) in
                   let t0 = Unix.gettimeofday () in
-                  (* the compiled rows run on the store's own engine,
-                     whose tables the exact sweep above already built *)
+                  (* each compiled row gets a fresh engine with no
+                     tables, as a freshly decoded store would: the
+                     tables its walks need are built inside the timing,
+                     not inherited from the exact sweep above *)
                   let engine =
-                    Naming.Engine.create kind w.Harness.Sample.store
+                    match kind with
+                    | `Interpreted ->
+                        Naming.Engine.create kind w.Harness.Sample.store
+                    | `Compiled ->
+                        Naming.Engine.Compiled
+                          (Naming.Compiled.create w.Harness.Sample.store)
                   in
                   let est =
                     Naming.Coherence.estimate ~engine ~jobs ~rng

@@ -58,23 +58,14 @@ let strict_degree r =
   else float_of_int r.coherent /. float_of_int meaningful
 
 (* The parallel fan-out behind [?jobs]: one verdict per probe, computed
-   across domains with the store frozen (a mutation mid-sweep raises
-   instead of racing) and an engine shard per worker ({!Engine.shard}:
-   the shared interpreter, or a compiled shard sharing the caller's
-   tables). Afterwards the caller's engine builds the tables its shards
-   walked into without finding. Verdicts come back in probe order, so
-   every derived quantity equals the sequential path's. *)
+   across domains by {!Engine.map_sharded} (store frozen, so a mutation
+   mid-sweep raises instead of racing; one engine shard per worker).
+   Verdicts come back in probe order, so every derived quantity equals
+   the sequential path's. *)
 let classify_parallel ?equiv engine pool store rule occs probes =
-  Engine.prepare engine;
-  let verdicts, shards =
-    Store.read_only store (fun () ->
-        Pool.map_local pool
-          ~local:(fun () -> Engine.shard engine)
-          (fun shard name -> check ?equiv ~engine:shard store rule occs name)
-          probes)
-  in
-  Engine.adopt engine shards;
-  verdicts
+  Engine.map_sharded engine pool
+    (fun shard name -> check ?equiv ~engine:shard store rule occs name)
+    probes
 
 let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
   let engine = Engine.select ?engine store in

@@ -76,9 +76,9 @@ val measure :
   report
 (** Every batch entry point takes [?jobs]: with [jobs > 1] the probes
     are swept in parallel on a {!Pool} of that many domains — the store
-    frozen ({!Store.read_only}) for the duration, one {!Engine.shard}
-    per worker (the shared interpreter, or a {!Compiled.snapshot} that
-    shares the caller's tables). Results are returned in probe order
+    frozen ({!Store.read_only}) for the duration, one engine shard per
+    worker ({!Engine.map_sharded}: the shared interpreter, or a
+    {!Compiled.snapshot} that shares the caller's tables). Results are returned in probe order
     and are structurally equal to the sequential ones; [jobs = 1] (or
     omitting it) runs the sequential path. *)
 

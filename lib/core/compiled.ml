@@ -22,9 +22,8 @@
    Tables are built lazily. A walk that meets a link of -1 with atoms
    left takes the cold path: the target's table is looked up in [offs],
    built on the spot when the target is a context object, and the cell
-   is patched so the next walk takes the two-load step. [compile]
-   instead lays every table out up front in an exactly sized arena and
-   keeps building new context objects' tables as they appear.
+   is patched so the next walk takes the two-load step. [compile] is
+   the same engine with every table forced up front.
 
    Mutations are folded in by [refresh] through [Store.touched_since]:
    a touched entity that has a table gets it rebuilt, in place when the
@@ -54,7 +53,6 @@ type stats = {
   table_cells : int;
   bindings : int;
   arena_words : int;
-  full_compiles : int;
   node_builds : int;
   patches : int;
   patched_nodes : int;
@@ -67,7 +65,6 @@ type t = {
   tick : int ref;  (* the store's own clock cell: staleness polls inline *)
   mutable gen : int;  (* store tick the tables reflect *)
   owner : bool;  (* false for shards, which never write shared tables *)
-  eager : bool;  (* build every context object's table, not on first use *)
   mutable ents : Entity.t array;  (* id -> entity, for ids the tables name *)
   mutable offs : int array;  (* id -> table offset, -1 = none *)
   mutable arena : int array;
@@ -77,8 +74,7 @@ type t = {
   entry_ents : Entity.t array array;  (* their targets, by cell slot *)
   mutable entry_n : int;  (* filled ring prefix *)
   mutable entry_next : int;  (* round-robin eviction cursor *)
-  mutable misses : Entity.t list;  (* a shard's walks that found no table *)
-  full_compiles : int;
+  misses : (int, Entity.t) Hashtbl.t;  (* a shard's unbuilt tables, by id *)
   mutable node_builds : int;
   mutable patches : int;
   mutable patched_nodes : int;
@@ -96,14 +92,13 @@ let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
    an empty cell. *)
 let capacity ctx = next_pow2 (2 * Context.cardinal ctx) 4
 
-let create ~eager store =
+let create store =
   let n = Store.id_bound store in
   {
     store;
     tick = Store.tick_cell store;
     gen = Store.tick store;
     owner = true;
-    eager;
     ents = Array.make n Entity.undefined;
     offs = Array.make n (-1);
     arena = [||];
@@ -113,8 +108,7 @@ let create ~eager store =
     entry_ents = Array.make entry_ring [||];
     entry_n = 0;
     entry_next = 0;
-    misses = [];
-    full_compiles = (if eager then 1 else 0);
+    misses = Hashtbl.create 1;
     node_builds = 0;
     patches = 0;
     patched_nodes = 0;
@@ -273,45 +267,22 @@ let refresh_slow t =
           (fun moved e ->
             t.patched_nodes <- t.patched_nodes + 1;
             let off = t.offs.(id_of e) in
-            if off >= 0 then rebuild t e off || moved
-            else begin
-              (if t.eager then
-                 match Store.context_of t.store e with
-                 | Some ctx -> ignore (build t e ctx)
-                 | None -> ());
-              moved
-            end)
+            if off >= 0 then rebuild t e off || moved else moved)
           false touched
       in
       if moved then resync t
 
 let refresh t = if !(t.tick) <> t.gen then refresh_slow t
 
-(* Every context object's table, in one exactly sized arena: offsets are
-   laid out first (in allocation order, which keeps a directory's table
-   near its parent's), so every cell's link is exact when it is
-   filled. *)
+(* A fresh engine with every context object's table forced, in id
+   (allocation) order so a directory's table lands near its parent's,
+   then every cell's link made exact. *)
 let compile store =
-  let t = create ~eager:true store in
-  let top = ref 0 in
-  let dirs =
-    List.filter_map
-      (fun e ->
-        match Store.context_of store e with
-        | None -> None
-        | Some ctx ->
-            let cap = capacity ctx in
-            let off = !top + 1 in
-            t.ents.(id_of e) <- e;
-            t.offs.(id_of e) <- off;
-            top := off + (4 * cap);
-            Some (off, cap, ctx))
-      (Store.objects store)
-  in
-  t.arena <- Array.make !top (-1);
-  t.arena_top <- !top;
-  List.iter (fun (off, cap, _) -> t.arena.(off - 1) <- (4 * cap) - 4) dirs;
-  List.iter (fun (off, _, ctx) -> fill t off ctx) dirs;
+  let t = create store in
+  for id = 0 to Store.id_bound store - 1 do
+    ignore (table t (Entity.Object id))
+  done;
+  resync t;
   t
 
 type Store.engine += Own of t
@@ -320,7 +291,7 @@ let of_store store =
   match Store.engine store with
   | Some (Own t) -> t
   | Some _ | None ->
-      let t = create ~eager:false store in
+      let t = create store in
       Store.set_engine store (Own t);
       t
 
@@ -337,8 +308,7 @@ let snapshot t =
     entry_ents = Array.make entry_ring [||];
     entry_n = 0;
     entry_next = 0;
-    misses = [];
-    full_compiles = 0;
+    misses = Hashtbl.create 8;
     node_builds = 0;
     patches = 0;
     patched_nodes = 0;
@@ -348,8 +318,8 @@ let adopt t shards =
   refresh t;
   List.iter
     (fun s ->
-      List.iter (fun e -> ignore (table t e)) s.misses;
-      s.misses <- [])
+      Hashtbl.iter (fun _ e -> ignore (table t e)) s.misses;
+      Hashtbl.reset s.misses)
     shards
 
 (* ------------------------------------------------------------------ *)
@@ -365,7 +335,7 @@ let fallback t e atoms =
     match Store.context_of t.store e with
     | None -> Entity.undefined
     | Some _ ->
-        t.misses <- e :: t.misses;
+        Hashtbl.replace t.misses (id_of e) e;
         Resolver.resolve_in t.store e (Name.of_atoms atoms)
 
 (* The hot loop: probe fused with the step, the child's region offset
@@ -584,7 +554,6 @@ let stats t =
     table_cells = !table_cells;
     bindings = !bindings;
     arena_words = t.arena_top;
-    full_compiles = t.full_compiles;
     node_builds = t.node_builds;
     patches = t.patches;
     patched_nodes = t.patched_nodes;

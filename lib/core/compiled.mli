@@ -22,11 +22,15 @@ val of_store : Store.t -> t
     call and kept in the store's {!Store.engine} slot; every later call
     returns the same engine. This is {!Engine.select}'s default. *)
 
+val create : Store.t -> t
+(** A fresh engine with no tables, not kept in the store: what
+    {!of_store} creates on its first call. *)
+
 val compile : Store.t -> t
-(** A separate engine with every context object's table built up front
-    in an exactly sized arena, and built for new context objects as
-    they appear. Subsequent store mutations are folded in by the next
-    resolve (or eagerly by {!refresh}). *)
+(** {!create} with every context object's table forced up front — the
+    cost of the whole world's tables, paid at once. Store mutations are
+    folded in by the next resolve (or eagerly by {!refresh}) exactly as
+    for any engine. *)
 
 val store : t -> Store.t
 
@@ -44,7 +48,7 @@ val snapshot : t -> t
     resolves in sibling domains never contend. A shard never writes the
     shared tables: a walk into a context object whose table is not
     built yet finishes on the interpreter, and the shard remembers the
-    object for {!adopt}. It does not refresh [t]. Per-run counters
+    object (once) for {!adopt}. It does not refresh [t]. Per-run counters
     start at zero. *)
 
 val adopt : t -> t list -> unit
@@ -73,8 +77,6 @@ type stats = {
   table_cells : int;  (** total open-addressing cells across nodes *)
   bindings : int;  (** occupied cells (= defined bindings) *)
   arena_words : int;  (** arena in use, abandoned regions included *)
-  full_compiles : int;
-      (** 1 for {!compile}; 0 for a store's own engine and for shards *)
   node_builds : int;  (** per-table builds, first use + patches *)
   patches : int;  (** incremental refresh rounds that found changes *)
   patched_nodes : int;  (** touched entities processed by those rounds *)

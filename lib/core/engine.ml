@@ -53,17 +53,24 @@ let resolve_trace_into buf t store ctx name =
   | Interpreted _ -> Resolver.resolve_trace_into buf store ctx name
   | Compiled c -> Compiled.resolve_trace_into buf c ctx name
 
-let prepare = function
-  | Interpreted _ -> ()
-  | Compiled c -> Compiled.refresh c
-
-let shard = function
-  | Interpreted _ as t -> t
-  | Compiled c -> Compiled (Compiled.snapshot c)
-
 let compiled = function Compiled c -> Some c | Interpreted _ -> None
 
-let adopt t shards =
-  match t with
+(* The shard protocol, in one place: refresh on the owning domain (so no
+   shard ever patches), fan out with the store frozen and one shard per
+   participant — the shared interpreter, or a compiled snapshot that
+   shares the tables — then, back on the owning domain, build the tables
+   the shards walked into without finding. *)
+let map_sharded t pool f xs =
+  (match t with Interpreted _ -> () | Compiled c -> Compiled.refresh c);
+  let shard () =
+    match t with
+    | Interpreted _ -> t
+    | Compiled c -> Compiled (Compiled.snapshot c)
+  in
+  let ys, shards =
+    Store.read_only (store t) (fun () -> Pool.map_local pool ~local:shard f xs)
+  in
+  (match t with
   | Interpreted _ -> ()
-  | Compiled c -> Compiled.adopt c (List.filter_map compiled shards)
+  | Compiled c -> Compiled.adopt c (List.filter_map compiled shards));
+  ys

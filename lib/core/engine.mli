@@ -63,19 +63,15 @@ val resolve_trace_into :
 
 (** {1 Parallel sweeps} *)
 
-val prepare : t -> unit
-(** Bring the engine up to date with its store ({!Compiled.refresh});
-    call on the owning domain before {!Store.read_only} fan-out, so
-    worker shards never patch. No-op for the interpreter. *)
-
-val shard : t -> t
-(** A per-domain engine over the same store: a {!Compiled.snapshot},
-    which shares the tables and finishes walks into unbuilt ones on the
-    interpreter; [Interpreted] is stateless and shared. *)
-
-val adopt : t -> t list -> unit
-(** [adopt t shards], after the batch on [t]'s domain: build the tables
-    the shards walked into without finding ({!Compiled.adopt}). No-op
-    for the interpreter. *)
+val map_sharded : t -> Pool.t -> (t -> 'a -> 'b) -> 'a list -> 'b list
+(** [map_sharded t pool f xs] is [List.map (f t) xs] fanned over [pool]
+    — results in input order — with [t]'s store frozen
+    ({!Store.read_only}) for the duration. [t] is brought up to date on
+    the calling domain first, and each participant gets its own shard:
+    the shared interpreter, or a {!Compiled.snapshot} that shares [t]'s
+    tables and finishes a walk into a table not built yet on the
+    interpreter. Afterwards, on the calling domain, [t] builds the
+    tables its shards missed ({!Compiled.adopt}), so the next batch
+    finds them. *)
 
 val compiled : t -> Compiled.t option

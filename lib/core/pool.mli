@@ -27,7 +27,8 @@
     treat every {!Store} they can reach as read-only — enforced by
     {!Store.read_only}, which the parallel batch entry points wrap their
     sweeps in — and must not share a {!Compiled} engine between tasks;
-    shard it with {!Compiled.snapshot} via {!map_local} (shards share
+    shard it via {!Engine.map_sharded}, which hands each participant a
+    {!Compiled.snapshot} through {!map_local} (shards share
     the engine's tables read-only and own only their entry ring; a
     participant creates its state only after claiming a task, so none
     is created after the batch returns). Interning new

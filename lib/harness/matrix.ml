@@ -61,15 +61,11 @@ let embedded_degree ?engine ?jobs w =
                   occs name)
               units
         | Some pool ->
-            Naming.Engine.prepare engine;
-            Naming.Store.read_only w.store (fun () ->
-                fst
-                  (Naming.Pool.map_local pool
-                     ~local:(fun () -> Naming.Engine.shard engine)
-                     (fun shard (occs, name) ->
-                       Naming.Coherence.check ?equiv:w.equiv ~engine:shard
-                         w.store w.rule occs name)
-                     units))
+            Naming.Engine.map_sharded engine pool
+              (fun shard (occs, name) ->
+                Naming.Coherence.check ?equiv:w.equiv ~engine:shard w.store
+                  w.rule occs name)
+              units
       in
       let coherent = ref 0 and meaningful = ref 0 in
       List.iter

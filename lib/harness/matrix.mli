@@ -29,7 +29,7 @@ val generated_degree : ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
 (** Coherence across all activities for names each generates itself.
     Each degree resolves through one {!Naming.Engine}
     ({!Naming.Engine.select}: [?engine], then [NAMING_ENGINE], then the
-    interpreter). *)
+    store's own compiled engine). *)
 
 val received_degree : ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
 (** Mean coherence over all ordered (sender, receiver) pairs for all

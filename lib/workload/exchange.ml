@@ -59,15 +59,11 @@ let coherent_fraction ?equiv ?engine ?jobs store rule events =
     | Some pool ->
         (* fan the (sender, receiver, probe) units across domains: store
            frozen, one engine shard per worker *)
-        Naming.Engine.prepare engine;
-        Naming.Store.read_only store (fun () ->
-            fst
-              (Naming.Pool.map_local pool
-                 ~local:(fun () -> Naming.Engine.shard engine)
-                 (fun shard ev ->
-                   Naming.Coherence.check ?equiv ~engine:shard store rule
-                     (occurrences ev) ev.name)
-                 events))
+        Naming.Engine.map_sharded engine pool
+          (fun shard ev ->
+            Naming.Coherence.check ?equiv ~engine:shard store rule
+              (occurrences ev) ev.name)
+          events
   in
   fraction_of_verdicts verdicts
 

@@ -41,9 +41,10 @@ val coherent_fraction :
 (** Fraction of non-vacuous events that are coherent under the rule.
     Resolutions share one {!Naming.Engine}, chosen by
     {!Naming.Engine.select} from [?engine] / [NAMING_ENGINE], else the
-    interpreter. With [jobs > 1] the events are checked in parallel —
-    store frozen, one {!Naming.Engine.shard} per worker — and the
-    fraction is identical to the sequential one. *)
+    store's own compiled engine. With [jobs > 1] the events are checked
+    in parallel by {!Naming.Engine.map_sharded} — store frozen, one
+    engine shard per worker — and the fraction is identical to the
+    sequential one. *)
 
 val run_over_network :
   engine:Dsim.Engine.t ->
