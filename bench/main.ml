@@ -446,7 +446,7 @@ let cluster () =
             Fixtures.chaos_spec ))
   in
   let indexed ~name ~jobs =
-    Test.make_indexed ~name ~args:[ 2; 4; 8 ] (fun replicas ->
+    Test.make_indexed ~name ~args:[ 2; 4; 8; 16; 32 ] (fun replicas ->
         let subjects = subjects replicas in
         Staged.stage (fun () ->
             ignore (Analysis.Replpasses.report_many ~jobs subjects)))

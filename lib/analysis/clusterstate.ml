@@ -48,10 +48,44 @@ type t = {
   sends : (float * float) array;  (** client attempt send offsets *)
   exhaust : float * float;  (** client retry-budget exhaustion offsets *)
   duration : float;
+  reach : float array array;
+      (** [reach.(i).(d)]: earliest instant write [i] can be applied at
+          replica [d]; [infinity] when no chain of pulls delivers it *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* The spec index: which directories and leaf keys every replica knows. *)
+
 let path_key path = N.to_string (N.prepend_root path)
+
+type index = { known_dir : N.t -> bool; known_leaf : string -> bool }
+
+let index (spec : Ns.spec) =
+  let dirs = Hashtbl.create 16 in
+  Hashtbl.replace dirs (path_key (N.singleton N.root_atom)) ();
+  List.iter (fun d -> Hashtbl.replace dirs (path_key d) ()) spec.Ns.dirs;
+  let leaves = Hashtbl.create 16 in
+  List.iter (fun (k, _) -> Hashtbl.replace leaves k ()) spec.Ns.leaves;
+  {
+    known_dir = (fun p -> Hashtbl.mem dirs (path_key p));
+    known_leaf = Hashtbl.mem leaves;
+  }
+
+let split path =
+  match List.rev (N.atoms (N.prepend_root path)) with
+  | last :: (_ :: _ as rev_parent) ->
+      Some (N.of_atoms (List.rev rev_parent), last)
+  | _ -> None
+
 let key w = (path_key w.path, N.atom_to_string w.atom)
+let write_name w = N.snoc w.path w.atom
+
+let write_str w =
+  Printf.sprintf "write #%d (ns%d t=%.1f %s%s)" w.index w.origin w.time
+    (N.to_string (write_name w))
+    (match w.target with
+    | Some k -> Printf.sprintf "→%s" k
+    | None -> "→unbind")
 
 let crash_of t i =
   match t.crash with Some (v, s, e) when v = i -> Some (s, e) | _ -> None
@@ -127,6 +161,79 @@ let acceptance t ~origin ~time =
   (applies, (lo, hi), lost_in_crash)
 
 (* ------------------------------------------------------------------ *)
+(* May-propagation: the happens-before relation, widened across
+   anti-entropy rounds.                                                *)
+
+(* Earliest instant a pull response from [p] (holding the op since
+   [hp]) could possibly be applied at [d]: the response must be served
+   while [p] and [d] are both up and not cut from each other (loss is
+   decided at send time), and delivered while [d] is up. The pull
+   REQUEST leg and the random peer choice are ignored — that only
+   enlarges the set of possible executions, which keeps every
+   impossibility claim (and hence every error diagnostic) sound. *)
+let transfer t p d hp =
+  if hp = infinity then infinity
+  else begin
+    let lat_lo = fst t.lat in
+    let serve = ref hp in
+    let changed = ref true in
+    let guard = ref 0 in
+    while !changed && !guard < 16 do
+      changed := false;
+      incr guard;
+      (match crash_of t p with
+      | Some (s, e) when !serve >= s && !serve < e ->
+          serve := e;
+          changed := true
+      | _ -> ());
+      (match crash_of t d with
+      | Some (s, e) ->
+          if !serve >= s && !serve < e then begin
+            serve := e;
+            changed := true
+          end
+          else if !serve +. lat_lo >= s && !serve +. lat_lo < e then begin
+            serve := e -. lat_lo;
+            changed := true
+          end
+      | _ -> ());
+      match t.partition with
+      | Some (s, e)
+        when !serve >= s && !serve < e && not (same_side t p d) ->
+          serve := e;
+          changed := true
+      | _ -> ()
+    done;
+    !serve +. lat_lo
+  end
+
+(* Earliest arrival at every replica of an op applied at [origin] at
+   [from_], via any chain of pulls: relax every pull edge with [transfer]
+   until a whole round changes nothing. That round proves a fixpoint,
+   so the stop is exact whatever shape [transfer] has. *)
+let arrivals t ~origin ~from_ =
+  let n = t.config.Ch.replicas in
+  let have = Array.make n infinity in
+  have.(origin) <- from_;
+  let rec relax () =
+    let changed = ref false in
+    for p = 0 to n - 1 do
+      for q = 0 to n - 1 do
+        if q <> p then begin
+          let a = transfer t p q have.(p) in
+          if a < have.(q) then begin
+            have.(q) <- a;
+            changed := true
+          end
+        end
+      done
+    done;
+    if !changed then relax ()
+  in
+  relax ();
+  have
+
+(* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
 
 let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
@@ -146,11 +253,7 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
   in
   let lat = Bounds.latency () in
   let sends, exhaust = Bounds.client_sends cfg in
-  let dir_keys = Hashtbl.create 16 in
-  Hashtbl.replace dir_keys (path_key (N.singleton N.root_atom)) ();
-  List.iter (fun d -> Hashtbl.replace dir_keys (path_key d) ()) spec.Ns.dirs;
-  let leaf_keys = Hashtbl.create 16 in
-  List.iter (fun (k, _) -> Hashtbl.replace leaf_keys k ()) spec.Ns.leaves;
+  let ix = index spec in
   let t =
     {
       config = cfg;
@@ -165,6 +268,7 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
       sends;
       exhaust;
       duration = cfg.Ch.duration;
+      reach = [||];
     }
   in
   let writes =
@@ -179,11 +283,8 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
     List.mapi
       (fun index (time, origin, path, atom, target) ->
         let nacked =
-          (not (Hashtbl.mem dir_keys (path_key path)))
-          ||
-          match target with
-          | Some k -> not (Hashtbl.mem leaf_keys k)
-          | None -> false
+          (not (ix.known_dir path))
+          || match target with Some k -> not (ix.known_leaf k) | None -> false
         in
         let applies, accept, lost_in_crash = acceptance t ~origin ~time in
         let applies = if nacked then Never else applies in
@@ -240,85 +341,150 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
           { w with stamp = (lo, hi) })
       writes
   in
-  { t with writes }
+  let reach =
+    Array.map
+      (fun w -> arrivals t ~origin:w.origin ~from_:(fst w.accept))
+      writes
+  in
+  { t with writes; reach }
 
 let writes t = Array.to_list t.writes
 let applied w = w.applies <> Never && not w.nacked
 
-(* ------------------------------------------------------------------ *)
-(* May-propagation: the happens-before relation, widened across
-   anti-entropy rounds.                                                *)
-
-(* Earliest instant a pull response from [p] (holding the op since
-   [hp]) could possibly be applied at [d]: the response must be served
-   while [p] and [d] are both up and not cut from each other (loss is
-   decided at send time), and delivered while [d] is up. The pull
-   REQUEST leg and the random peer choice are ignored — that only
-   enlarges the set of possible executions, which keeps every
-   impossibility claim (and hence every error diagnostic) sound. *)
-let transfer t p d hp =
-  if hp = infinity then infinity
-  else begin
-    let lat_lo = fst t.lat in
-    let serve = ref hp in
-    let changed = ref true in
-    let guard = ref 0 in
-    while !changed && !guard < 16 do
-      changed := false;
-      incr guard;
-      (match crash_of t p with
-      | Some (s, e) when !serve >= s && !serve < e ->
-          serve := e;
-          changed := true
-      | _ -> ());
-      (match crash_of t d with
-      | Some (s, e) ->
-          if !serve >= s && !serve < e then begin
-            serve := e;
-            changed := true
-          end
-          else if !serve +. lat_lo >= s && !serve +. lat_lo < e then begin
-            serve := e -. lat_lo;
-            changed := true
-          end
-      | _ -> ());
-      match t.partition with
-      | Some (s, e)
-        when (not (same_side t p d)) && !serve >= s && !serve < e ->
-          serve := e;
-          changed := true
-      | _ -> ()
-    done;
-    !serve +. lat_lo
-  end
-
-let earliest_at t ~origin ~from_ d =
-  let n = t.config.Ch.replicas in
-  let have = Array.make n infinity in
-  have.(origin) <- from_;
-  for _hop = 1 to n do
-    for p = 0 to n - 1 do
-      for q = 0 to n - 1 do
-        if q <> p then begin
-          let a = transfer t p q have.(p) in
-          if a < have.(q) then have.(q) <- a
-        end
-      done
-    done
-  done;
-  if have.(d) <= t.duration then Some have.(d) else None
+let earliest_at t w d =
+  let a = t.reach.(w.index).(d) in
+  if a <= t.duration then Some a else None
 
 let must_concurrent t w1 w2 =
   let unordered a b =
-    match earliest_at t ~origin:a.origin ~from_:(fst a.accept) b.origin with
+    match earliest_at t a b.origin with
     | None -> true
     | Some arr -> arr > snd b.accept +. eps
   in
   w1.origin <> w2.origin && unordered w1 w2 && unordered w2 w1
 
+
 let stamps_may_tie w1 w2 =
   let l1, h1 = w1.stamp and l2, h2 = w2.stamp in
   w1.origin <> w2.origin && l1 <= h2 && l2 <= h1
+
+(* ------------------------------------------------------------------ *)
+(* The error facts: lost-update races, durability holes, cuts and
+   stale windows, each a Must/Never claim about every execution.       *)
+
+type stale = {
+  window : string;
+  bounds : float * float;
+  replica : int;
+  write : write;
+  sample : int;
+  time : float;
+  count : int;
+}
+
+type facts = {
+  races : (write * write) list;
+  holes : write list;
+  cuts : (write * int) list;
+  stales : stale list;
+}
+
+(* A [Never] verdict is forced on every Nack'd write, so [Must] implies
+   [applied]. *)
+let must_writes t = List.filter (fun w -> w.applies = Must) (writes t)
+
+let races t =
+  let rec go = function
+    | a :: rest ->
+        List.filter_map
+          (fun b ->
+            if
+              key a = key b && a.target <> b.target && must_concurrent t a b
+            then Some (a, b)
+            else None)
+          rest
+        @ go rest
+    | [] -> []
+  in
+  go (must_writes t)
+
+let cuts t =
+  let must = must_writes t in
+  List.init t.config.Ch.replicas Fun.id
+  |> List.filter_map (fun d ->
+         List.find_opt (fun w -> w.origin <> d && earliest_at t w d = None) must
+         |> Option.map (fun w -> (w, d)))
+
+(* Per fault window that closes in-run and outlasts the staleness
+   bound: the first (replica, write) pair the window isolates with a
+   sample inside it that the op provably cannot have reached. *)
+let stales ~rounds t =
+  let stale_bound = float_of_int rounds *. t.config.Ch.ae_period in
+  let must = must_writes t in
+  let replicas = List.init t.config.Ch.replicas Fun.id in
+  let windows =
+    (match (t.partition, t.sides) with
+    | Some w, Some (g1, _) ->
+        [ ("partition", w, fun o d -> List.mem o g1 <> List.mem d g1) ]
+    | _ -> [])
+    @
+    match t.crash with
+    | Some (v, s, e) -> [ ("crash", (s, e), fun o d -> o = v <> (d = v)) ]
+    | None -> []
+  in
+  List.filter_map
+    (fun (window, (s, e), isolates) ->
+      if e > t.duration -. eps || e -. s < stale_bound -. eps then None
+      else
+        List.find_map
+          (fun d ->
+            List.find_map
+              (fun w ->
+                if not (isolates w.origin d) then None
+                else
+                  let blocked tau =
+                    match earliest_at t w d with
+                    | None -> true
+                    | Some a -> a > tau +. eps
+                  in
+                  (* the latest sample inside the window that the op
+                     provably cannot have reached [d] by *)
+                  let best = ref None and count = ref 0 in
+                  Array.iteri
+                    (fun k tau ->
+                      if
+                        tau > snd w.accept +. eps
+                        && tau > s
+                        && tau < e -. eps
+                        && blocked tau
+                      then begin
+                        incr count;
+                        best := Some (k, tau)
+                      end)
+                    t.samples;
+                  Option.map
+                    (fun (sample, time) ->
+                      {
+                        window;
+                        bounds = (s, e);
+                        replica = d;
+                        write = w;
+                        sample;
+                        time;
+                        count = !count;
+                      })
+                    !best)
+              must)
+          replicas)
+    windows
+
+let facts ~rounds t =
+  {
+    races = races t;
+    holes = List.filter (fun w -> w.lost_in_crash) (writes t);
+    cuts = cuts t;
+    stales = stales ~rounds t;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Convergence verdicts.                                               *)

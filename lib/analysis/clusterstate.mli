@@ -52,7 +52,34 @@ type t = {
   sends : (float * float) array;  (** client attempt send offsets *)
   exhaust : float * float;  (** client retry-budget exhaustion offsets *)
   duration : float;
+  reach : float array array;
+      (** the arrival rows, by write index: [reach.(i).(d)] is the
+          earliest instant write [i]'s op, applied at its origin at the
+          lower acceptance bound, could be applied at replica [d] via
+          any chain of anti-entropy pulls ({!arrivals}); [infinity] when
+          no chain delivers it *)
 }
+
+(** {1 The spec index} *)
+
+val path_key : Naming.Name.t -> string
+(** The absolute (root-prepended) rendering of a spec path: the key of
+    a directory in every replica's table. *)
+
+type index = {
+  known_dir : Naming.Name.t -> bool;  (** a spec directory, or the root *)
+  known_leaf : string -> bool;  (** a spec leaf key *)
+}
+
+val index : Dsim.Nameserver.spec -> index
+(** What every replica of the spec knows: a write to an unknown
+    directory or leaf key is Nack'd on every replica. *)
+
+val split : Naming.Name.t -> (Naming.Name.t * Naming.Name.atom) option
+(** The absolute parent directory and final atom of a spec path; [None]
+    for the root. *)
+
+(** {1 Interpretation} *)
 
 val of_chaos :
   ?workload:(float * int * Dsim.Nameserver.request) list ->
@@ -70,17 +97,35 @@ val applied : write -> bool
 val key : write -> string * string
 (** The LWW key the write targets: (directory path, atom). *)
 
+val write_name : write -> Naming.Name.t
+(** The absolute name the write binds. *)
+
+val write_str : write -> string
+(** ["write #i (nsO t=T /path→key)"], as every diagnostic quotes it. *)
+
 val same_side : t -> int -> int -> bool
 (** Whether two replicas are on the same partition side (always true
     without a partition). *)
 
-val earliest_at : t -> origin:int -> from_:float -> int -> float option
-(** [earliest_at t ~origin ~from_ d]: the earliest instant an op
-    applied at [origin] at time [from_] could possibly be applied at
-    replica [d] in any execution, via any chain of anti-entropy pulls;
-    [None] when no execution delivers it within the run. [Some] answers
-    are lower bounds (over-approximated possibility); [None] is an
-    impossibility proof. *)
+val transfer : t -> int -> int -> float -> float
+(** [transfer t p d hp]: the earliest instant a pull response from [p],
+    which holds the op since [hp], could be applied at [d]. The response
+    is served only while both replicas are up and not cut from each
+    other, and delivered only while [d] is up. The pull-request leg and
+    the random peer choice are ignored, which only enlarges the set of
+    executions. *)
+
+val arrivals : t -> origin:int -> from_:float -> float array
+(** The arrival row of an op applied at [origin] at [from_]: for each
+    replica, the earliest instant any chain of [transfer] hops delivers
+    it ([infinity]: none does). Computed by relaxing every pull edge
+    until a whole round changes nothing. *)
+
+val earliest_at : t -> write -> int -> float option
+(** [earliest_at t w d]: the write's arrival at replica [d], read from
+    its row in [reach]; [None] when no execution delivers it within the
+    run. [Some] answers are lower bounds (over-approximated
+    possibility); [None] is an impossibility proof. *)
 
 val must_concurrent : t -> write -> write -> bool
 (** Provably concurrent: in no execution can either write's op have
@@ -89,6 +134,45 @@ val must_concurrent : t -> write -> write -> bool
 val stamps_may_tie : write -> write -> bool
 (** The two stamp intervals overlap across distinct origins, so the
     LWW winner may be decided only by the origin-id tiebreak. *)
+
+(** {1 The error facts}
+
+    Each is a Must/Never claim about every execution of the schedule,
+    so a chaos replay of it must exhibit the failure. [check-cluster]
+    renders them as NG201-NG204; the explorer ranks candidate schedules
+    by them. *)
+
+type stale = {
+  window : string;  (** ["partition"] or ["crash"] *)
+  bounds : float * float;  (** the fault window *)
+  replica : int;  (** the provably stale replica *)
+  write : write;  (** the update it cannot have seen *)
+  sample : int;  (** index of the latest blocked sample *)
+  time : float;  (** its sample instant *)
+  count : int;  (** blocked samples inside the window *)
+}
+
+type facts = {
+  races : (write * write) list;
+      (** [Must]/[Must] pairs updating one key to different targets
+          that are {!must_concurrent}, in workload order [(i, j)] with
+          [i < j] *)
+  holes : write list;
+      (** writes whose every retransmission lands inside the home
+          replica's crash window ([lost_in_crash]) *)
+  cuts : (write * int) list;
+      (** per replica, in id order: the first [Must] write that can
+          never reach it *)
+  stales : stale list;
+      (** per partition or crash window that closes in-run and lasts
+          at least the staleness bound: the first isolated (replica,
+          write) pair, in replica then workload order, with a sample
+          inside the window the op provably cannot have reached the
+          replica by *)
+}
+
+val facts : rounds:int -> t -> facts
+(** [rounds] is the staleness bound in anti-entropy periods. *)
 
 val reconverge_provable : ?rounds:int -> t -> bool
 (** Whether reconvergence is provable within [rounds] (default 2)

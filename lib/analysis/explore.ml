@@ -77,19 +77,11 @@ let claim_holds claim (r : Ch.result) =
           | Some s -> not s.Ch.converged
           | None -> false))
 
-type stale = {
-  replica : int;
-  write : Cs.write;
-  sample : int;
-  time : float;
-  count : int;
-}
-
 type found =
   | Race of Cs.write * Cs.write
   | Hole of Cs.write
   | Cut of Cs.write * int
-  | Stale of stale
+  | Stale of Cs.stale
 
 type witness = {
   code : string;
@@ -138,22 +130,15 @@ let candidate_config c cand : Ch.config =
    directory and final atom, kept only when the parent is a known
    directory (otherwise every replica Nacks the write statically). *)
 let sites_of (spec : Ns.spec) =
-  let key p = N.to_string (N.prepend_root p) in
-  let dirs = Hashtbl.create 16 in
-  Hashtbl.replace dirs (key (N.singleton N.root_atom)) ();
-  List.iter (fun d -> Hashtbl.replace dirs (key d) ()) spec.Ns.dirs;
-  let leaves = Hashtbl.create 16 in
-  List.iter (fun (k, _) -> Hashtbl.replace leaves k ()) spec.Ns.leaves;
-  spec.Ns.links
-  |> List.filter_map (fun (path, k) ->
-         if not (Hashtbl.mem leaves k) then None
-         else
-           match List.rev (N.atoms (N.prepend_root path)) with
-           | last :: (_ :: _ as rev_parent) ->
-               let parent = N.of_atoms (List.rev rev_parent) in
-               if Hashtbl.mem dirs (key parent) then Some (parent, last)
-               else None
-           | _ -> None)
+  let ix = Cs.index spec in
+  List.filter_map
+    (fun (path, k) ->
+      if not (ix.Cs.known_leaf k) then None
+      else
+        match Cs.split path with
+        | Some (parent, last) when ix.Cs.known_dir parent -> Some (parent, last)
+        | _ -> None)
+    spec.Ns.links
 
 (* Two distinguishable targets are enough to race a site; with a single
    leaf key the adversary races a bind against an unbind. *)
@@ -276,144 +261,15 @@ let candidates c (sites : (N.t * N.atom) list) targets =
     (Seq.init c.max_writes (fun i -> i + 1))
 
 (* ------------------------------------------------------------------ *)
-(* Static evaluation: the NG2xx criteria of [Replpasses], verbatim, so
-   every fact inherits the replay-soundness of the abstract
+(* Static evaluation: the NG2xx error facts of [Clusterstate], so every
+   finding inherits the replay-soundness of the abstract
    interpretation.                                                     *)
 
-let eps = Bounds.eps
+let facts c spec cand =
+  Cs.facts ~rounds:c.rounds
+    (Cs.of_chaos ~workload:cand.cwrites (candidate_config c cand) spec)
 
-let interpret c spec cand =
-  Cs.of_chaos ~workload:cand.cwrites (candidate_config c cand) spec
-
-let race_of (st : Cs.t) =
-  let ws = Array.of_list (Cs.writes st) in
-  let n = Array.length ws in
-  let found = ref None in
-  (try
-     for i = 0 to n - 1 do
-       for j = i + 1 to n - 1 do
-         let a = ws.(i) and b = ws.(j) in
-         if
-           a.Cs.applies = Cs.Must
-           && b.Cs.applies = Cs.Must
-           && Cs.applied a && Cs.applied b
-           && Cs.key a = Cs.key b
-           && a.Cs.target <> b.Cs.target
-           && Cs.must_concurrent st a b
-         then begin
-           found := Some (a, b);
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  !found
-
-let hole_of (st : Cs.t) =
-  if st.Cs.crash = None then None
-  else List.find_opt (fun w -> w.Cs.lost_in_crash) (Cs.writes st)
-
-let cut_of (st : Cs.t) =
-  let must =
-    List.filter
-      (fun w -> w.Cs.applies = Cs.Must && Cs.applied w)
-      (Cs.writes st)
-  in
-  let rec go d =
-    if d >= st.Cs.config.Ch.replicas then None
-    else
-      match
-        List.find_opt
-          (fun (w : Cs.write) ->
-            w.Cs.origin <> d
-            && Cs.earliest_at st ~origin:w.Cs.origin ~from_:(fst w.Cs.accept)
-                 d
-               = None)
-          must
-      with
-      | Some w -> Some (w, d)
-      | None -> go (d + 1)
-  in
-  go 0
-
-let stale_facts ~rounds (st : Cs.t) =
-  let cfg = st.Cs.config in
-  let stale_bound = float_of_int rounds *. cfg.Ch.ae_period in
-  let must =
-    List.filter
-      (fun w -> w.Cs.applies = Cs.Must && Cs.applied w)
-      (Cs.writes st)
-  in
-  let replicas = List.init cfg.Ch.replicas (fun i -> i) in
-  let windows =
-    (match (st.Cs.partition, st.Cs.sides) with
-    | Some w, Some (g1, _) ->
-        [ (w, fun o d -> List.mem o g1 <> List.mem d g1) ]
-    | _ -> [])
-    @
-    match st.Cs.crash with
-    | Some (v, s, e) -> [ ((s, e), fun o d -> o = v <> (d = v)) ]
-    | None -> []
-  in
-  List.filter_map
-    (fun ((s, e), isolates) ->
-      if e > st.Cs.duration -. eps || e -. s < stale_bound -. eps then None
-      else
-        List.find_map
-          (fun d ->
-            List.find_map
-              (fun (w : Cs.write) ->
-                if not (isolates w.Cs.origin d) then None
-                else
-                  let arr =
-                    Cs.earliest_at st ~origin:w.Cs.origin
-                      ~from_:(fst w.Cs.accept) d
-                  in
-                  let blocked tau =
-                    match arr with None -> true | Some a -> a > tau +. eps
-                  in
-                  let best = ref None and count = ref 0 in
-                  Array.iteri
-                    (fun k tau ->
-                      if
-                        tau > snd w.Cs.accept +. eps
-                        && tau > s
-                        && tau < e -. eps
-                        && blocked tau
-                      then begin
-                        incr count;
-                        best := Some (k, tau)
-                      end)
-                    st.Cs.samples;
-                  Option.map
-                    (fun (k, tau) ->
-                      {
-                        replica = d;
-                        write = w;
-                        sample = k;
-                        time = tau;
-                        count = !count;
-                      })
-                    !best)
-              must)
-          replicas)
-    windows
-
-type evaluation = {
-  race : (Cs.write * Cs.write) option;
-  hole : Cs.write option;
-  cut : (Cs.write * int) option;
-  stales : stale list;
-}
-
-let evaluate c spec cand =
-  let st = interpret c spec cand in
-  {
-    race = race_of st;
-    hole = hole_of st;
-    cut = cut_of st;
-    stales = stale_facts ~rounds:c.rounds st;
-  }
+let head = function x :: _ -> Some x | [] -> None
 
 (* ------------------------------------------------------------------ *)
 (* Witness minimization: greedy delta-debugging against the STATIC
@@ -421,13 +277,12 @@ let evaluate c spec cand =
    final minimized schedule.                                           *)
 
 let claim_static c spec claim cand =
-  let st = interpret c spec cand in
+  let f = facts c spec cand in
   match claim with
-  | Lost_update -> race_of st <> None
-  | Lost_client_write -> hole_of st <> None
-  | Unreachable -> cut_of st <> None
-  | Stale_at k ->
-      List.exists (fun s -> s.sample = k) (stale_facts ~rounds:c.rounds st)
+  | Lost_update -> f.Cs.races <> []
+  | Lost_client_write -> f.Cs.holes <> []
+  | Unreachable -> f.Cs.cuts <> []
+  | Stale_at k -> List.exists (fun s -> s.Cs.sample = k) f.Cs.stales
 
 let minimize c spec claim cand =
   let trials = ref 0 in
@@ -526,23 +381,26 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
       List.fold_left (fun acc (_, _, s) -> acc + s) 0 drawn
     in
     let cands = List.map (fun (cand, _, _) -> cand) drawn in
-    let evaluated = batched ?jobs (fun cand -> (cand, evaluate c spec cand)) cands in
+    let evaluated =
+      batched ?jobs (fun cand -> (cand, facts c spec cand)) cands
+    in
     (* Frontier: the first candidate exhibiting each claim kind; for
        staleness the blocked-sample maximizing one (earliest on ties). *)
     let first pick =
       List.find_map
-        (fun (cand, ev) -> Option.map (fun x -> (cand, x)) (pick ev))
+        (fun (cand, f) -> Option.map (fun x -> (cand, x)) (head (pick f)))
         evaluated
     in
     let best_stale =
       List.fold_left
-        (fun acc (cand, ev) ->
+        (fun acc (cand, f) ->
           List.fold_left
-            (fun acc (s : stale) ->
+            (fun acc (s : Cs.stale) ->
               match acc with
-              | Some (_, best) when best.count >= s.count -> acc
+              | Some (_, (best : Cs.stale)) when best.Cs.count >= s.Cs.count ->
+                  acc
               | _ -> Some (cand, s))
-            acc ev.stales)
+            acc f.Cs.stales)
         None evaluated
     in
     let interpreted = ref (List.length cands) in
@@ -555,9 +413,8 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
         { Ch.config = candidate_config c cand; writes = cand.cwrites }
       in
       let mcand, trials = minimize c spec claim cand in
-      let st = interpret c spec mcand in
       interpreted := !interpreted + trials + 1;
-      match found_of st with
+      match found_of (facts c spec mcand) with
       | None -> None
       | Some found ->
           let schedule =
@@ -582,31 +439,34 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
       List.filter_map
         (fun w -> w)
         [
-          Option.bind (first (fun ev -> ev.race)) (fun hit ->
+          Option.bind (first (fun f -> f.Cs.races)) (fun hit ->
               witness Lost_update
-                (fun st -> Option.map (fun (a, b) -> Race (a, b)) (race_of st))
+                (fun f ->
+                  Option.map (fun (a, b) -> Race (a, b)) (head f.Cs.races))
                 hit);
-          Option.bind (first (fun ev -> ev.hole)) (fun hit ->
+          Option.bind (first (fun f -> f.Cs.holes)) (fun hit ->
               witness Lost_client_write
-                (fun st -> Option.map (fun w -> Hole w) (hole_of st))
+                (fun f -> Option.map (fun w -> Hole w) (head f.Cs.holes))
                 hit);
-          Option.bind (first (fun ev -> ev.cut)) (fun hit ->
+          Option.bind (first (fun f -> f.Cs.cuts)) (fun hit ->
               witness Unreachable
-                (fun st -> Option.map (fun (w, d) -> Cut (w, d)) (cut_of st))
+                (fun f ->
+                  Option.map (fun (w, d) -> Cut (w, d)) (head f.Cs.cuts))
                 hit);
-          Option.bind best_stale (fun (cand, s) ->
-              witness (Stale_at s.sample)
-                (fun st ->
-                  stale_facts ~rounds:c.rounds st
-                  |> List.filter (fun (x : stale) -> x.sample = s.sample)
+          Option.bind best_stale (fun (cand, (s : Cs.stale)) ->
+              witness (Stale_at s.Cs.sample)
+                (fun f ->
+                  f.Cs.stales
+                  |> List.filter (fun (x : Cs.stale) ->
+                         x.Cs.sample = s.Cs.sample)
                   |> function
                   | [] -> None
                   | x :: rest ->
                       Some
                         (Stale
                            (List.fold_left
-                              (fun best (y : stale) ->
-                                if y.count > best.count then y else best)
+                              (fun (best : Cs.stale) (y : Cs.stale) ->
+                                if y.Cs.count > best.Cs.count then y else best)
                               x rest)))
                 (cand, s));
         ]

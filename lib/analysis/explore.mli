@@ -57,14 +57,6 @@ val claim_holds : claim -> Dsim.Chaos.result -> bool
     frontier is discharged by its own replay and only convergence/
     staleness defeats survive. *)
 
-type stale = {
-  replica : int;  (** the provably stale replica *)
-  write : Clusterstate.write;  (** the update it cannot have seen *)
-  sample : int;  (** index of the latest blocked sample *)
-  time : float;  (** its sample instant *)
-  count : int;  (** blocked samples inside the window *)
-}
-
 (** The static fact backing a witness, in terms of the minimized
     schedule's writes. *)
 type found =
@@ -74,7 +66,8 @@ type found =
       (** every retransmission lands in the crash window *)
   | Cut of Clusterstate.write * int
       (** the write can never reach the replica *)
-  | Stale of stale
+  | Stale of Clusterstate.stale
+      (** the blocked-sample-maximizing stale window *)
 
 type witness = {
   code : string;  (** NG301, NG302 or NG303 *)

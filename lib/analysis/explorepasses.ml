@@ -7,21 +7,13 @@ module Ex = Explore
 module Cs = Clusterstate
 module Ch = Dsim.Chaos
 module Ns = Dsim.Nameserver
-module N = Naming.Name
 
 type subject = { config : Ex.config; spec : Ns.spec }
 
 let subject ?(config = Ex.default) spec = { config; spec }
 let diag = Diagnostic.make
-let write_name (w : Cs.write) = N.snoc w.Cs.path w.Cs.atom
-
-let write_str (w : Cs.write) =
-  Printf.sprintf "write #%d (ns%d t=%.1f %s%s)" w.Cs.index w.Cs.origin
-    w.Cs.time
-    (N.to_string (write_name w))
-    (match w.Cs.target with
-    | Some k -> Printf.sprintf "→%s" k
-    | None -> "→unbind")
+let write_name = Cs.write_name
+let write_str = Cs.write_str
 
 let sched_str (s : Ch.schedule) =
   let cfg = s.Ch.config in
@@ -78,15 +70,15 @@ let witness_diag (w : Ex.witness) =
            w.Ex.shrink_trials)
   | Ex.Stale s ->
       diag ~code:"NG303" ~severity:Diagnostic.Warning
-        ~pass:"explore-staleness" ~name:(write_name s.Ex.write)
-        ~loc:s.Ex.sample
+        ~pass:"explore-staleness" ~name:(write_name s.Cs.write)
+        ~loc:s.Cs.sample
         (Printf.sprintf
            "staleness-maximizing schedule (%s): ns%d provably serves stale \
             reads for %d consecutive samples — %s cannot reach it before \
             sample #%d at t=%.1f; replay confirms the sample diverged \
             (minimized in %d trials)"
-           (sched_str w.Ex.schedule) s.Ex.replica s.Ex.count
-           (write_str s.Ex.write) s.Ex.sample s.Ex.time w.Ex.shrink_trials)
+           (sched_str w.Ex.schedule) s.Cs.replica s.Cs.count
+           (write_str s.Cs.write) s.Cs.sample s.Cs.time w.Ex.shrink_trials)
 
 let diagnostics ?jobs subject =
   let outcome = Ex.run ?jobs ~config:subject.config subject.spec in

@@ -26,68 +26,55 @@ let subject ?workload config spec =
 
 let diag = Diagnostic.make
 
-let write_name (w : Cs.write) = N.snoc w.Cs.path w.Cs.atom
-
-let write_str (w : Cs.write) =
-  Printf.sprintf "write #%d (ns%d t=%.1f %s%s)" w.Cs.index w.Cs.origin
-    w.Cs.time
-    (N.to_string (write_name w))
-    (match w.Cs.target with
-    | Some k -> Printf.sprintf "→%s" k
-    | None -> "→unbind")
-
+let write_name = Cs.write_name
+let write_str = Cs.write_str
 let window_str = Bounds.window_str
 
 (* ------------------------------------------------------------------ *)
 (* cluster-spec: NG207 — groups that can never satisfy §5 equivalence. *)
 
-let path_key p = N.to_string (N.prepend_root p)
-
-let parent_key p =
-  match List.rev (N.atoms (N.prepend_root p)) with
-  | _ :: (_ :: _ as rev_parent) -> path_key (N.of_atoms (List.rev rev_parent))
-  | _ -> path_key (N.singleton N.root_atom)
-
 let spec_pass (spec : Ns.spec) =
   let pass = "cluster-spec" in
-  let dirs = Hashtbl.create 16 in
-  Hashtbl.replace dirs (path_key (N.singleton N.root_atom)) ();
-  List.iter (fun d -> Hashtbl.replace dirs (path_key d) ()) spec.Ns.dirs;
-  let leaves = Hashtbl.create 16 in
-  List.iter (fun (k, _) -> Hashtbl.replace leaves k ()) spec.Ns.leaves;
+  let ix = Cs.index spec in
+  let parent p =
+    match Cs.split p with
+    | Some (dir, _) -> dir
+    | None -> N.singleton N.root_atom
+  in
   let orphan what p =
     diag ~code:"NG207" ~severity:Diagnostic.Warning ~pass ~name:p
       (Printf.sprintf
          "%s %s is orphaned: parent %s is not in the spec, so the binding \
           is silently dropped on every replica and the mirror group can \
           never satisfy §5 equivalence"
-         what (path_key p) (parent_key p))
+         what (Cs.path_key p)
+         (Cs.path_key (parent p)))
   in
   List.concat
     [
       List.filter_map
         (fun d ->
-          if Hashtbl.mem dirs (parent_key d) then None
+          if ix.Cs.known_dir (parent d) then None
           else Some (orphan "directory" d))
         spec.Ns.dirs;
       List.filter_map
         (fun (p, k) ->
-          if not (Hashtbl.mem dirs (parent_key p)) then
+          if not (ix.Cs.known_dir (parent p)) then
             Some (orphan "link" p)
-          else if not (Hashtbl.mem leaves k) then
+          else if not (ix.Cs.known_leaf k) then
             Some
               (diag ~code:"NG207" ~severity:Diagnostic.Warning ~pass ~name:p
                  (Printf.sprintf
                     "link %s refers to unknown leaf key %S: the binding is \
                      silently dropped on every replica"
-                    (path_key p) k))
-          else if Hashtbl.mem dirs (path_key p) then
+                    (Cs.path_key p) k))
+          else if ix.Cs.known_dir p then
             Some
               (diag ~code:"NG207" ~severity:Diagnostic.Warning ~pass ~name:p
                  (Printf.sprintf
                     "link %s shadows the mirror directory of the same path: \
                      the replica group can never satisfy §5 equivalence"
-                    (path_key p)))
+                    (Cs.path_key p)))
           else None)
         spec.Ns.links;
     ]
@@ -95,33 +82,20 @@ let spec_pass (spec : Ns.spec) =
 (* ------------------------------------------------------------------ *)
 (* cluster-races: NG201 (must-concurrent LWW losses), NG205 (ties).    *)
 
-let races_pass (st : Cs.t) =
+let races_pass (st : Cs.t) (facts : Cs.facts) =
   let pass = "cluster-races" in
-  let ws = Array.of_list (Cs.writes st) in
-  let n = Array.length ws in
-  let ng201 = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = ws.(i) and b = ws.(j) in
-      if
-        a.Cs.applies = Cs.Must && b.Cs.applies = Cs.Must
-        && Cs.applied a && Cs.applied b
-        && Cs.key a = Cs.key b
-        && a.Cs.target <> b.Cs.target
-        && Cs.must_concurrent st a b
-      then
-        ng201 :=
-          diag ~code:"NG201" ~severity:Diagnostic.Error ~pass
-            ~name:(write_name b) ~loc:b.Cs.index
-            (Printf.sprintf
-               "%s and %s are provably concurrent updates of one name: \
-                neither op can reach the other's replica before both are \
-                accepted, so last-writer-wins silently discards one of \
-                them"
-               (write_str a) (write_str b))
-          :: !ng201
-    done
-  done;
+  let ng201 =
+    List.map
+      (fun (a, b) ->
+        diag ~code:"NG201" ~severity:Diagnostic.Error ~pass
+          ~name:(write_name b) ~loc:b.Cs.index
+          (Printf.sprintf
+             "%s and %s are provably concurrent updates of one name: \
+              neither op can reach the other's replica before both are \
+              accepted, so last-writer-wins silently discards one of them"
+             (write_str a) (write_str b)))
+      facts.Cs.races
+  in
   (* One NG205 per site with a possible stamp tie: the pair's witness
      intervals show the winner hangs on the origin-id tiebreak. *)
   let sites = Hashtbl.create 16 in
@@ -130,7 +104,7 @@ let races_pass (st : Cs.t) =
       if Cs.applied w then
         Hashtbl.replace sites (Cs.key w)
           (w :: (try Hashtbl.find sites (Cs.key w) with Not_found -> [])))
-    ws;
+    st.Cs.writes;
   let ng205 =
     Hashtbl.fold (fun k ws acc -> (k, List.rev ws) :: acc) sites []
     |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
@@ -156,132 +130,64 @@ let races_pass (st : Cs.t) =
                        (snd a.Cs.stamp) (write_str b) (fst b.Cs.stamp)
                        (snd b.Cs.stamp))))
   in
-  List.rev !ng201 @ ng205
+  ng201 @ ng205
 
 (* ------------------------------------------------------------------ *)
 (* cluster-topology: NG202 (provable non-convergence), NG203           *)
 (* (staleness bound exceeded over a whole fault window).               *)
 
-let eps = Bounds.eps
-
-let topology_pass ~rounds (st : Cs.t) =
+let topology_pass ~rounds (facts : Cs.facts) =
   let pass = "cluster-topology" in
-  let cfg = st.Cs.config in
-  let must_writes =
-    List.filter (fun w -> w.Cs.applies = Cs.Must && Cs.applied w)
-      (Cs.writes st)
-  in
-  let ng202 = ref [] in
-  for d = 0 to cfg.Ch.replicas - 1 do
-    match
-      List.find_opt
-        (fun (w : Cs.write) ->
-          w.Cs.origin <> d
-          && Cs.earliest_at st ~origin:w.Cs.origin ~from_:(fst w.Cs.accept) d
-             = None)
-        must_writes
-    with
-    | Some w ->
-        ng202 :=
-          diag ~code:"NG202" ~severity:Diagnostic.Error ~pass
-            ~name:(write_name w) ~loc:w.Cs.index
-            (Printf.sprintf
-               "%s can never reach ns%d within the run: the anti-entropy \
-                pull graph is not strongly connected over the schedule, \
-                so the replicas provably fail to reconverge"
-               (write_str w) d)
-          :: !ng202
-    | None -> ()
-  done;
-  let stale_bound = float_of_int rounds *. cfg.Ch.ae_period in
-  let replicas = List.init cfg.Ch.replicas (fun i -> i) in
-  let windows =
-    (match (st.Cs.partition, st.Cs.sides) with
-    | Some w, Some (g1, _) ->
-        [ ("partition", w, fun o d -> List.mem o g1 <> List.mem d g1) ]
-    | _ -> [])
-    @
-    match st.Cs.crash with
-    | Some (v, s, e) -> [ ("crash", (s, e), fun o d -> o = v <> (d = v)) ]
-    | None -> []
+  let ng202 =
+    List.map
+      (fun ((w : Cs.write), d) ->
+        diag ~code:"NG202" ~severity:Diagnostic.Error ~pass
+          ~name:(write_name w) ~loc:w.Cs.index
+          (Printf.sprintf
+             "%s can never reach ns%d within the run: the anti-entropy pull \
+              graph is not strongly connected over the schedule, so the \
+              replicas provably fail to reconverge"
+             (write_str w) d))
+      facts.Cs.cuts
   in
   let ng203 =
-    List.filter_map
-      (fun (label, (s, e), isolates) ->
-        if e > st.Cs.duration -. eps || e -. s < stale_bound -. eps then None
-        else
-          let witness =
-            List.find_map
-              (fun d ->
-                List.find_map
-                  (fun (w : Cs.write) ->
-                    if not (isolates w.Cs.origin d) then None
-                    else
-                      let arr =
-                        Cs.earliest_at st ~origin:w.Cs.origin
-                          ~from_:(fst w.Cs.accept) d
-                      in
-                      let blocked tau =
-                        match arr with
-                        | None -> true
-                        | Some a -> a > tau +. eps
-                      in
-                      (* the latest sample inside the window that the
-                         op provably cannot have reached [d] by *)
-                      let best = ref None in
-                      Array.iteri
-                        (fun k tau ->
-                          if
-                            tau > snd w.Cs.accept +. eps
-                            && tau > s && tau < e -. eps
-                            && blocked tau
-                          then best := Some (k, tau))
-                        st.Cs.samples;
-                      Option.map (fun (k, tau) -> (d, w, k, tau)) !best)
-                  must_writes)
-              replicas
-          in
-          Option.map
-            (fun (d, w, k, tau) ->
-              diag ~code:"NG203" ~severity:Diagnostic.Error ~pass
-                ~name:(write_name w) ~loc:k
-                (Printf.sprintf
-                   "ns%d is provably stale beyond the staleness bound (%d \
-                    anti-entropy rounds) for the whole %s window %s: %s \
-                    cannot reach it before sample #%d at t=%.1f"
-                   d rounds label
-                   (window_str (s, e))
-                   (write_str w) k tau))
-            witness)
-      windows
+    List.map
+      (fun (s : Cs.stale) ->
+        diag ~code:"NG203" ~severity:Diagnostic.Error ~pass
+          ~name:(write_name s.Cs.write) ~loc:s.Cs.sample
+          (Printf.sprintf
+             "ns%d is provably stale beyond the staleness bound (%d \
+              anti-entropy rounds) for the whole %s window %s: %s cannot \
+              reach it before sample #%d at t=%.1f"
+             s.Cs.replica rounds s.Cs.window
+             (window_str s.Cs.bounds)
+             (write_str s.Cs.write) s.Cs.sample s.Cs.time))
+      facts.Cs.stales
   in
-  List.rev !ng202 @ ng203
+  ng202 @ ng203
 
 (* ------------------------------------------------------------------ *)
 (* cluster-durability: NG204 (crash-window holes), NG206 (dedup).      *)
 
-let durability_pass (st : Cs.t) =
+let durability_pass (st : Cs.t) (facts : Cs.facts) =
   let pass = "cluster-durability" in
   let cfg = st.Cs.config in
   let ng204 =
-    List.filter_map
-      (fun (w : Cs.write) ->
-        if not w.Cs.lost_in_crash then None
-        else
-          match st.Cs.crash with
-          | None -> None
-          | Some (v, s, e) ->
-              Some
-                (diag ~code:"NG204" ~severity:Diagnostic.Error ~pass
-                   ~name:(write_name w) ~loc:w.Cs.index
-                   (Printf.sprintf
-                      "%s is a durability hole: every retransmission lands \
-                       inside ns%d's crash window %s, no surviving replica \
-                       ever holds the update and the client's retry budget \
-                       provably exhausts"
-                      (write_str w) v
-                      (window_str (s, e)))))
-      (Cs.writes st)
+    match st.Cs.crash with
+    | None -> []
+    | Some (v, s, e) ->
+        List.map
+          (fun (w : Cs.write) ->
+            diag ~code:"NG204" ~severity:Diagnostic.Error ~pass
+              ~name:(write_name w) ~loc:w.Cs.index
+              (Printf.sprintf
+                 "%s is a durability hole: every retransmission lands \
+                  inside ns%d's crash window %s, no surviving replica ever \
+                  holds the update and the client's retry budget provably \
+                  exhausts"
+                 (write_str w) v
+                 (window_str (s, e))))
+          facts.Cs.holes
   in
   let ng206 =
     match cfg.Ch.dedup_window with
@@ -430,9 +336,10 @@ let diagnostics ?(rounds = 2) subject =
          availability cost of that coherence — the NG209/NG210 pass. *)
       (st, spec_diags @ availability_pass st)
   | `Lww_ae ->
-      let races = races_pass st in
-      let topo = topology_pass ~rounds st in
-      let dura = durability_pass st in
+      let facts = Cs.facts ~rounds st in
+      let races = races_pass st facts in
+      let topo = topology_pass ~rounds facts in
+      let dura = durability_pass st facts in
       let errors =
         List.exists
           (fun d -> d.Diagnostic.severity = Diagnostic.Error)

@@ -17,6 +17,6 @@ type outcome = {
 }
 
 val measure : unit -> outcome list
-(** Pure measurement used by both {!run} and the benchmarks. *)
+(** Pure measurement behind {!run}; the test suite checks it directly. *)
 
 val run : Format.formatter -> unit

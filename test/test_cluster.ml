@@ -230,12 +230,13 @@ let spec =
 
 let probes = spec.Ns.dirs @ List.map fst spec.Ns.links
 
-(* A deterministic schedule drawn from the seed: replicas 2-4, half the
-   schedules loss-free (the only ones that can prove Must facts), fault
-   windows that may or may not heal in-run, a modest write load. *)
-let config_of_seed seed =
+(* A deterministic schedule drawn from the seed: replicas 2 to
+   [max_replicas] (default 4), half the schedules loss-free (the only
+   ones that can prove Must facts), fault windows that may or may not
+   heal in-run, a modest write load. *)
+let config_of_seed ?(max_replicas = 4) seed =
   let rng = Rng.create (Int64.of_int ((seed * 7919) + 17)) in
-  let replicas = 2 + Rng.int rng 3 in
+  let replicas = 2 + Rng.int rng (max_replicas - 1) in
   let drop = if Rng.bool rng 0.5 then 0.0 else 0.01 +. Rng.float rng 0.08 in
   let partition_for = Rng.pick rng [ 0.0; 0.0; 10.0; 20.0; 1000.0 ] in
   let crash_for = Rng.pick rng [ 0.0; 0.0; 10.0; 20.0 ] in
@@ -303,6 +304,53 @@ let prop_errors_replay_witnessed =
           seed;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* The arrival rows against their reference: the n-round Bellman-Ford
+   the rows replaced, every pull edge relaxed n times with no early
+   exit. The rows stop at the first round that changes nothing. *)
+
+let bellman_ford (st : Cs.t) ~origin ~from_ =
+  let n = st.Cs.config.Ch.replicas in
+  let have = Array.make n infinity in
+  have.(origin) <- from_;
+  for _hop = 1 to n do
+    for p = 0 to n - 1 do
+      for q = 0 to n - 1 do
+        if q <> p then begin
+          let a = Cs.transfer st p q have.(p) in
+          if a < have.(q) then have.(q) <- a
+        end
+      done
+    done
+  done;
+  have
+
+let prop_rows_match_bellman_ford =
+  QCheck.Test.make ~name:"arrival rows equal the n-round Bellman-Ford"
+    ~count:150 QCheck.small_nat (fun seed ->
+      let config = config_of_seed ~max_replicas:12 seed in
+      let st = Cs.of_chaos config spec in
+      let row_str r =
+        String.concat "; " (Array.to_list (Array.map string_of_float r))
+      in
+      let agree ~origin ~from_ got =
+        let want = bellman_ford st ~origin ~from_ in
+        if got <> want then
+          QCheck.Test.fail_reportf
+            "seed %d (%d replicas): from ns%d at %g got [%s], want [%s]" seed
+            config.Ch.replicas origin from_ (row_str got) (row_str want)
+      in
+      Array.iter
+        (fun (w : Cs.write) ->
+          let from_ = fst w.Cs.accept in
+          agree ~origin:w.Cs.origin ~from_ st.Cs.reach.(w.Cs.index);
+          (* the same instant from every other replica *)
+          for origin = 0 to config.Ch.replicas - 1 do
+            agree ~origin ~from_ (Cs.arrivals st ~origin ~from_)
+          done)
+        st.Cs.writes;
+      true)
+
 let suite =
   [
     Alcotest.test_case "broken cluster codes" `Quick test_broken_codes;
@@ -314,4 +362,5 @@ let suite =
     Alcotest.test_case "mode gating of passes" `Quick test_mode_gating;
     Alcotest.test_case "jobs parity across analyzers" `Quick test_jobs_parity;
     QCheck_alcotest.to_alcotest prop_errors_replay_witnessed;
+    QCheck_alcotest.to_alcotest prop_rows_match_bellman_ford;
   ]
