@@ -12,8 +12,6 @@ type subject = { config : Ex.config; spec : Ns.spec }
 
 let subject ?(config = Ex.default) spec = { config; spec }
 let diag = Diagnostic.make
-let write_name = Cs.write_name
-let write_str = Cs.write_str
 
 let sched_str (s : Ch.schedule) =
   let cfg = s.Ch.config in
@@ -40,37 +38,37 @@ let witness_diag (w : Ex.witness) =
   match w.Ex.found with
   | Ex.Race (a, b) ->
       diag ~code:"NG301" ~severity:Diagnostic.Error ~pass:"explore-loss"
-        ~name:(write_name b) ~loc:b.Cs.index
+        ~name:(Cs.write_name b) ~loc:b.Cs.index
         (Printf.sprintf
            "synthesized schedule (%s) provably loses a write: %s and %s are \
             concurrent updates of one name that no execution can order, so \
             last-writer-wins discards one; replay confirms (%d LWW losses, \
             converged: %b; minimized in %d trials)"
-           (sched_str w.Ex.schedule) (write_str a) (write_str b)
+           (sched_str w.Ex.schedule) (Cs.write_str a) (Cs.write_str b)
            r.Ch.ns.Ns.lww_losses r.Ch.converged w.Ex.shrink_trials)
   | Ex.Hole hw ->
       diag ~code:"NG301" ~severity:Diagnostic.Error ~pass:"explore-loss"
-        ~name:(write_name hw) ~loc:hw.Cs.index
+        ~name:(Cs.write_name hw) ~loc:hw.Cs.index
         (Printf.sprintf
            "synthesized schedule (%s) provably loses a write: every \
             retransmission of %s lands inside the crash window and the \
             retry budget exhausts in-run; replay confirms (%d writes lost; \
             minimized in %d trials)"
-           (sched_str w.Ex.schedule) (write_str hw) r.Ch.writes_lost
+           (sched_str w.Ex.schedule) (Cs.write_str hw) r.Ch.writes_lost
            w.Ex.shrink_trials)
   | Ex.Cut (cw, d) ->
       diag ~code:"NG302" ~severity:Diagnostic.Error
-        ~pass:"explore-convergence" ~name:(write_name cw) ~loc:cw.Cs.index
+        ~pass:"explore-convergence" ~name:(Cs.write_name cw) ~loc:cw.Cs.index
         (Printf.sprintf
            "synthesized schedule (%s) defeats convergence within the bound: \
             %s can never reach ns%d, so the replicas provably fail to \
             reconverge; replay confirms (converged: %b; minimized in %d \
             trials)"
-           (sched_str w.Ex.schedule) (write_str cw) d r.Ch.converged
+           (sched_str w.Ex.schedule) (Cs.write_str cw) d r.Ch.converged
            w.Ex.shrink_trials)
   | Ex.Stale s ->
       diag ~code:"NG303" ~severity:Diagnostic.Warning
-        ~pass:"explore-staleness" ~name:(write_name s.Cs.write)
+        ~pass:"explore-staleness" ~name:(Cs.write_name s.Cs.write)
         ~loc:s.Cs.sample
         (Printf.sprintf
            "staleness-maximizing schedule (%s): ns%d provably serves stale \
@@ -78,7 +76,7 @@ let witness_diag (w : Ex.witness) =
             sample #%d at t=%.1f; replay confirms the sample diverged \
             (minimized in %d trials)"
            (sched_str w.Ex.schedule) s.Cs.replica s.Cs.count
-           (write_str s.Cs.write) s.Cs.sample s.Cs.time w.Ex.shrink_trials)
+           (Cs.write_str s.Cs.write) s.Cs.sample s.Cs.time w.Ex.shrink_trials)
 
 let diagnostics ?jobs subject =
   let outcome = Ex.run ?jobs ~config:subject.config subject.spec in

@@ -26,8 +26,6 @@ let subject ?workload config spec =
 
 let diag = Diagnostic.make
 
-let write_name = Cs.write_name
-let write_str = Cs.write_str
 let window_str = Bounds.window_str
 
 (* ------------------------------------------------------------------ *)
@@ -88,12 +86,12 @@ let races_pass (st : Cs.t) (facts : Cs.facts) =
     List.map
       (fun (a, b) ->
         diag ~code:"NG201" ~severity:Diagnostic.Error ~pass
-          ~name:(write_name b) ~loc:b.Cs.index
+          ~name:(Cs.write_name b) ~loc:b.Cs.index
           (Printf.sprintf
              "%s and %s are provably concurrent updates of one name: \
               neither op can reach the other's replica before both are \
               accepted, so last-writer-wins silently discards one of them"
-             (write_str a) (write_str b)))
+             (Cs.write_str a) (Cs.write_str b)))
       facts.Cs.races
   in
   (* One NG205 per site with a possible stamp tie: the pair's witness
@@ -121,13 +119,13 @@ let races_pass (st : Cs.t) (facts : Cs.facts) =
            | Some (a, b) ->
                Some
                  (diag ~code:"NG205" ~severity:Diagnostic.Warning ~pass
-                    ~name:(write_name a) ~loc:b.Cs.index
+                    ~name:(Cs.write_name a) ~loc:b.Cs.index
                     (Printf.sprintf
                        "site %s·%s: %s (stamp in [%d; %d]) and %s (stamp \
                         in [%d; %d]) may tie on Lamport stamp, leaving \
                         the LWW winner decided only by origin id"
-                       path atom (write_str a) (fst a.Cs.stamp)
-                       (snd a.Cs.stamp) (write_str b) (fst b.Cs.stamp)
+                       path atom (Cs.write_str a) (fst a.Cs.stamp)
+                       (snd a.Cs.stamp) (Cs.write_str b) (fst b.Cs.stamp)
                        (snd b.Cs.stamp))))
   in
   ng201 @ ng205
@@ -142,26 +140,26 @@ let topology_pass ~rounds (facts : Cs.facts) =
     List.map
       (fun ((w : Cs.write), d) ->
         diag ~code:"NG202" ~severity:Diagnostic.Error ~pass
-          ~name:(write_name w) ~loc:w.Cs.index
+          ~name:(Cs.write_name w) ~loc:w.Cs.index
           (Printf.sprintf
              "%s can never reach ns%d within the run: the anti-entropy pull \
               graph is not strongly connected over the schedule, so the \
               replicas provably fail to reconverge"
-             (write_str w) d))
+             (Cs.write_str w) d))
       facts.Cs.cuts
   in
   let ng203 =
     List.map
       (fun (s : Cs.stale) ->
         diag ~code:"NG203" ~severity:Diagnostic.Error ~pass
-          ~name:(write_name s.Cs.write) ~loc:s.Cs.sample
+          ~name:(Cs.write_name s.Cs.write) ~loc:s.Cs.sample
           (Printf.sprintf
              "ns%d is provably stale beyond the staleness bound (%d \
               anti-entropy rounds) for the whole %s window %s: %s cannot \
               reach it before sample #%d at t=%.1f"
              s.Cs.replica rounds s.Cs.window
              (window_str s.Cs.bounds)
-             (write_str s.Cs.write) s.Cs.sample s.Cs.time))
+             (Cs.write_str s.Cs.write) s.Cs.sample s.Cs.time))
       facts.Cs.stales
   in
   ng202 @ ng203
@@ -179,13 +177,13 @@ let durability_pass (st : Cs.t) (facts : Cs.facts) =
         List.map
           (fun (w : Cs.write) ->
             diag ~code:"NG204" ~severity:Diagnostic.Error ~pass
-              ~name:(write_name w) ~loc:w.Cs.index
+              ~name:(Cs.write_name w) ~loc:w.Cs.index
               (Printf.sprintf
                  "%s is a durability hole: every retransmission lands \
                   inside ns%d's crash window %s, no surviving replica ever \
                   holds the update and the client's retry budget provably \
                   exhausts"
-                 (write_str w) v
+                 (Cs.write_str w) v
                  (window_str (s, e))))
           facts.Cs.holes
   in
@@ -220,14 +218,14 @@ let durability_pass (st : Cs.t) (facts : Cs.facts) =
                    if overlapping >= window then
                      Some
                        (diag ~code:"NG206" ~severity:Diagnostic.Warning ~pass
-                          ~name:(write_name w) ~loc:w.Cs.index
+                          ~name:(Cs.write_name w) ~loc:w.Cs.index
                           (Printf.sprintf
                              "dedup window %d is smaller than client c%d's \
                               overlapping retry traffic: %d later calls can \
                               evict %s from the dedup memory while its \
                               duplicates are still in flight, so the write \
                               may be applied twice"
-                             window c overlapping (write_str w)))
+                             window c overlapping (Cs.write_str w)))
                    else None)
                  ws)
     | _ -> []
@@ -291,13 +289,13 @@ let availability_pass (st : Cs.t) =
         Option.map
           (fun (s, e) ->
             diag ~code:"NG210" ~severity:Diagnostic.Warning ~pass
-              ~name:(write_name w) ~loc:w.Cs.index
+              ~name:(Cs.write_name w) ~loc:w.Cs.index
               (Printf.sprintf
                  "%s expires its transaction deadline (%.1fs) inside the \
                   no-quorum window %s: the client can observe neither \
                   commit nor abort in time and must report the outcome \
                   unknown"
-                 (write_str w) cfg.Ch.txn_deadline (window_str (s, e))))
+                 (Cs.write_str w) cfg.Ch.txn_deadline (window_str (s, e))))
           (Cs.outcome_unknown_horizon st w))
       (Cs.writes st)
   in
