@@ -90,10 +90,14 @@ let write_str w =
 let crash_of t i =
   match t.crash with Some (v, s, e) when v = i -> Some (s, e) | _ -> None
 
+(* Called on every pull edge of every relaxation round: a monomorphic
+   scan, not [List.mem]'s polymorphic compare. *)
 let same_side t a b =
   match t.sides with
   | None -> true
-  | Some (g1, _) -> List.mem a g1 = List.mem b g1
+  | Some (g1, _) ->
+      let mem i = List.exists (Int.equal i) g1 in
+      mem a = mem b
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: when (if ever) does the home replica apply the write?   *)
