@@ -99,6 +99,8 @@ let same_side t a b =
       let mem i = List.exists (Int.equal i) g1 in
       mem a = mem b
 
+let applied w = w.applies <> Never && not w.nacked
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance: when (if ever) does the home replica apply the write?   *)
 
@@ -312,7 +314,6 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
      clock+1 at acceptance, the clock at least the origin's provably
      earlier local accepts and at most every op that could possibly be
      known by then (Lamport stamps never exceed the number of accepts). *)
-  let applied w = w.applies <> Never && not w.nacked in
   let writes =
     Array.map
       (fun w ->
@@ -353,7 +354,6 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
   { t with writes; reach }
 
 let writes t = Array.to_list t.writes
-let applied w = w.applies <> Never && not w.nacked
 
 let earliest_at t w d =
   let a = t.reach.(w.index).(d) in
@@ -366,7 +366,6 @@ let must_concurrent t w1 w2 =
     | Some arr -> arr > snd b.accept +. eps
   in
   w1.origin <> w2.origin && unordered w1 w2 && unordered w2 w1
-
 
 let stamps_may_tie w1 w2 =
   let l1, h1 = w1.stamp and l2, h2 = w2.stamp in

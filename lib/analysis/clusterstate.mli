@@ -53,11 +53,11 @@ type t = {
   exhaust : float * float;  (** client retry-budget exhaustion offsets *)
   duration : float;
   reach : float array array;
-      (** the arrival rows, by write index: [reach.(i).(d)] is the
-          earliest instant write [i]'s op, applied at its origin at the
-          lower acceptance bound, could be applied at replica [d] via
-          any chain of anti-entropy pulls ({!arrivals}); [infinity] when
-          no chain delivers it *)
+      (** the arrival rows: [reach.(i).(d)] is the earliest instant
+          write [i]'s op, applied at its lower acceptance bound, could
+          reach replica [d] by any chain of {!transfer} hops ([infinity]:
+          none does); a lower bound when finite, an impossibility proof
+          past [duration] *)
 }
 
 (** {1 The spec index} *)
@@ -109,23 +109,11 @@ val same_side : t -> int -> int -> bool
 
 val transfer : t -> int -> int -> float -> float
 (** [transfer t p d hp]: the earliest instant a pull response from [p],
-    which holds the op since [hp], could be applied at [d]. The response
-    is served only while both replicas are up and not cut from each
-    other, and delivered only while [d] is up. The pull-request leg and
-    the random peer choice are ignored, which only enlarges the set of
-    executions. *)
+    holding the op since [hp], could be applied at [d]. *)
 
 val arrivals : t -> origin:int -> from_:float -> float array
-(** The arrival row of an op applied at [origin] at [from_]: for each
-    replica, the earliest instant any chain of [transfer] hops delivers
-    it ([infinity]: none does). Computed by relaxing every pull edge
-    until a whole round changes nothing. *)
-
-val earliest_at : t -> write -> int -> float option
-(** [earliest_at t w d]: the write's arrival at replica [d], read from
-    its row in [reach]; [None] when no execution delivers it within the
-    run. [Some] answers are lower bounds (over-approximated
-    possibility); [None] is an impossibility proof. *)
+(** The arrival row of an op applied at [origin] at [from_], as in
+    [reach]: every pull edge relaxed until a round changes nothing. *)
 
 val must_concurrent : t -> write -> write -> bool
 (** Provably concurrent: in no execution can either write's op have

@@ -1,7 +1,7 @@
 (* From cluster-schedule verdicts to diagnostics: the NG2xx series.
 
-   Error-severity codes (NG201-NG204) are backed by Must/Never facts of
-   the abstract interpretation in [Clusterstate], so every one of them
+   Error-severity codes (NG201-NG204) render [Clusterstate.facts], the
+   Must/Never facts of the abstract interpretation, so every one of them
    is reproducible by a chaos replay of the same schedule — the
    cross-validation property the test suite checks over seeded
    schedules. Warnings (NG205-NG207) and the undecided verdict (NG208)
@@ -45,8 +45,7 @@ let spec_pass (spec : Ns.spec) =
          "%s %s is orphaned: parent %s is not in the spec, so the binding \
           is silently dropped on every replica and the mirror group can \
           never satisfy §5 equivalence"
-         what (Cs.path_key p)
-         (Cs.path_key (parent p)))
+         what (Cs.path_key p) (Cs.path_key (parent p)))
   in
   List.concat
     [
