@@ -129,14 +129,10 @@ let analyze_many ?config ?jobs subjects =
   (* Validate pass selection once, up front: an unknown pass id should
      raise on the caller's stack, not inside a worker domain. *)
   (match config with Some cfg -> ignore (selected_passes cfg) | None -> ());
-  match Naming.Pool.get ?jobs () with
-  | None -> List.map (fun (label, t) -> analyze ?config ~label t) subjects
-  | Some pool ->
-      Naming.Pool.map pool
-        (fun (label, t) ->
-          Naming.Store.read_only t.Subject.store (fun () ->
-              analyze ?config ~label t))
-        subjects
+  Naming.Pool.map_frozen ?jobs
+    ~store:(fun (_, t) -> t.Subject.store)
+    (fun (label, t) -> analyze ?config ~label t)
+    subjects
 
 let has_errors r = r.errors > 0
 let exit_code reports = if List.exists has_errors reports then 1 else 0

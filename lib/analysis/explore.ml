@@ -345,10 +345,7 @@ let chunks n xs =
   go [] [] 0 xs
 
 let batched ?jobs f xs =
-  match Naming.Pool.get ?jobs () with
-  | None -> List.map f xs
-  | Some pool ->
-      Naming.Pool.map pool (List.map f) (chunks 32 xs) |> List.concat
+  Naming.Pool.map ?jobs (List.map f) (chunks 32 xs) |> List.concat
 
 let code_of_claim = function
   | Lost_update | Lost_client_write -> "NG301"

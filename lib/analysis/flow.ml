@@ -207,10 +207,7 @@ let analyze ?(config = default_config) (plan : plan) =
 (* Each analysis builds its own abstract state and store from its plan,
    so plans are fully independent: one pool task per plan. *)
 let analyze_many ?config ?jobs plans =
-  match Naming.Pool.get ?jobs () with
-  | None -> List.map (fun plan -> analyze ?config plan) plans
-  | Some pool ->
-      Naming.Pool.map pool (fun plan -> analyze ?config plan) plans
+  Naming.Pool.map ?jobs (fun plan -> analyze ?config plan) plans
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic replay                                                      *)

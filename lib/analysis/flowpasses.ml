@@ -89,11 +89,6 @@ let report ?min_severity ?config ~label plan =
 (* Each Flow.analyze builds its own store from the plan, so labelled
    plans are fully independent: one pool task per plan. *)
 let report_many ?min_severity ?config ?jobs plans =
-  match Naming.Pool.get ?jobs () with
-  | None ->
-      List.map (fun (label, plan) -> report ?min_severity ?config ~label plan)
-        plans
-  | Some pool ->
-      Naming.Pool.map pool
-        (fun (label, plan) -> report ?min_severity ?config ~label plan)
-        plans
+  Naming.Pool.map ?jobs
+    (fun (label, plan) -> report ?min_severity ?config ~label plan)
+    plans

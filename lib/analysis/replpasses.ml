@@ -358,12 +358,6 @@ let report ?min_severity ?rounds ~label subject =
   (st, report)
 
 let report_many ?min_severity ?rounds ?jobs subjects =
-  match Naming.Pool.get ?jobs () with
-  | None ->
-      List.map
-        (fun (label, s) -> report ?min_severity ?rounds ~label s)
-        subjects
-  | Some pool ->
-      Naming.Pool.map pool
-        (fun (label, s) -> report ?min_severity ?rounds ~label s)
-        subjects
+  Naming.Pool.map ?jobs
+    (fun (label, s) -> report ?min_severity ?rounds ~label s)
+    subjects

@@ -159,14 +159,6 @@ let encode_to_channel store oc =
   encode store ~buf ~flush;
   Buffer.output_buffer oc buf
 
-let to_string_many ?jobs stores =
-  match Pool.get ?jobs () with
-  | None -> List.map to_string stores
-  | Some pool ->
-      Pool.map pool
-        (fun store -> Store.read_only store (fun () -> to_string store))
-        stores
-
 type pre_entity = Pre_activity | Pre_file of string | Pre_dir
 
 let parse_entity_ref lineno s =

@@ -12,12 +12,6 @@
 
 val to_string : Store.t -> string
 
-val to_string_many : ?jobs:int -> Store.t list -> string list
-(** Serialise several stores, in list order. With [jobs > 1] the stores
-    are serialised in parallel on the shared {!Pool} (each store frozen
-    via {!Store.read_only} while its task reads it); output is identical
-    to [List.map to_string]. *)
-
 val encode_to_channel : Store.t -> out_channel -> unit
 (** Streams the dump to a channel in bounded chunks (one internal
     buffer, flushed every ~64 KiB): the bytes written are exactly

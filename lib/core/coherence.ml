@@ -57,21 +57,21 @@ let strict_degree r =
   if meaningful <= 0 then 1.0
   else float_of_int r.coherent /. float_of_int meaningful
 
-(* The parallel fan-out behind [?jobs]: one verdict per probe, computed
-   across domains by {!Engine.map_sharded} (store frozen, so a mutation
-   mid-sweep raises instead of racing; one engine shard per worker).
-   Verdicts come back in probe order, so every derived quantity equals
-   the sequential path's. *)
-let classify_parallel ?equiv engine pool store rule occs probes =
-  Engine.map_sharded engine pool
-    (fun shard name -> check ?equiv ~engine:shard store rule occs name)
+(* One verdict per probe, in probe order, fanned out by
+   {!Engine.map_sharded} (at jobs > 1 the store is frozen, so a mutation
+   mid-sweep raises instead of racing, and each worker gets an engine
+   shard): every derived quantity equals the sequential path's. *)
+let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
+  Engine.map_sharded ?jobs (Engine.select ?engine store)
+    (fun engine name -> check ?equiv ~engine store rule occs name)
     probes
 
-let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
+(* A streaming sweep calls [verdicts_of] once per chunk; it selects its
+   engine and resolves [?jobs] once, up front. *)
+let sweep_of ?equiv ?engine ?jobs store rule occs =
   let engine = Engine.select ?engine store in
-  match Pool.get ?jobs () with
-  | Some pool -> classify_parallel ?equiv engine pool store rule occs probes
-  | None -> List.map (fun n -> check ?equiv ~engine store rule occs n) probes
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  verdicts_of ?equiv ~engine ~jobs store rule occs
 
 (* Streaming sweep: probes arrive as a [Seq.t], are materialised one
    chunk at a time (sequentially or fanned over the pool, chunk by
@@ -83,13 +83,7 @@ let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
 let chunk_size = 4096
 
 let fold_verdicts ?equiv ?engine ?jobs store rule occs ~init ~f seq =
-  let engine = Engine.select ?engine store in
-  let pool = Pool.get ?jobs () in
-  let sweep chunk =
-    match pool with
-    | Some pool -> classify_parallel ?equiv engine pool store rule occs chunk
-    | None -> List.map (fun n -> check ?equiv ~engine store rule occs n) chunk
-  in
+  let sweep = sweep_of ?equiv ?engine ?jobs store rule occs in
   let rec take acc k seq =
     if k = 0 then (List.rev acc, seq)
     else
@@ -117,6 +111,8 @@ let count_verdict acc verdict =
   | Weakly_coherent _ -> { acc with weakly_coherent = acc.weakly_coherent + 1 }
   | Incoherent _ -> { acc with incoherent = acc.incoherent + 1 }
   | Vacuous -> { acc with vacuous = acc.vacuous + 1 }
+
+let tally verdicts = List.fold_left count_verdict empty_report verdicts
 
 let measure_seq ?equiv ?engine ?jobs store rule occs probes =
   fold_verdicts ?equiv ?engine ?jobs store rule occs ~init:empty_report
@@ -234,13 +230,7 @@ let estimate ?equiv ?engine ?jobs ?(confidence = 0.95)
     invalid_arg "Coherence.estimate: epsilon must be positive";
   if max_samples < 1 then
     invalid_arg "Coherence.estimate: max_samples must be at least 1";
-  let engine = Engine.select ?engine store in
-  let pool = Pool.get ?jobs () in
-  let sweep chunk =
-    match pool with
-    | Some pool -> classify_parallel ?equiv engine pool store rule occs chunk
-    | None -> List.map (fun n -> check ?equiv ~engine store rule occs n) chunk
-  in
+  let sweep = sweep_of ?equiv ?engine ?jobs store rule occs in
   let rec draw child acc k =
     if k = 0 then List.rev acc
     else draw child (sampler.draw child :: acc) (k - 1)

@@ -65,6 +65,9 @@ val degree : report -> float
 val strict_degree : report -> float
 (** [coherent / (probes - vacuous)]. *)
 
+val tally : verdict list -> report
+(** The report of a list of verdicts, one probe per verdict. *)
+
 val measure :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
   ?engine:Engine.t ->
@@ -74,13 +77,15 @@ val measure :
   Occurrence.t list ->
   Name.t list ->
   report
-(** Every batch entry point takes [?jobs]: with [jobs > 1] the probes
-    are swept in parallel on a {!Pool} of that many domains — the store
-    frozen ({!Store.read_only}) for the duration, one engine shard per
-    worker ({!Engine.map_sharded}: the shared interpreter, or a
-    {!Compiled.snapshot} that shares the caller's tables). Results are returned in probe order
-    and are structurally equal to the sequential ones; [jobs = 1] (or
-    omitting it) runs the sequential path. *)
+(** Every batch entry point takes [?jobs] and fans its probes out
+    through {!Engine.map_sharded}: with [jobs > 1] the probes are swept
+    in parallel on a {!Pool} of that many domains — the store frozen
+    ({!Store.read_only}) for the duration, one engine shard per worker
+    (the shared interpreter, or a {!Compiled.snapshot} that shares the
+    caller's tables). Results are returned in probe order and are
+    structurally equal to the sequential ones; [jobs = 1] (or omitting
+    it, with [NAMING_JOBS] unset) runs [List.map] on the caller with the
+    selected engine itself. *)
 
 val measure_seq :
   ?equiv:(Entity.t -> Entity.t -> bool) ->

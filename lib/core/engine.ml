@@ -60,17 +60,17 @@ let compiled = function Compiled c -> Some c | Interpreted _ -> None
    participant — the shared interpreter, or a compiled snapshot that
    shares the tables — then, back on the owning domain, build the tables
    the shards walked into without finding. *)
-let map_sharded t pool f xs =
-  (match t with Interpreted _ -> () | Compiled c -> Compiled.refresh c);
-  let shard () =
-    match t with
-    | Interpreted _ -> t
-    | Compiled c -> Compiled (Compiled.snapshot c)
-  in
-  let ys, shards =
-    Store.read_only (store t) (fun () -> Pool.map_local pool ~local:shard f xs)
-  in
-  (match t with
-  | Interpreted _ -> ()
-  | Compiled c -> Compiled.adopt c (List.filter_map compiled shards));
-  ys
+let shards t =
+  match t with
+  | Interpreted _ ->
+      { Pool.own = t; prepare = ignore; shard = (fun () -> t); merge = ignore }
+  | Compiled c ->
+      {
+        Pool.own = t;
+        prepare = (fun () -> Compiled.refresh c);
+        shard = (fun () -> Compiled (Compiled.snapshot c));
+        merge =
+          (fun shards -> Compiled.adopt c (List.filter_map compiled shards));
+      }
+
+let map_sharded ?jobs t f xs = Pool.map_shards ?jobs (store t) (shards t) f xs

@@ -93,30 +93,6 @@ let default_jobs () =
       | Some j when j >= 1 -> j
       | Some _ | None -> 1)
 
-(* The shared pool behind [?jobs] on the batch APIs: created on first
-   parallel request, grown on demand, joined at exit so the process
-   does not leave domains blocked on the condition variable. *)
-let shared : t option ref = ref None
-let shared_lock = Mutex.create ()
-
-let get ?jobs () =
-  match (match jobs with None -> default_jobs () | Some j -> j) with
-  | j when j <= 1 -> None
-  | j ->
-      Mutex.lock shared_lock;
-      let t =
-        match !shared with
-        | Some t -> t
-        | None ->
-            let t = create ~jobs:j in
-            shared := Some t;
-            at_exit (fun () -> shutdown t);
-            t
-      in
-      Mutex.unlock shared_lock;
-      if t.size < j then grow t ~jobs:j;
-      Some t
-
 let map_local ?jobs:requested t ~local f xs =
   match xs with
   | [] -> ([], [])
@@ -204,5 +180,62 @@ let map_local ?jobs:requested t ~local f xs =
           ws )
       end
 
-let map ?jobs t f xs =
-  fst (map_local ?jobs t ~local:(fun () -> ()) (fun () x -> f x) xs)
+(* The shared pool behind [?jobs]: created on first parallel request,
+   grown on demand, joined at exit so the process does not leave domains
+   blocked on the condition variable. *)
+let shared : t option ref = ref None
+let shared_lock = Mutex.create ()
+
+let shared_pool jobs =
+  Mutex.lock shared_lock;
+  let t =
+    match !shared with
+    | Some t -> t
+    | None ->
+        let t = create ~jobs in
+        shared := Some t;
+        at_exit (fun () -> shutdown t);
+        t
+  in
+  Mutex.unlock shared_lock;
+  if t.size < jobs then grow t ~jobs;
+  t
+
+(* The one sequential-or-parallel decision behind every fan-out entry
+   point: [None] means [List.map] on the caller. *)
+let pool_for ?jobs () =
+  match (match jobs with None -> default_jobs () | Some j -> j) with
+  | j when j <= 1 -> None
+  | j -> Some (shared_pool j)
+
+let map_on pool f xs =
+  fst (map_local pool ~local:(fun () -> ()) (fun () x -> f x) xs)
+
+let map ?jobs f xs =
+  match pool_for ?jobs () with
+  | None -> List.map f xs
+  | Some pool -> map_on pool f xs
+
+let map_frozen ?jobs ~store f xs =
+  match pool_for ?jobs () with
+  | None -> List.map f xs
+  | Some pool ->
+      map_on pool (fun x -> Store.read_only (store x) (fun () -> f x)) xs
+
+type 'w shards = {
+  own : 'w;
+  prepare : unit -> unit;
+  shard : unit -> 'w;
+  merge : 'w list -> unit;
+}
+
+let map_shards ?jobs store s f xs =
+  match pool_for ?jobs () with
+  | None -> List.map (f s.own) xs
+  | Some pool ->
+      s.prepare ();
+      let ys, shards =
+        Store.read_only store (fun () -> map_local pool ~local:s.shard f xs)
+      in
+      s.merge shards;
+      ys

@@ -25,10 +25,10 @@
 
     Domain-safety contract for tasks (see doc/PARALLEL.md): tasks must
     treat every {!Store} they can reach as read-only — enforced by
-    {!Store.read_only}, which the parallel batch entry points wrap their
-    sweeps in — and must not share a {!Compiled} engine between tasks;
-    shard it via {!Engine.map_sharded}, which hands each participant a
-    {!Compiled.snapshot} through {!map_local} (shards share
+    {!Store.read_only}, which the parallel paths of {!map_frozen} and
+    {!map_shards} wrap their tasks in — and must not share a {!Compiled}
+    engine between tasks; shard it via {!Engine.map_sharded}, which
+    hands each participant a {!Compiled.snapshot} (shards share
     the engine's tables read-only and own only their entry ring; a
     participant creates its state only after claiming a task, so none
     is created after the batch returns). Interning new
@@ -55,24 +55,54 @@ val available_parallelism : unit -> int
 
 val default_jobs : unit -> int
 (** The [NAMING_JOBS] environment variable when set to a positive
-    integer, else [1]. This is what batch APIs fall back to when
-    [?jobs] is omitted ({!get}) and what the CLI tools default their
+    integer, else [1]. This is what the fan-out entry points fall back
+    to when [?jobs] is omitted and what the CLI tools default their
     [--jobs] to — so parallelism stays opt-in per invocation, but one
     environment variable turns it on everywhere at once (CI runs the
     whole test suite a second time under [NAMING_JOBS=4]). *)
 
-val get : ?jobs:int -> unit -> t option
-(** Resolves a [?jobs] request against a lazily-created shared pool.
-    An omitted [?jobs] means {!default_jobs}[ ()]; an effective request
-    [<= 1] means "run sequentially" ([None] is returned); a request
-    [> 1] returns the shared pool, grown to at least that size. The
-    shared pool is created on first use and joined at exit. *)
+(** {1 Fan-out entry points}
 
-val map : ?jobs:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] applies [f] to every element, in parallel across at
-    most [min jobs (List.length xs)] participants (default: the pool
-    size), returning results in list order. With one participant this
-    is exactly [List.map f xs]. *)
+    Every batch API fans its sweep out through one of these three (the
+    second by way of {!Engine.map_sharded}), and they are the only
+    places that decide between the sequential and the parallel path.
+    An omitted [?jobs] means {!default_jobs}[ ()]. At [jobs <= 1] each
+    is [List.map] on the calling domain, with no store frozen and no
+    shard taken. At [jobs > 1] the sweep runs on a shared pool, created
+    on first use, grown to at least [jobs] and joined at exit. *)
+
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Independent items: [map f xs] applies [f] to every element,
+    returning results in list order. The items must not share a store
+    that [f] mutates. *)
+
+val map_frozen :
+  ?jobs:int -> store:('a -> Store.t) -> ('a -> 'b) -> 'a list -> 'b list
+(** One store per item: {!map}, except that on the parallel path each
+    task runs with its item's store frozen ({!Store.read_only}). The
+    stores must be distinct. *)
+
+type 'w shards = {
+  own : 'w;  (** what every item receives on the sequential path *)
+  prepare : unit -> unit;
+      (** run on the calling domain before a parallel batch *)
+  shard : unit -> 'w;  (** one per participant of a parallel batch *)
+  merge : 'w list -> unit;
+      (** run on the calling domain after a parallel batch, with the
+          participants' shards, once the store is writable again *)
+}
+(** How one piece of state is split across the participants of a
+    parallel batch and folded back afterwards. *)
+
+val map_shards :
+  ?jobs:int -> Store.t -> 'w shards -> ('w -> 'a -> 'b) -> 'a list -> 'b list
+(** One store, sharded state: sequentially [List.map (f s.own) xs];
+    in parallel [s.prepare ()], then the batch with the store frozen and
+    each participant's tasks receiving its own [s.shard ()], then
+    [s.merge]. This is the engine-agnostic core of
+    {!Engine.map_sharded}; call that. *)
+
+(** {1 Explicit pools} *)
 
 val map_local :
   ?jobs:int ->
@@ -81,10 +111,12 @@ val map_local :
   ('w -> 'a -> 'b) ->
   'a list ->
   'b list * 'w list
-(** [map_local pool ~local f xs] is {!map} with per-participant state:
-    each participating domain calls [local ()] once (lazily, before its
-    first task) and its tasks receive that value — the mechanism behind
-    per-domain engine shards. Returns the results in list order and the
-    participant states (in no particular order) so the caller can merge
-    them. Sequentially this is
+(** [map_local pool ~local f xs] applies [f] to every element, in
+    parallel across at most [min jobs (List.length xs)] participants
+    (default: the pool size), with per-participant state: each
+    participating domain calls [local ()] once (lazily, after claiming
+    its first task) and its tasks receive that value — the mechanism
+    behind per-domain engine shards. Returns the results in list order
+    and the participant states (in no particular order) so the caller
+    can merge them. With one participant this is
     [let w = local () in (List.map (f w) xs, [ w ])]. *)

@@ -50,35 +50,12 @@ let embedded_degree ?engine ?jobs w =
   match w.embedded with
   | [] -> None
   | _ ->
-      let engine = Naming.Engine.select ?engine w.store in
-      let units = embedded_units w in
-      let verdicts =
-        match Naming.Pool.get ?jobs () with
-        | None ->
-            List.map
-              (fun (occs, name) ->
-                Naming.Coherence.check ?equiv:w.equiv ~engine w.store w.rule
-                  occs name)
-              units
-        | Some pool ->
-            Naming.Engine.map_sharded engine pool
-              (fun shard (occs, name) ->
-                Naming.Coherence.check ?equiv:w.equiv ~engine:shard w.store
-                  w.rule occs name)
-              units
-      in
-      let coherent = ref 0 and meaningful = ref 0 in
-      List.iter
-        (fun v ->
-          match v with
-          | Naming.Coherence.Coherent _ | Naming.Coherence.Weakly_coherent _ ->
-              incr coherent;
-              incr meaningful
-          | Naming.Coherence.Incoherent _ -> incr meaningful
-          | Naming.Coherence.Vacuous -> ())
-        verdicts;
-      if !meaningful = 0 then Some 1.0
-      else Some (float_of_int !coherent /. float_of_int !meaningful)
+      Naming.Engine.map_sharded ?jobs (Naming.Engine.select ?engine w.store)
+        (fun engine (occs, name) ->
+          Naming.Coherence.check ?equiv:w.equiv ~engine w.store w.rule occs
+            name)
+        (embedded_units w)
+      |> Naming.Coherence.tally |> Naming.Coherence.degree |> Option.some
 
 (* The three degrees share one engine (the store's own, by default), so
    a directory's table is built once for the whole row. *)
@@ -93,14 +70,11 @@ let measure ?engine ?jobs w =
 
 (* Worlds are independent (each has its own store), so the coarser
    world-level fan-out is used when measuring many: one task per world,
-   each sweeping its rows sequentially with the store frozen. *)
+   each sweeping its rows sequentially (with its store frozen at
+   jobs > 1). *)
 let measure_all ?jobs worlds =
-  match Naming.Pool.get ?jobs () with
-  | None -> List.map (fun w -> measure w) worlds
-  | Some pool ->
-      Naming.Pool.map pool
-        (fun w -> Naming.Store.read_only w.store (fun () -> measure w))
-        worlds
+  Naming.Pool.map_frozen ?jobs ~store:(fun w -> w.store) (fun w -> measure w)
+    worlds
 
 let render_rows rows =
   Table.render

@@ -32,43 +32,15 @@ let occurrences ev =
     Naming.Occurrence.received ~sender:ev.sender ~receiver:ev.receiver;
   ]
 
-let fraction_of_verdicts verdicts =
-  let coherent = ref 0 and meaningful = ref 0 in
-  List.iter
-    (fun v ->
-      match v with
-      | Naming.Coherence.Coherent _ | Naming.Coherence.Weakly_coherent _ ->
-          incr coherent;
-          incr meaningful
-      | Naming.Coherence.Incoherent _ -> incr meaningful
-      | Naming.Coherence.Vacuous -> ())
-    verdicts;
-  if !meaningful = 0 then 1.0
-  else float_of_int !coherent /. float_of_int !meaningful
-
 let coherent_fraction ?equiv ?engine ?jobs store rule events =
-  let engine = Naming.Engine.select ?engine store in
-  let verdicts =
-    match Naming.Pool.get ?jobs () with
-    | None ->
-        List.map
-          (fun ev ->
-            Naming.Coherence.check ?equiv ~engine store rule (occurrences ev)
-              ev.name)
-          events
-    | Some pool ->
-        (* fan the (sender, receiver, probe) units across domains: store
-           frozen, one engine shard per worker *)
-        Naming.Engine.map_sharded engine pool
-          (fun shard ev ->
-            Naming.Coherence.check ?equiv ~engine:shard store rule
-              (occurrences ev) ev.name)
-          events
-  in
-  fraction_of_verdicts verdicts
+  Naming.Engine.map_sharded ?jobs (Naming.Engine.select ?engine store)
+    (fun engine ev ->
+      Naming.Coherence.check ?equiv ~engine store rule (occurrences ev)
+        ev.name)
+    events
+  |> Naming.Coherence.tally |> Naming.Coherence.degree
 
-let run_over_network ~engine ~network ~actor_of events =
-  ignore network;
+let run_over_network ~engine ~actor_of events =
   let addr_to_entity = Hashtbl.create 16 in
   let register e =
     let actor = actor_of e in

@@ -41,18 +41,19 @@ val coherent_fraction :
 (** Fraction of non-vacuous events that are coherent under the rule.
     Resolutions share one {!Naming.Engine}, chosen by
     {!Naming.Engine.select} from [?engine] / [NAMING_ENGINE], else the
-    store's own compiled engine. With [jobs > 1] the events are checked
-    in parallel by {!Naming.Engine.map_sharded} — store frozen, one
-    engine shard per worker — and the fraction is identical to the
-    sequential one. *)
+    store's own compiled engine. The events are checked through
+    {!Naming.Engine.map_sharded}: with [jobs > 1] in parallel — store
+    frozen, one engine shard per worker — and the fraction is identical
+    to the sequential one. *)
 
 val run_over_network :
   engine:Dsim.Engine.t ->
-  network:Naming.Name.t Dsim.Network.t ->
   actor_of:(Naming.Entity.t -> Naming.Name.t Dsim.Actor.t) ->
   event list ->
   (Naming.Entity.t * Naming.Entity.t * Naming.Name.t) list
-(** Actually ships each event's name through the simulated network and
-    returns the [(sender, receiver, name)] triples that were delivered
-    (drops and partitions reduce the result). Receivers are identified by
-    reverse lookup of the destination actor. *)
+(** Actually ships each event's name from [actor_of sender] to
+    [actor_of receiver] through the simulated network those actors live
+    on, runs [engine] until it is idle, and returns the
+    [(sender, receiver, name)] triples that were delivered (drops and
+    partitions reduce the result). Senders are identified by reverse
+    lookup of the source actor's address. *)

@@ -368,23 +368,22 @@ let test_snapshot_parity () =
   let st, _, root = fixture () in
   let c = Cp.compile st in
   let names = List.map N.of_string unix_paths in
-  match Naming.Pool.get ~jobs:4 () with
-  | None -> Alcotest.fail "no pool at jobs 4"
-  | Some pool ->
-      Cp.refresh c;
-      let results =
-        S.read_only st (fun () ->
-            let results, _ =
-              Naming.Pool.map_local pool
-                ~local:(fun () -> Cp.snapshot c)
-                (fun shard n -> Cp.resolve_in shard root n)
-                names
-            in
-            results)
-      in
-      List.iter2
-        (fun n r -> check entity (N.to_string n) (R.resolve_in st root n) r)
-        names results
+  let pool = Naming.Pool.create ~jobs:4 in
+  Cp.refresh c;
+  let results =
+    S.read_only st (fun () ->
+        let results, _ =
+          Naming.Pool.map_local pool
+            ~local:(fun () -> Cp.snapshot c)
+            (fun shard n -> Cp.resolve_in shard root n)
+            names
+        in
+        results)
+  in
+  Naming.Pool.shutdown pool;
+  List.iter2
+    (fun n r -> check entity (N.to_string n) (R.resolve_in st root n) r)
+    names results
 
 (* ------------------------------------------------------------------ *)
 (* The store's own engine: one per store, tables built on first use,   *)

@@ -45,7 +45,7 @@ let test_lossy_exchange () =
       probes
   in
   let delivered =
-    Workload.Exchange.run_over_network ~engine ~network:net ~actor_of events
+    Workload.Exchange.run_over_network ~engine ~actor_of events
   in
   let stats = Dsim.Network.stats net in
   check i "sent all" (List.length events) stats.Dsim.Network.sent;

@@ -14,18 +14,18 @@ let check = Alcotest.check
 let b = Alcotest.bool
 let i = Alcotest.int
 
-(* One real 4-way pool shared by the unit tests; qcheck properties go
-   through [?jobs] and the shared pool like production callers do. *)
+(* One real 4-way pool for the [map_local] unit tests; [map] and the
+   qcheck properties go through [?jobs] and the shared pool like
+   production callers do. *)
 let pool = lazy (P.create ~jobs:4)
 
 let test_map_order () =
-  let p = Lazy.force pool in
   let xs = List.init 100 (fun i -> i) in
   check (Alcotest.list i) "in task order, like List.map"
     (List.map (fun x -> (x * x) + 1) xs)
-    (P.map p (fun x -> (x * x) + 1) xs);
-  check (Alcotest.list i) "empty" [] (P.map p (fun x -> x) []);
-  check (Alcotest.list i) "singleton" [ 7 ] (P.map p (fun x -> x) [ 7 ])
+    (P.map ~jobs:4 (fun x -> (x * x) + 1) xs);
+  check (Alcotest.list i) "empty" [] (P.map ~jobs:4 (fun x -> x) []);
+  check (Alcotest.list i) "singleton" [ 7 ] (P.map ~jobs:4 (fun x -> x) [ 7 ])
 
 let test_map_local_states () =
   let p = Lazy.force pool in
@@ -47,17 +47,19 @@ let test_map_local_states () =
     (List.fold_left (fun acc w -> acc + !w) 0 locals)
 
 let test_exception_propagates () =
-  let p = Lazy.force pool in
   let xs = List.init 100 (fun i -> i) in
   (match
-     P.map p (fun x -> if x = 70 || x = 10 || x = 30 then failwith (string_of_int x) else x) xs
+     P.map ~jobs:4
+       (fun x ->
+         if x = 70 || x = 10 || x = 30 then failwith (string_of_int x) else x)
+       xs
    with
   | _ -> Alcotest.fail "expected a Failure"
   | exception Failure msg ->
       check Alcotest.string "lowest-indexed failure wins" "10" msg);
   (* the pool survives a failed batch *)
   check (Alcotest.list i) "pool usable after failure" [ 2; 4; 6 ]
-    (P.map p (fun x -> 2 * x) [ 1; 2; 3 ])
+    (P.map ~jobs:4 (fun x -> 2 * x) [ 1; 2; 3 ])
 
 let test_jobs_cap () =
   let p = Lazy.force pool in
@@ -93,6 +95,63 @@ let test_write_barrier () =
   (* mutable again afterwards, even after an exception unwound a section *)
   (try S.read_only st (fun () -> failwith "escape") with Failure _ -> ());
   ignore (S.create_activity st)
+
+(* The three fan-out entry points at jobs 1 are [List.map] on the
+   caller: every item runs on the calling domain with its store
+   writable, and [Engine.map_sharded] passes the engine it was given —
+   here the store's own compiled engine — not a snapshot. At jobs 2
+   over several items the store is frozen inside [f]. Each task reports
+   what it saw; the checks run on the caller. *)
+module Eng = Naming.Engine
+
+let seen st = (Domain.self (), S.is_read_only st)
+
+let own_engine st = function
+  | Eng.Compiled c -> c == Naming.Compiled.of_store st
+  | Eng.Interpreted _ -> false
+
+let test_sequential_contract () =
+  let caller = Domain.self () in
+  let st = S.create () and xs = List.init 8 Fun.id in
+  let on_caller_writable label seen =
+    List.iter
+      (fun (d, frozen) ->
+        check b (label ^ ": on the calling domain") true (d = caller);
+        check b (label ^ ": store writable") false frozen)
+      seen
+  in
+  on_caller_writable "map" (P.map ~jobs:1 (fun _ -> seen st) xs);
+  let stores = List.map (fun _ -> S.create ()) xs in
+  on_caller_writable "map_frozen"
+    (P.map_frozen ~jobs:1 ~store:Fun.id seen stores);
+  let engine = Eng.create `Compiled st in
+  let got =
+    Eng.map_sharded ~jobs:1 engine (fun shard _ -> (seen st, shard)) xs
+  in
+  on_caller_writable "map_sharded" (List.map fst got);
+  List.iter
+    (fun (_, shard) ->
+      check b "map_sharded: the store's own engine" true
+        (shard == engine && own_engine st shard))
+    got
+
+let test_parallel_frozen () =
+  let st = S.create () and xs = List.init 8 Fun.id in
+  let frozen label seen =
+    List.iter (fun (_, f) -> check b (label ^ ": store frozen") true f) seen
+  in
+  let stores = List.map (fun _ -> S.create ()) xs in
+  frozen "map_frozen" (P.map_frozen ~jobs:2 ~store:Fun.id seen stores);
+  let engine = Eng.create `Compiled st in
+  let got =
+    Eng.map_sharded ~jobs:2 engine (fun shard _ -> (seen st, shard)) xs
+  in
+  frozen "map_sharded" (List.map fst got);
+  List.iter
+    (fun (_, shard) ->
+      check b "map_sharded: a snapshot, not the owner" false (shard == engine))
+    got;
+  check b "writable again afterwards" false (S.is_read_only st)
 
 (* A random world for the parity properties: [n] random script ops over
    a fresh store, measured over a fixed probe set. *)
@@ -202,17 +261,6 @@ let test_matrix_parity () =
         (Harness.Matrix.measure_all ~jobs worlds = seq))
     [ 2; 4 ]
 
-let test_codec_many_parity () =
-  let stores =
-    List.filter_map
-      (fun s ->
-        Option.map (fun w -> w.Harness.Sample.store) (Harness.Sample.world s))
-      Harness.Sample.schemes
-  in
-  let seq = List.map Naming.Codec.to_string stores in
-  check (Alcotest.list Alcotest.string) "jobs=4 dumps byte-identical" seq
-    (Naming.Codec.to_string_many ~jobs:4 stores)
-
 (* The chunked quoting in Codec.to_string must stay %S-compatible: the
    parser reads labels and file data back with Scanf %S, and the golden
    dumps predate the chunked writer. *)
@@ -275,8 +323,10 @@ let suite =
     Alcotest.test_case "store write barrier" `Quick test_write_barrier;
     Alcotest.test_case "engine parity (jobs 2/4)" `Quick test_engine_parity;
     Alcotest.test_case "matrix parity (jobs 2/4)" `Quick test_matrix_parity;
-    Alcotest.test_case "codec to_string_many parity" `Quick
-      test_codec_many_parity;
+    Alcotest.test_case "fan-out at jobs 1: caller, writable, own engine"
+      `Quick test_sequential_contract;
+    Alcotest.test_case "fan-out at jobs 2: store frozen inside f" `Quick
+      test_parallel_frozen;
     QCheck_alcotest.to_alcotest prop_measure_parity;
     QCheck_alcotest.to_alcotest prop_exchange_parity;
     QCheck_alcotest.to_alcotest prop_flow_parity;

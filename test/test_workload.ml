@@ -180,7 +180,7 @@ let test_exchange_over_network () =
       { Ex.sender = a2; receiver = a1; name = N.of_string "/etc" };
     ]
   in
-  let delivered = Ex.run_over_network ~engine ~network:net ~actor_of events in
+  let delivered = Ex.run_over_network ~engine ~actor_of events in
   check i "both delivered" 2 (List.length delivered);
   check b "names survive transit" true
     (List.exists (fun (_, _, n) -> N.to_string n = "/bin/ls") delivered);
