@@ -1,5 +1,4 @@
 module N = Naming.Name
-module E = Naming.Entity
 module O = Naming.Occurrence
 module C = Naming.Coherence
 module X = Schemes.Crosslink
@@ -38,16 +37,6 @@ let build () =
   in
   (t, pa, pb, doc)
 
-let fraction_equal pairs =
-  match pairs with
-  | [] -> 1.0
-  | _ ->
-      let ok =
-        List.length
-          (List.filter (fun (a, b) -> E.is_defined a && E.equal a b) pairs)
-      in
-      float_of_int ok /. float_of_int (List.length pairs)
-
 let measure () =
   let t, pa, pb, doc = build () in
   let store = X.store t in
@@ -73,7 +62,7 @@ let measure () =
     Workload.Exchange.coherent_fraction store rule events
   in
   let exchanged_mapped =
-    fraction_equal
+    Fixture.fraction_equal
       (List.map
          (fun n ->
            let intended = Naming.Rule.resolve rule store (O.generated pa) n in

@@ -1,5 +1,4 @@
 module N = Naming.Name
-module E = Naming.Entity
 module O = Naming.Occurrence
 module C = Naming.Coherence
 module F = Schemes.Federation
@@ -39,16 +38,6 @@ let build () =
   Schemes.Process_env.set_cwd (F.env t) p2 doc_dir;
   (t, p1, p1b, p2, doc)
 
-let fraction_equal pairs =
-  match pairs with
-  | [] -> 1.0
-  | _ ->
-      let ok =
-        List.length
-          (List.filter (fun (a, b) -> E.is_defined a && E.equal a b) pairs)
-      in
-      float_of_int ok /. float_of_int (List.length pairs)
-
 let measure () =
   let t, p1, p1b, p2, doc = build () in
   let store = F.store t in
@@ -69,7 +58,7 @@ let measure () =
     degree [ O.generated p1; O.generated p2 ] org2_probes
   in
   let across_orgs_mapped =
-    fraction_equal
+    Fixture.fraction_equal
       (List.map
          (fun n ->
            let intended = Naming.Rule.resolve rule store (O.generated p2) n in

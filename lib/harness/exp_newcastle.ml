@@ -1,7 +1,5 @@
 module N = Naming.Name
-module E = Naming.Entity
 module O = Naming.Occurrence
-module C = Naming.Coherence
 module Nc = Schemes.Newcastle
 
 type result = {
@@ -28,22 +26,6 @@ let build () =
   in
   (t, procs)
 
-let mean = function
-  | [] -> 1.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let degree store rule occs probes = C.degree (C.measure store rule occs probes)
-
-let fraction_equal pairs =
-  match pairs with
-  | [] -> 1.0
-  | _ ->
-      let ok =
-        List.length
-          (List.filter (fun (a, b) -> E.is_defined a && E.equal a b) pairs)
-      in
-      float_of_int ok /. float_of_int (List.length pairs)
-
 let measure () =
   let t, procs = build () in
   let store = Nc.store t in
@@ -52,14 +34,16 @@ let measure () =
   let probes_of m = Nc.absolute_probes t ~machine:m ~max_depth:4 in
   (* (a) same machine vs cross machine, machine-absolute names. *)
   let same_machine =
-    mean
+    Fixture.mean
       (List.map
          (fun (m, ps) ->
-           degree store rule (List.map O.generated ps) (probes_of m))
+           Fixture.degree store rule (List.map O.generated ps) (probes_of m))
          procs)
   in
   let cross_machine =
-    degree store rule (List.map O.generated all_procs) (probes_of "unix1")
+    Fixture.degree store rule
+      (List.map O.generated all_procs)
+      (probes_of "unix1")
   in
   (* (b) super-root-qualified names are coherent everywhere. *)
   let super_probes =
@@ -71,13 +55,13 @@ let measure () =
       machine_names
   in
   let superroot_qualified =
-    degree store rule (List.map O.generated all_procs) super_probes
+    Fixture.degree store rule (List.map O.generated all_procs) super_probes
   in
   (* (c) the mapping rule restores the original meaning on another machine. *)
   let p1 = List.hd (List.assoc "unix1" procs) in
   let p2 = List.hd (List.assoc "unix2" procs) in
   let mapping_correct =
-    fraction_equal
+    Fixture.fraction_equal
       (List.map
          (fun n ->
            let intended = Schemes.Process_env.resolve (Nc.env t) ~as_:p1 n in
@@ -101,7 +85,7 @@ let measure () =
     Workload.Exchange.coherent_fraction store rule events
   in
   let local_access child =
-    fraction_equal
+    Fixture.fraction_equal
       (List.map
          (fun n ->
            let intended =

@@ -18,16 +18,6 @@ let build () =
   let joined = Nc.join store [ ("sysA", ta); ("sysB", tb) ] in
   (store, joined)
 
-let fraction_equal pairs =
-  match pairs with
-  | [] -> 1.0
-  | _ ->
-      let ok =
-        List.length
-          (List.filter (fun (a, b) -> E.is_defined a && E.equal a b) pairs)
-      in
-      float_of_int ok /. float_of_int (List.length pairs)
-
 let measure () =
   let store, t = build () in
   let machines = Nc.machines t in
@@ -55,7 +45,7 @@ let measure () =
   let pa = List.assoc "sysA.u1" procs in
   let pb = List.assoc "sysB.v1" procs in
   let mapping_across_systems =
-    fraction_equal
+    Fixture.fraction_equal
       (List.map
          (fun n ->
            let intended = Schemes.Process_env.resolve (Nc.env t) ~as_:pa n in

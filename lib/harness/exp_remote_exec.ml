@@ -1,5 +1,4 @@
 module N = Naming.Name
-module E = Naming.Entity
 module Nc = Schemes.Newcastle
 module Pp = Schemes.Per_process
 
@@ -8,16 +7,6 @@ type row = {
   param_coherence : float;
   local_access : float;
 }
-
-let fraction_equal pairs =
-  match pairs with
-  | [] -> 1.0
-  | _ ->
-      let ok =
-        List.length
-          (List.filter (fun (a, b) -> E.is_defined a && E.equal a b) pairs)
-      in
-      float_of_int ok /. float_of_int (List.length pairs)
 
 let param_coherence store rule ~parent ~child probes =
   let events =
@@ -41,7 +30,7 @@ let newcastle_row policy label =
     param_coherence =
       param_coherence store (Nc.rule t) ~parent ~child params;
     local_access =
-      fraction_equal
+      Fixture.fraction_equal
         (List.map
            (fun n ->
              ( Schemes.Process_env.resolve env ~as_:native n,
@@ -71,7 +60,7 @@ let per_process_row () =
     mechanism = "per-process namespace";
     param_coherence = param_coherence store (Pp.rule t) ~parent ~child params;
     local_access =
-      fraction_equal
+      Fixture.fraction_equal
         (List.map
            (fun (n, intended) ->
              let via_child =

@@ -1,7 +1,6 @@
 module N = Naming.Name
 module E = Naming.Entity
 module O = Naming.Occurrence
-module C = Naming.Coherence
 module Sg = Schemes.Shared_graph
 
 type result = {
@@ -33,13 +32,6 @@ let build () =
   in
   (t, procs)
 
-let mean = function
-  | [] -> 1.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let degree ?equiv store rule occs probes =
-  C.degree (C.measure ?equiv store rule occs probes)
-
 let measure () =
   let t, procs = build () in
   let store = Sg.store t in
@@ -52,22 +44,22 @@ let measure () =
   in
   let gen ps = List.map O.generated ps in
   let shared_names_all_clients =
-    degree store rule (gen all_procs) shared_probes
+    Fixture.degree store rule (gen all_procs) shared_probes
   in
   let local_names_within_client =
-    mean
+    Fixture.mean
       (List.map
-         (fun (c, ps) -> degree store rule (gen ps) (local_probes c))
+         (fun (c, ps) -> Fixture.degree store rule (gen ps) (local_probes c))
          procs)
   in
   let local_names_across_clients =
-    degree store rule (gen all_procs) (local_probes "client1")
+    Fixture.degree store rule (gen all_procs) (local_probes "client1")
   in
   let replicated_strict =
-    degree store rule (gen all_procs) replicated_probes
+    Fixture.degree store rule (gen all_procs) replicated_probes
   in
   let replicated_weak =
-    degree
+    Fixture.degree
       ~equiv:(Naming.Replication.same_replica (Sg.replication t))
       store rule (gen all_procs) replicated_probes
   in

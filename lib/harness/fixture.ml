@@ -74,3 +74,23 @@ let probes w ~global_fraction ~n =
   let globals = take n_global w.global_probes in
   let locals = take (n - List.length globals) w.local_probes in
   globals @ locals
+
+let fraction_equal pairs =
+  match pairs with
+  | [] -> 1.0
+  | _ ->
+      let ok =
+        List.length
+          (List.filter
+             (fun (a, b) -> Naming.Entity.(is_defined a && equal a b))
+             pairs)
+      in
+      float_of_int ok /. float_of_int (List.length pairs)
+
+let mean = function
+  | [] -> 1.0
+  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+
+let degree ?equiv store rule occs probes =
+  Naming.Coherence.degree
+    (Naming.Coherence.measure ?equiv store rule occs probes)

@@ -21,3 +21,21 @@ val two_machine_world : unit -> two_machine
 val probes : two_machine -> global_fraction:float -> n:int -> Naming.Name.t list
 (** A deterministic [n]-probe mix with the requested fraction of global
     names (rounded). *)
+
+(** {1 Metrics shared by the experiments} *)
+
+val fraction_equal : (Naming.Entity.t * Naming.Entity.t) list -> float
+(** The fraction of [(intended, got)] pairs where [got] is the defined
+    entity [intended]; 1.0 on no pairs. *)
+
+val mean : float list -> float
+(** The arithmetic mean; 1.0 on the empty list. *)
+
+val degree :
+  ?equiv:(Naming.Entity.t -> Naming.Entity.t -> bool) ->
+  Naming.Store.t ->
+  Naming.Rule.t ->
+  Naming.Occurrence.t list ->
+  Naming.Name.t list ->
+  float
+(** {!Naming.Coherence.degree} of {!Naming.Coherence.measure}. *)
