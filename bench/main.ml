@@ -768,6 +768,10 @@ let modes () =
       1.0 r.samples
   and avail (r : Dsim.Chaos.result) =
     float_of_int r.writes_acked /. float_of_int (max 1 r.writes_sent)
+  and lww_losses (r : Dsim.Chaos.result) =
+    Dsim.Counters.get r.ns Dsim.Nameserver.lww_losses
+  and elections (r : Dsim.Chaos.result) =
+    Dsim.Counters.get r.ns Dsim.Nameserver.elections
   in
   let opt_f = function Some t -> Printf.sprintf "%8.1f" t | None -> "       -" in
   let opt_i = function Some n -> Printf.sprintf "%6d" n | None -> "     -" in
@@ -788,7 +792,7 @@ let modes () =
         (Naming.Coherence.degree r.final_report)
         (avail r) r.latency_mean r.latency_max r.converged
         (opt_f r.converge_time) (opt_i r.rounds_to_converge) r.writes_lost
-        r.ns.lww_losses r.txns_unknown r.ns.elections)
+        (lww_losses r) r.txns_unknown (elections r))
     runs;
   List.map
     (fun (scenario, mode, (r : Dsim.Chaos.result)) ->
@@ -808,9 +812,9 @@ let modes () =
           ("converge_time", opt (J.fixed 1) r.converge_time);
           ("rounds_to_converge", opt int r.rounds_to_converge);
           ("lost", int r.writes_lost);
-          ("lww_losses", int r.ns.lww_losses);
+          ("lww_losses", int (lww_losses r));
           ("unknown", int r.txns_unknown);
-          ("elections", int r.ns.elections);
+          ("elections", int (elections r));
         ])
     runs
 

@@ -71,13 +71,13 @@ let () =
   List.iter (fun q -> ask "client2" client2 q) queries;
   ignore (Dsim.Engine.run engine);
 
-  Format.printf "@.server stats: %a@." Dsim.Rpc.pp_stats
+  Format.printf "@.server stats: %a@." Dsim.Counters.pp
     (Dsim.Rpc.stats server);
-  Format.printf "client1 stats: %a@." Dsim.Rpc.pp_stats
+  Format.printf "client1 stats: %a@." Dsim.Counters.pp
     (Dsim.Rpc.stats client1);
-  Format.printf "client2 stats: %a@." Dsim.Rpc.pp_stats
+  Format.printf "client2 stats: %a@." Dsim.Counters.pp
     (Dsim.Rpc.stats client2);
-  Format.printf "network: %a@." Dsim.Network.pp_stats
+  Format.printf "network: %a@." Dsim.Counters.pp
     (Dsim.Network.stats network);
   Format.printf
     "@.Both clients always see the same entity for the same name: the

@@ -11,6 +11,7 @@
 
 module Ch = Dsim.Chaos
 module Ns = Dsim.Nameserver
+module Ctr = Dsim.Counters
 module Cs = Clusterstate
 module N = Naming.Name
 
@@ -61,7 +62,7 @@ let claim_holds claim (r : Ch.result) =
   match r.Ch.config.Ch.mode with
   | `Leader_log -> (
       match claim with
-      | Lost_update | Lost_client_write -> r.Ch.ns.Ns.lww_losses > 0
+      | Lost_update | Lost_client_write -> Ctr.get r.Ch.ns Ns.lww_losses > 0
       | Unreachable -> not r.Ch.converged
       | Stale_at k -> (
           match List.nth_opt r.Ch.samples k with
@@ -69,7 +70,7 @@ let claim_holds claim (r : Ch.result) =
           | None -> false))
   | `Lww_ae -> (
       match claim with
-      | Lost_update -> r.Ch.ns.Ns.lww_losses > 0 || not r.Ch.converged
+      | Lost_update -> Ctr.get r.Ch.ns Ns.lww_losses > 0 || not r.Ch.converged
       | Lost_client_write -> r.Ch.writes_lost > 0
       | Unreachable -> not r.Ch.converged
       | Stale_at k -> (

@@ -7,6 +7,7 @@ module Ex = Explore
 module Cs = Clusterstate
 module Ch = Dsim.Chaos
 module Ns = Dsim.Nameserver
+module Ctr = Dsim.Counters
 
 type subject = { config : Ex.config; spec : Ns.spec }
 
@@ -45,7 +46,7 @@ let witness_diag (w : Ex.witness) =
             last-writer-wins discards one; replay confirms (%d LWW losses, \
             converged: %b; minimized in %d trials)"
            (sched_str w.Ex.schedule) (Cs.write_str a) (Cs.write_str b)
-           r.Ch.ns.Ns.lww_losses r.Ch.converged w.Ex.shrink_trials)
+           (Ctr.get r.Ch.ns Ns.lww_losses) r.Ch.converged w.Ex.shrink_trials)
   | Ex.Hole hw ->
       diag ~code:"NG301" ~severity:Diagnostic.Error ~pass:"explore-loss"
         ~name:(Cs.write_name hw) ~loc:hw.Cs.index

@@ -146,31 +146,12 @@ type result = {
   txns_unknown : int;
   latency_mean : float;
   latency_max : float;
-  net : Network.stats;
-  server_rpc : Rpc.stats;
-  client_rpc : Rpc.stats;
-  ns : Nameserver.stats;
+  net : Network.stat Counters.snapshot;
+  server_rpc : Rpc.stat Counters.snapshot;
+  client_rpc : Rpc.stat Counters.snapshot;
+  ns : Nameserver.stat Counters.snapshot;
   events : int;
 }
-
-(* A run has two replicas or more, and one client per replica, so the
-   first endpoint's stats seed the sum. *)
-let sum_rpc (stats : Rpc.stats list) =
-  List.fold_left
-    (fun (a : Rpc.stats) (s : Rpc.stats) ->
-      {
-        Rpc.calls = a.Rpc.calls + s.Rpc.calls;
-        replies = a.Rpc.replies + s.Rpc.replies;
-        timeouts = a.Rpc.timeouts + s.Rpc.timeouts;
-        retries = a.Rpc.retries + s.Rpc.retries;
-        exhausted = a.Rpc.exhausted + s.Rpc.exhausted;
-        unavailable = a.Rpc.unavailable + s.Rpc.unavailable;
-        served = a.Rpc.served + s.Rpc.served;
-        dedup_hits = a.Rpc.dedup_hits + s.Rpc.dedup_hits;
-        dropped_requests = a.Rpc.dropped_requests + s.Rpc.dropped_requests;
-        late_replies = a.Rpc.late_replies + s.Rpc.late_replies;
-      })
-    (List.hd stats) (List.tl stats)
 
 (* The write workload: rebinds and unbinds of the spec's leaf binding
    sites, so probe names actually change meaning mid-run. Everything is
@@ -426,11 +407,11 @@ let summarise ?jobs rig probes samples events =
     latency_max = List.fold_left Float.max 0.0 latencies;
     net = Network.stats rig.network;
     server_rpc =
-      sum_rpc
+      Counters.sum
         (List.init cfg.replicas (fun i ->
              Rpc.stats (Nameserver.endpoint rig.cluster i)));
     client_rpc =
-      sum_rpc
+      Counters.sum
         (Array.to_list
            (Array.map (fun (_, ep, _) -> Rpc.stats ep) rig.clients));
     ns = Nameserver.stats rig.cluster;
@@ -719,21 +700,6 @@ let run_schedule ?jobs ~spec ~probes (s : schedule) =
 
 let degree (r : Co.report) = Co.degree r
 
-let rpc_json (s : Rpc.stats) =
-  J.Obj
-    [
-      ("calls", J.Int s.Rpc.calls);
-      ("replies", J.Int s.Rpc.replies);
-      ("timeouts", J.Int s.Rpc.timeouts);
-      ("retries", J.Int s.Rpc.retries);
-      ("exhausted", J.Int s.Rpc.exhausted);
-      ("unavailable", J.Int s.Rpc.unavailable);
-      ("served", J.Int s.Rpc.served);
-      ("dedup_hits", J.Int s.Rpc.dedup_hits);
-      ("dropped_requests", J.Int s.Rpc.dropped_requests);
-      ("late_replies", J.Int s.Rpc.late_replies);
-    ]
-
 let coherence_json (rep : Co.report) =
   J.Obj
     [
@@ -807,31 +773,10 @@ let report_json ~scheme (r : result) =
                  ])
              r.samples) );
       ("final", coherence_json r.final_report);
-      ( "net",
-        J.Obj
-          [
-            ("sent", J.Int r.net.Network.sent);
-            ("delivered", J.Int r.net.Network.delivered);
-            ("dropped", J.Int r.net.Network.dropped);
-            ("cut", J.Int r.net.Network.cut);
-            ("node_down", J.Int r.net.Network.node_down);
-            ("undeliverable", J.Int r.net.Network.undeliverable);
-            ("duplicated", J.Int r.net.Network.duplicated);
-          ] );
-      ("server_rpc", rpc_json r.server_rpc);
-      ("client_rpc", rpc_json r.client_rpc);
-      ( "nameserver",
-        J.Obj
-          [
-            ("writes_accepted", J.Int r.ns.Nameserver.writes_accepted);
-            ("ops_applied", J.Int r.ns.Nameserver.ops_applied);
-            ("lww_losses", J.Int r.ns.Nameserver.lww_losses);
-            ("pulls", J.Int r.ns.Nameserver.pulls);
-            ("pull_failures", J.Int r.ns.Nameserver.pull_failures);
-            ("elections", J.Int r.ns.Nameserver.elections);
-            ("txns_committed", J.Int r.ns.Nameserver.txns_committed);
-            ("txns_aborted", J.Int r.ns.Nameserver.txns_aborted);
-          ] );
+      ("net", Counters.to_json r.net);
+      ("server_rpc", Counters.to_json r.server_rpc);
+      ("client_rpc", Counters.to_json r.client_rpc);
+      ("nameserver", Counters.to_json r.ns);
       ("events", J.Int r.events);
     ]
 
@@ -855,8 +800,8 @@ let pp_summary ~scheme ppf (r : result) =
       r.txns_committed r.txns_aborted r.txns_unknown r.latency_mean
       r.latency_max;
   Format.fprintf ppf "  net: %a@,  server rpc: %a@,  clients: %a@,  ns: %a@,"
-    Network.pp_stats r.net Rpc.pp_stats r.server_rpc Rpc.pp_stats r.client_rpc
-    Nameserver.pp_stats r.ns;
+    Counters.pp r.net Counters.pp r.server_rpc Counters.pp r.client_rpc
+    Counters.pp r.ns;
   Format.fprintf ppf "  coherence degree over time:@,";
   List.iter
     (fun s ->

@@ -91,10 +91,12 @@ type result = {
           [`Lww_ae], submit→committed under [`Leader_log]; 0 when
           nothing succeeded *)
   latency_max : float;
-  net : Network.stats;
-  server_rpc : Rpc.stats;  (** summed over the replica endpoints *)
-  client_rpc : Rpc.stats;  (** summed over the client endpoints *)
-  ns : Nameserver.stats;
+  net : Network.stat Counters.snapshot;
+  server_rpc : Rpc.stat Counters.snapshot;
+      (** summed over the replica endpoints *)
+  client_rpc : Rpc.stat Counters.snapshot;
+      (** summed over the client endpoints *)
+  ns : Nameserver.stat Counters.snapshot;
   events : int;  (** engine events executed *)
 }
 

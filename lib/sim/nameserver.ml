@@ -185,16 +185,17 @@ type leader = {
 (* Each replica's tier state, indexed by replica id. *)
 type tier = Lww_ae of lww array | Leader_log of leader array
 
-type stats = {
-  writes_accepted : int;
-  ops_applied : int;
-  lww_losses : int;
-  pulls : int;
-  pull_failures : int;
-  elections : int;
-  txns_committed : int;
-  txns_aborted : int;
-}
+type stat
+
+let schema : stat Counters.schema = Counters.schema ()
+let writes_accepted = Counters.key schema "writes_accepted"
+let ops_applied = Counters.key schema "ops_applied"
+let lww_losses = Counters.key schema "lww_losses"
+let pulls = Counters.key schema "pulls"
+let pull_failures = Counters.key schema "pull_failures"
+let elections = Counters.key schema "elections"
+let txns_committed = Counters.key schema "txns_committed"
+let txns_aborted = Counters.key schema "txns_aborted"
 
 type t = {
   tier : tier;
@@ -208,16 +209,15 @@ type t = {
   mutable last_measure : (N.t list * int * Naming.Coherence.report) option;
       (** the probe list, store version and report of the last
           {!measure}: reused while both are unchanged *)
-  decided : (txn_id, unit) Hashtbl.t;  (** txns already counted in [stats] *)
+  decided : (txn_id, unit) Hashtbl.t;  (** txns already counted *)
   mutable ae_gen : int;  (** bumped by start/stop; stale ticks die *)
-  mutable stats : stats;  (** an immutable snapshot, replaced by {!bump} *)
+  counters : stat Counters.t;
   mutable proto_timeout : float;
       (** per-message timeout for leader-log protocol traffic *)
 }
 
 let port = 1
 let now t = Engine.now (Network.engine t.network)
-let bump t f = t.stats <- f t.stats
 let path_key path = N.to_string (N.prepend_root path)
 
 let split_last path =
@@ -282,7 +282,7 @@ let apply t r s op =
   if op.seq = have + 1 then begin
     s.vec.(op.origin) <- op.seq;
     s.log <- op :: s.log;
-    bump t (fun c -> { c with ops_applied = c.ops_applied + 1 });
+    Counters.incr t.counters ops_applied;
     let key = (path_key op.path, N.atom_to_string op.atom) in
     let newer =
       match Hashtbl.find_opt s.winners key with
@@ -296,7 +296,7 @@ let apply t r s op =
         (fun dir -> set_binding t ~dir op.atom op.target)
         (Hashtbl.find_opt r.dirs (fst key))
     end
-    else bump t (fun c -> { c with lww_losses = c.lww_losses + 1 })
+    else Counters.incr t.counters lww_losses
   end
 (* op.seq <= have: a duplicate, already applied. A gap (op.seq > have+1)
    cannot arise from the pull protocol, which ships per-origin deltas in
@@ -320,7 +320,7 @@ let lww_handle t r s = function
             }
           in
           apply t r s op;
-          bump t (fun c -> { c with writes_accepted = c.writes_accepted + 1 });
+          Counters.incr t.counters writes_accepted;
           Ack { stamp = op.stamp })
   | Pull vec ->
       let have origin seq =
@@ -349,7 +349,7 @@ let start_lww_anti_entropy ~period ~timeout ~attempts t states =
           let k = Rng.int r.rng (n - 1) in
           t.members.(if k >= r.id then k + 1 else k)
         in
-        bump t (fun c -> { c with pulls = c.pulls + 1 });
+        Counters.incr t.counters pulls;
         Rpc.call_retry r.endpoint
           ~to_:{ Network.node = peer.node; port }
           ~timeout ~rng:r.rng ~attempts (Pull (Array.copy s.vec))
@@ -357,8 +357,7 @@ let start_lww_anti_entropy ~period ~timeout ~attempts t states =
             | Ok (Ops ops) -> List.iter (apply t r s) ops
             | Ok _ -> ()
             | Error (`Timeout | `Unavailable) ->
-                bump t (fun c ->
-                    { c with pull_failures = c.pull_failures + 1 }))
+                Counters.incr t.counters pull_failures)
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -413,11 +412,10 @@ let find_txn l txn =
 let decide t l txn outcome =
   if txn.client >= 0 && not (Hashtbl.mem t.decided txn) then begin
     Hashtbl.replace t.decided txn ();
-    bump t (fun c ->
-        match outcome with
-        | Committed -> { c with txns_committed = c.txns_committed + 1 }
-        | Aborted _ -> { c with txns_aborted = c.txns_aborted + 1 }
-        | Pending -> c)
+    match outcome with
+    | Committed -> Counters.incr t.counters txns_committed
+    | Aborted _ -> Counters.incr t.counters txns_aborted
+    | Pending -> ()
   end;
   Hashtbl.replace l.outcomes txn outcome
 
@@ -457,7 +455,7 @@ let apply_action t r action =
 let apply_entry t r l e =
   let outcome = apply_action t r e.action in
   if e.txn.client >= 0 then
-    bump t (fun c -> { c with ops_applied = c.ops_applied + 1 });
+    Counters.incr t.counters ops_applied;
   decide t l e.txn outcome
 
 let apply_committed t r l =
@@ -540,7 +538,7 @@ let become_leader t r l =
 
 let start_election t r l =
   l.term <- l.term + 1;
-  bump t (fun c -> { c with elections = c.elections + 1 });
+  Counters.incr t.counters elections;
   l.role <- Candidate;
   l.voted_for <- Some r.id;
   l.votes <- 1;
@@ -579,7 +577,7 @@ let leader_handle t r l = function
       | Leader, None, Some index -> Submitted { term = l.term; index }
       | Leader, None, None ->
           l.llog <- Array.append l.llog [| { eterm = l.term; txn; action } |];
-          bump t (fun c -> { c with writes_accepted = c.writes_accepted + 1 });
+          Counters.incr t.counters writes_accepted;
           broadcast_append t r l;
           Submitted { term = l.term; index = Array.length l.llog })
   | Query txn -> (
@@ -860,17 +858,7 @@ let create ~network ~rng ~replicas:n ?(mode = `Lww_ae) ?dedup_window
       last_measure = None;
       decided = Hashtbl.create 64;
       ae_gen = 0;
-      stats =
-        {
-          writes_accepted = 0;
-          ops_applied = 0;
-          lww_losses = 0;
-          pulls = 0;
-          pull_failures = 0;
-          elections = 0;
-          txns_committed = 0;
-          txns_aborted = 0;
-        };
+      counters = Counters.create schema;
       proto_timeout = 2.0;
     }
   in
@@ -973,11 +961,4 @@ let start_anti_entropy ?(period = 5.0) ?(timeout = 2.0) ?(attempts = 3) t =
 
 let stop_anti_entropy t = t.ae_gen <- t.ae_gen + 1
 
-let stats t = t.stats
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "writes=%d applied=%d lww_losses=%d pulls=%d pull_failures=%d \
-     elections=%d committed=%d aborted=%d"
-    s.writes_accepted s.ops_applied s.lww_losses s.pulls s.pull_failures
-    s.elections s.txns_committed s.txns_aborted
+let stats t = Counters.snapshot t.counters

@@ -273,23 +273,29 @@ val first_tick : period:float -> replicas:int -> int -> float
 val stop_anti_entropy : t -> unit
 (** Stops scheduling new ticks (already-scheduled ones still fire). *)
 
-type stats = {
-  writes_accepted : int;
-      (** accepted writes ([`Lww_ae]) or appended client txns
-          ([`Leader_log]) *)
-  ops_applied : int;
-      (** op applications across all replicas (incl. origin); in
-          [`Leader_log] mode, client entry applications (no-ops
-          excluded) *)
-  lww_losses : int;
-      (** ops superseded by a later writer on arrival — always 0 in
-          [`Leader_log] mode, which serializes writes instead *)
-  pulls : int;  (** anti-entropy rounds initiated *)
-  pull_failures : int;  (** rounds whose call exhausted its retries *)
-  elections : int;  (** elections started ([`Leader_log]) *)
-  txns_committed : int;  (** distinct client txns decided committed *)
-  txns_aborted : int;  (** distinct client txns decided aborted *)
-}
+type stat
+(** Tags the cluster's counter keys; {!stats} reports them in this
+    order. *)
 
-val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
+val writes_accepted : stat Counters.key
+(** accepted writes ([`Lww_ae]) or appended client txns ([`Leader_log]) *)
+
+val ops_applied : stat Counters.key
+(** op applications across all replicas (incl. origin); in
+    [`Leader_log] mode, client entry applications (no-ops excluded) *)
+
+val lww_losses : stat Counters.key
+(** ops superseded by a later writer on arrival — always 0 in
+    [`Leader_log] mode, which serializes writes instead *)
+
+val pulls : stat Counters.key (** anti-entropy rounds initiated *)
+
+val pull_failures : stat Counters.key (** rounds that exhausted retries *)
+
+val elections : stat Counters.key (** elections started ([`Leader_log]) *)
+
+val txns_committed : stat Counters.key (** distinct client txns committed *)
+
+val txns_aborted : stat Counters.key (** distinct client txns aborted *)
+
+val stats : t -> stat Counters.snapshot

@@ -33,15 +33,16 @@ module Address_tbl = Hashtbl.Make (struct
   let hash a = (a.node * 65599) + a.port
 end)
 
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;
-  cut : int;
-  node_down : int;
-  undeliverable : int;
-  duplicated : int;
-}
+type stat
+
+let schema : stat Counters.schema = Counters.schema ()
+let sent = Counters.key schema "sent"
+let delivered = Counters.key schema "delivered"
+let dropped = Counters.key schema "dropped"
+let cut = Counters.key schema "cut"
+let node_down = Counters.key schema "node_down"
+let undeliverable = Counters.key schema "undeliverable"
+let duplicated = Counters.key schema "duplicated"
 
 type 'a t = {
   engine : Engine.t;
@@ -51,13 +52,7 @@ type 'a t = {
   handlers : ('a envelope -> unit) Address_tbl.t;
   mutable partitions : (node_id list * node_id list) list;
   down : (node_id, unit) Hashtbl.t;
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable cut : int;
-  mutable node_down_count : int;
-  mutable undeliverable : int;
-  mutable duplicated : int;
+  counters : stat Counters.t;
 }
 
 let create ?(config = default_config) ~engine ~rng () =
@@ -69,13 +64,7 @@ let create ?(config = default_config) ~engine ~rng () =
     handlers = Address_tbl.create 64;
     partitions = [];
     down = Hashtbl.create 4;
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    cut = 0;
-    node_down_count = 0;
-    undeliverable = 0;
-    duplicated = 0;
+    counters = Counters.create schema;
   }
 
 let engine t = t.engine
@@ -121,13 +110,12 @@ let partition t g1 g2 = t.partitions <- (g1, g2) :: t.partitions
 let heal t = t.partitions <- []
 
 let deliver t ~src ~dst ~payload ~sent_at () =
-  if Hashtbl.mem t.down dst.node then
-    t.node_down_count <- t.node_down_count + 1
+  if Hashtbl.mem t.down dst.node then Counters.incr t.counters node_down
   else
     match Address_tbl.find_opt t.handlers dst with
-  | None -> t.undeliverable <- t.undeliverable + 1
+  | None -> Counters.incr t.counters undeliverable
   | Some handler ->
-      t.delivered <- t.delivered + 1;
+      Counters.incr t.counters delivered;
       handler
         { src; dst; payload; sent_at; delivered_at = Engine.now t.engine }
 
@@ -138,12 +126,12 @@ let one_latency t ~src ~dst =
 let send t ~src ~dst payload =
   check_node t src.node;
   check_node t dst.node;
-  t.sent <- t.sent + 1;
+  Counters.incr t.counters sent;
   if Hashtbl.mem t.down src.node || Hashtbl.mem t.down dst.node then
-    t.node_down_count <- t.node_down_count + 1
-  else if severed t src.node dst.node then t.cut <- t.cut + 1
+    Counters.incr t.counters node_down
+  else if severed t src.node dst.node then Counters.incr t.counters cut
   else if Rng.bool t.rng t.config.drop_probability then
-    t.dropped <- t.dropped + 1
+    Counters.incr t.counters dropped
   else begin
     let sent_at = Engine.now t.engine in
     let dispatch () =
@@ -153,27 +141,10 @@ let send t ~src ~dst payload =
     in
     dispatch ();
     if Rng.bool t.rng t.config.duplicate_probability then begin
-      t.duplicated <- t.duplicated + 1;
+      Counters.incr t.counters duplicated;
       dispatch ()
     end
   end
 
-let stats t =
-  {
-    sent = t.sent;
-    delivered = t.delivered;
-    dropped = t.dropped;
-    cut = t.cut;
-    node_down = t.node_down_count;
-    undeliverable = t.undeliverable;
-    duplicated = t.duplicated;
-  }
-
+let stats t = Counters.snapshot t.counters
 let pp_address ppf a = Format.fprintf ppf "%d:%d" a.node a.port
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "sent=%d delivered=%d dropped=%d cut=%d down=%d undeliverable=%d \
-     duplicated=%d"
-    s.sent s.delivered s.dropped s.cut s.node_down s.undeliverable
-    s.duplicated

@@ -65,16 +65,21 @@ val partition : 'a t -> node_id list -> node_id list -> unit
 val heal : 'a t -> unit
 (** Removes all partitions. *)
 
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;  (** random loss *)
-  cut : int;  (** lost to a partition *)
-  node_down : int;  (** lost because a machine was down *)
-  undeliverable : int;  (** no handler bound at delivery time *)
-  duplicated : int;
-}
+type stat
+(** Tags the network's counter keys; {!stats} reports them in this
+    order. *)
 
-val stats : 'a t -> stats
+val sent : stat Counters.key
+val delivered : stat Counters.key
+val dropped : stat Counters.key (** random loss *)
+
+val cut : stat Counters.key (** lost to a partition *)
+
+val node_down : stat Counters.key (** lost because a machine was down *)
+
+val undeliverable : stat Counters.key (** no handler bound at delivery *)
+
+val duplicated : stat Counters.key
+val stats : 'a t -> stat Counters.snapshot
+
 val pp_address : Format.formatter -> address -> unit
-val pp_stats : Format.formatter -> stats -> unit

@@ -7,18 +7,19 @@ type ('req, 'resp) pending_call = {
   mutable timeout_handle : Engine.handle;
 }
 
-type stats = {
-  calls : int;
-  replies : int;
-  timeouts : int;
-  retries : int;
-  exhausted : int;
-  unavailable : int;
-  served : int;
-  dedup_hits : int;
-  dropped_requests : int;
-  late_replies : int;
-}
+type stat
+
+let schema : stat Counters.schema = Counters.schema ()
+let calls = Counters.key schema "calls"
+let replies = Counters.key schema "replies"
+let timeouts = Counters.key schema "timeouts"
+let retries = Counters.key schema "retries"
+let exhausted = Counters.key schema "exhausted"
+let unavailable = Counters.key schema "unavailable"
+let served = Counters.key schema "served"
+let dedup_hits = Counters.key schema "dedup_hits"
+let dropped_requests = Counters.key schema "dropped_requests"
+let late_replies = Counters.key schema "late_replies"
 
 (* Dedup memory: one answered-request table per caller address, keyed by
    the caller's request id. Ids are never reused by an endpoint, so an
@@ -46,16 +47,7 @@ type ('req, 'resp) endpoint = {
   answered_order : int Queue.t Caller_tbl.t;
   pending_calls : (int, ('req, 'resp) pending_call) Hashtbl.t;
   mutable next_id : int;
-  mutable calls : int;
-  mutable replies : int;
-  mutable timeouts : int;
-  mutable retries : int;
-  mutable exhausted : int;
-  mutable unavailable : int;
-  mutable served : int;
-  mutable dedup_hits : int;
-  mutable dropped_requests : int;
-  mutable late_replies : int;
+  counters : stat Counters.t;
 }
 
 let respond t ~to_ ~id payload =
@@ -74,16 +66,16 @@ let receive t envelope =
       in
       match remembered with
       | Some response ->
-          t.dedup_hits <- t.dedup_hits + 1;
+          Counters.incr t.counters dedup_hits;
           respond t ~to_:src ~id response
       | None -> (
           match t.handler with
-          | None -> t.dropped_requests <- t.dropped_requests + 1
+          | None -> Counters.incr t.counters dropped_requests
           | Some handler -> (
               match handler payload with
-              | None -> t.dropped_requests <- t.dropped_requests + 1
+              | None -> Counters.incr t.counters dropped_requests
               | Some response ->
-                  t.served <- t.served + 1;
+                  Counters.incr t.counters served;
                   if t.dedup then begin
                     let per_caller =
                       match Caller_tbl.find_opt t.answered src with
@@ -115,11 +107,11 @@ let receive t envelope =
                   respond t ~to_:src ~id response)))
   | Response { id; payload } -> (
       match Hashtbl.find_opt t.pending_calls id with
-      | None -> t.late_replies <- t.late_replies + 1
+      | None -> Counters.incr t.counters late_replies
       | Some call ->
           Hashtbl.remove t.pending_calls id;
           Engine.cancel (Network.engine t.network) call.timeout_handle;
-          t.replies <- t.replies + 1;
+          Counters.incr t.counters replies;
           call.on_reply (Ok payload))
 
 let create network ~node ~port ?handler ?(dedup = false) ?dedup_window () =
@@ -134,16 +126,7 @@ let create network ~node ~port ?handler ?(dedup = false) ?dedup_window () =
       answered_order = Caller_tbl.create 4;
       pending_calls = Hashtbl.create 16;
       next_id = 0;
-      calls = 0;
-      replies = 0;
-      timeouts = 0;
-      retries = 0;
-      exhausted = 0;
-      unavailable = 0;
-      served = 0;
-      dedup_hits = 0;
-      dropped_requests = 0;
-      late_replies = 0;
+      counters = Counters.create schema;
     }
   in
   Network.bind network t.address (receive t);
@@ -155,12 +138,12 @@ let set_handler t h = t.handler <- Some h
 let call t ~to_ ~timeout payload ~on_reply =
   let id = t.next_id in
   t.next_id <- id + 1;
-  t.calls <- t.calls + 1;
+  Counters.incr t.counters calls;
   let timeout_handle =
     Engine.schedule (Network.engine t.network) ~delay:timeout (fun () ->
         if Hashtbl.mem t.pending_calls id then begin
           Hashtbl.remove t.pending_calls id;
-          t.timeouts <- t.timeouts + 1;
+          Counters.incr t.counters timeouts;
           on_reply (Error `Timeout)
         end)
   in
@@ -175,7 +158,7 @@ let call_retry t ~to_ ~timeout ?(backoff = 2.0) ?max_timeout ?(jitter = 0.1)
   | _ -> ());
   let id = t.next_id in
   t.next_id <- id + 1;
-  t.calls <- t.calls + 1;
+  Counters.incr t.counters calls;
   let engine = Network.engine t.network in
   let send_request () =
     Network.send t.network ~src:t.address ~dst:to_ (Request { id; payload })
@@ -201,23 +184,23 @@ let call_retry t ~to_ ~timeout ?(backoff = 2.0) ?max_timeout ?(jitter = 0.1)
           Engine.schedule engine ~delay:remaining (fun () ->
               if Hashtbl.mem t.pending_calls id then begin
                 Hashtbl.remove t.pending_calls id;
-                t.timeouts <- t.timeouts + 1;
-                t.unavailable <- t.unavailable + 1;
+                Counters.incr t.counters timeouts;
+                Counters.incr t.counters unavailable;
                 on_reply (Error `Unavailable)
               end)
     | _ ->
         call.timeout_handle <-
           Engine.schedule engine ~delay:wait (fun () ->
               if Hashtbl.mem t.pending_calls id then begin
-                t.timeouts <- t.timeouts + 1;
+                Counters.incr t.counters timeouts;
                 if attempt + 1 < attempts then begin
-                  t.retries <- t.retries + 1;
+                  Counters.incr t.counters retries;
                   send_request ();
                   arm call (attempt + 1) (elapsed +. wait)
                 end
                 else begin
                   Hashtbl.remove t.pending_calls id;
-                  t.exhausted <- t.exhausted + 1;
+                  Counters.incr t.counters exhausted;
                   on_reply (Error `Timeout)
                 end
               end)
@@ -254,23 +237,4 @@ let retry_schedule ~timeout ?(backoff = 2.0) ?max_timeout ?(jitter = 0.1)
   done;
   (sends, (!lo, !hi))
 
-let stats t =
-  {
-    calls = t.calls;
-    replies = t.replies;
-    timeouts = t.timeouts;
-    retries = t.retries;
-    exhausted = t.exhausted;
-    unavailable = t.unavailable;
-    served = t.served;
-    dedup_hits = t.dedup_hits;
-    dropped_requests = t.dropped_requests;
-    late_replies = t.late_replies;
-  }
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "calls=%d replies=%d timeouts=%d retries=%d exhausted=%d unavailable=%d \
-     served=%d dedup=%d dropped=%d late=%d"
-    s.calls s.replies s.timeouts s.retries s.exhausted s.unavailable s.served
-    s.dedup_hits s.dropped_requests s.late_replies
+let stats t = Counters.snapshot t.counters

@@ -58,7 +58,7 @@ val call :
     or with [Error `Timeout] after [timeout] simulated time units
     ({!call} itself never reports [`Unavailable]; the error type is
     shared with {!call_retry} so handlers compose). A response arriving
-    after the timeout is counted in [stats.late_replies] and
+    after the timeout is counted in {!late_replies} and
     discarded. *)
 
 val call_retry :
@@ -84,15 +84,15 @@ val call_retry :
 
     [on_reply] fires exactly once: [Ok] on the first response to any
     attempt, [Error `Timeout] when the budget is exhausted (counted in
-    [stats.exhausted]; every expired attempt is also counted in
-    [stats.timeouts], every retransmission in [stats.retries]). A
+    {!exhausted}; every expired attempt is also counted in
+    {!timeouts}, every retransmission in {!retries}). A
     response arriving after exhaustion counts as a late reply.
 
     [deadline] is an overall per-call budget, in simulated time from the
     call: an attempt whose wait would run past the deadline waits only
     the remaining budget, and the call then terminates with
-    [Error `Unavailable] (counted in [stats.unavailable], {e not} in
-    [stats.exhausted]) instead of burning the rest of the attempt
+    [Error `Unavailable] (counted in {!unavailable}, {e not} in
+    {!exhausted}) instead of burning the rest of the attempt
     schedule — the caller-visible signal for a known-dead destination.
     Without [deadline] the behaviour (and the rng stream) is unchanged.
     @raise Invalid_argument when [attempts < 1] or [deadline <= 0]. *)
@@ -120,22 +120,31 @@ val retry_schedule :
     [0; jitter * wait). Defaults match {!call_retry}.
     @raise Invalid_argument when [attempts < 1]. *)
 
-type stats = {
-  calls : int;  (** logical calls ({!call} / {!call_retry} invocations) *)
-  replies : int;
-  timeouts : int;  (** expired attempts (including ones that were retried) *)
-  retries : int;  (** retransmissions sent by {!call_retry} *)
-  exhausted : int;  (** {!call_retry} attempt budgets that ran out *)
-  unavailable : int;
-      (** {!call_retry} calls cut short by their [deadline] — the
-          terminal [Error `Unavailable] outcomes *)
-  served : int;  (** requests this endpoint's handler answered *)
-  dedup_hits : int;
-      (** duplicate requests answered from the dedup memory without
-          re-invoking the handler *)
-  dropped_requests : int;  (** requests the handler declined or had no handler *)
-  late_replies : int;  (** responses discarded after their timeout *)
-}
+type stat
+(** Tags an endpoint's counter keys; {!stats} reports them in this
+    order. *)
 
-val stats : ('req, 'resp) endpoint -> stats
-val pp_stats : Format.formatter -> stats -> unit
+val calls : stat Counters.key (** {!call} and {!call_retry} invocations *)
+
+val replies : stat Counters.key
+val timeouts : stat Counters.key (** expired attempts, retried or not *)
+
+val retries : stat Counters.key (** retransmissions by {!call_retry} *)
+
+val exhausted : stat Counters.key (** {!call_retry} budgets run out *)
+
+val unavailable : stat Counters.key
+(** {!call_retry} calls cut short by their [deadline]: the terminal
+    [Error `Unavailable] outcomes *)
+
+val served : stat Counters.key (** requests the handler answered *)
+
+val dedup_hits : stat Counters.key
+(** duplicates answered from the dedup memory, not the handler *)
+
+val dropped_requests : stat Counters.key
+(** requests the handler declined or had no handler *)
+
+val late_replies : stat Counters.key (** responses after their timeout *)
+
+val stats : ('req, 'resp) endpoint -> stat Counters.snapshot

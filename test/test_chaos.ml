@@ -4,6 +4,7 @@
 
 module Ns = Dsim.Nameserver
 module Ch = Dsim.Chaos
+module Ctr = Dsim.Counters
 module N = Naming.Name
 module Co = Naming.Coherence
 
@@ -33,7 +34,8 @@ let test_default_schedule_converges () =
     (List.length r.Ch.samples
     = int_of_float (Ch.default.Ch.duration /. Ch.default.Ch.sample_every));
   check b "faults actually bit" true
-    ((r.Ch.net.Dsim.Network.dropped > 0 || r.Ch.net.Dsim.Network.cut > 0)
+    ((Ctr.get r.Ch.net Dsim.Network.dropped > 0
+     || Ctr.get r.Ch.net Dsim.Network.cut > 0)
     && List.exists
          (fun s -> s.Ch.report.Co.incoherent > 0 || not s.Ch.converged)
          r.Ch.samples);

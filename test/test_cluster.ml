@@ -12,6 +12,7 @@ module Rp = Analysis.Replpasses
 module Ns = Dsim.Nameserver
 module Ch = Dsim.Chaos
 module Rng = Dsim.Rng
+module Ctr = Dsim.Counters
 module N = Naming.Name
 
 let check = Alcotest.check
@@ -267,7 +268,7 @@ let prop_errors_replay_witnessed =
       let r = Ch.run ~config ~spec ~probes () in
       let witnessed (d : A.Diagnostic.t) =
         match d.A.Diagnostic.code with
-        | "NG201" -> r.Ch.ns.Ns.lww_losses > 0 || not r.Ch.converged
+        | "NG201" -> Ctr.get r.Ch.ns Ns.lww_losses > 0 || not r.Ch.converged
         | "NG202" -> not r.Ch.converged
         | "NG203" -> (
             match d.A.Diagnostic.loc with
@@ -285,7 +286,8 @@ let prop_errors_replay_witnessed =
             QCheck.Test.fail_reportf
               "seed %d: %s not witnessed by replay (converged=%b \
                lww_losses=%d writes_lost=%d): %s"
-              seed d.A.Diagnostic.code r.Ch.converged r.Ch.ns.Ns.lww_losses
+              seed d.A.Diagnostic.code r.Ch.converged
+              (Ctr.get r.Ch.ns Ns.lww_losses)
               r.Ch.writes_lost d.A.Diagnostic.message)
         diags;
       let clean =

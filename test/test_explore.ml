@@ -22,6 +22,7 @@ module Xp = Analysis.Explorepasses
 module Ns = Dsim.Nameserver
 module Ch = Dsim.Chaos
 module Rng = Dsim.Rng
+module Ctr = Dsim.Counters
 module N = Naming.Name
 
 let check = Alcotest.check
@@ -141,7 +142,7 @@ let test_leader_mode_discharges_losses () =
       check b (w.Ex.code ^ " claim holds in the leader replay") true
         (Ex.claim_holds w.Ex.claim w.Ex.replay);
       check i (w.Ex.code ^ " replay observed zero lost updates") 0
-        w.Ex.replay.Ch.ns.Ns.lww_losses)
+        (Ctr.get w.Ex.replay.Ch.ns Ns.lww_losses))
     outcome.Ex.witnesses
 
 (* A spec whose cluster accepts no write at all: the space is a single

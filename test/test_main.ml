@@ -19,6 +19,7 @@ let () =
       ("compiled", Test_compiled.suite);
       ("rng", Test_rng.suite);
       ("engine", Test_engine.suite);
+      ("counters", Test_counters.suite);
       ("network", Test_network.suite);
       ("rpc", Test_rpc.suite);
       ("nameserver", Test_nameserver.suite);

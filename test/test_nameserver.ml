@@ -6,6 +6,7 @@ module En = Dsim.Engine
 module Net = Dsim.Network
 module Rpc = Dsim.Rpc
 module Ns = Dsim.Nameserver
+module Ctr = Dsim.Counters
 module N = Naming.Name
 module E = Naming.Entity
 module Co = Naming.Coherence
@@ -137,7 +138,8 @@ let test_partition_diverge_heal_reconverge () =
     check b "unbind won everywhere" true
       (E.is_undefined (Ns.resolve_at cluster r (N.of_string "/a/x")))
   done;
-  check b "losing write counted" true ((Ns.stats cluster).Ns.lww_losses >= 1)
+  check b "losing write counted" true
+    (Ctr.get (Ns.stats cluster) Ns.lww_losses >= 1)
 
 let test_resolve_over_rpc () =
   let engine, net, cluster = make () in
@@ -193,6 +195,23 @@ let test_measure_reuses_unchanged () =
   let after = Ns.measure cluster probes in
   check i "direct unbind seen" 1 after.Co.incoherent;
   check b "and remembered" true (Ns.measure cluster probes == after)
+
+(* A stats snapshot is a copy: the write counters it holds do not move
+   when a later write lands. *)
+let test_stats_snapshot_fixed () =
+  let _, _, cluster = make () in
+  let before = Ns.stats cluster in
+  (match
+     Ns.write_local cluster 0
+       (Ns.Write
+          { path = N.of_string "/a"; atom = N.atom "z"; target = Some "k1" })
+   with
+  | Ns.Ack _ -> ()
+  | _ -> Alcotest.fail "write not acked");
+  check i "snapshot before the write" 0 (Ctr.get before Ns.writes_accepted);
+  check i "applied before the write" 0 (Ctr.get before Ns.ops_applied);
+  check i "snapshot after the write" 1
+    (Ctr.get (Ns.stats cluster) Ns.writes_accepted)
 
 let test_rejects_single_replica () =
   let engine = En.create () in
@@ -307,7 +326,7 @@ let engine_stays_exact mode seed =
   Ns.stop_anti_entropy cluster;
   !ok
   && engine_matches_interpreter cluster
-  && (Ns.stats cluster).Ns.ops_applied > 0
+  && Ctr.get (Ns.stats cluster) Ns.ops_applied > 0
 
 let test_cluster_engine () =
   let _, _, cluster = make () in
@@ -347,4 +366,6 @@ let suite =
       (prop_cluster_engine `Lww_ae "lww cluster engine = interpreter");
     QCheck_alcotest.to_alcotest
       (prop_cluster_engine `Leader_log "leader cluster engine = interpreter");
+    Alcotest.test_case "stats snapshot fixed across a write" `Quick
+      test_stats_snapshot_fixed;
   ]

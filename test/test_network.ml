@@ -4,6 +4,7 @@ module En = Dsim.Engine
 module Net = Dsim.Network
 module Act = Dsim.Actor
 module R = Dsim.Rng
+module Ctr = Dsim.Counters
 
 let check = Alcotest.check
 let b = Alcotest.bool
@@ -41,8 +42,8 @@ let test_basic_delivery () =
       check b "src recorded" true (env.Net.src = Act.address a)
   | None -> Alcotest.fail "no delivery");
   let s = Net.stats net in
-  check i "sent" 1 s.Net.sent;
-  check i "delivered" 1 s.Net.delivered
+  check i "sent" 1 (Ctr.get s Net.sent);
+  check i "delivered" 1 (Ctr.get s Net.delivered)
 
 let test_local_latency () =
   let engine, net = make () in
@@ -70,7 +71,7 @@ let test_drop_all () =
   done;
   ignore (En.run engine);
   check i "nothing delivered" 0 (Act.inbox_length c);
-  check i "all dropped" 10 (Net.stats net).Net.dropped
+  check i "all dropped" 10 (Ctr.get (Net.stats net) Net.dropped)
 
 let test_duplicates () =
   let engine, net =
@@ -83,7 +84,7 @@ let test_duplicates () =
   Act.send a ~to_:c "x";
   ignore (En.run engine);
   check i "two copies" 2 (Act.inbox_length c);
-  check i "duplicated stat" 1 (Net.stats net).Net.duplicated
+  check i "duplicated stat" 1 (Ctr.get (Net.stats net) Net.duplicated)
 
 let test_partition_and_heal () =
   let engine, net = make () in
@@ -95,7 +96,7 @@ let test_partition_and_heal () =
   Act.send a ~to_:c "x";
   Act.send c ~to_:a "y";
   ignore (En.run engine);
-  check i "both cut" 2 (Net.stats net).Net.cut;
+  check i "both cut" 2 (Ctr.get (Net.stats net) Net.cut);
   check i "none delivered" 0 (Act.inbox_length a + Act.inbox_length c);
   Net.heal net;
   Act.send a ~to_:c "x2";
@@ -109,7 +110,7 @@ let test_undeliverable () =
   let a = Act.create net ~node:n1 ~port:1 in
   Net.send net ~src:(Act.address a) ~dst:{ Net.node = n2; port = 9 } "x";
   ignore (En.run engine);
-  check i "undeliverable" 1 (Net.stats net).Net.undeliverable
+  check i "undeliverable" 1 (Ctr.get (Net.stats net) Net.undeliverable)
 
 let test_reactive_handler () =
   let engine, net = make () in
@@ -142,14 +143,14 @@ let test_node_crash_and_recovery () =
   Net.set_node_up net n2 false;
   Act.send a ~to_:c "lost1";
   ignore (En.run engine);
-  check i "down counted" 1 (Net.stats net).Net.node_down;
+  check i "down counted" 1 (Ctr.get (Net.stats net) Net.node_down);
   check i "nothing queued" 0 (Act.inbox_length c);
   (* crash while in flight: lost at delivery time *)
   Net.set_node_up net n2 true;
   Act.send a ~to_:c "lost2";
   Net.set_node_up net n2 false;
   ignore (En.run engine);
-  check i "in-flight loss counted" 2 (Net.stats net).Net.node_down;
+  check i "in-flight loss counted" 2 (Ctr.get (Net.stats net) Net.node_down);
   (* recovery: bindings survive *)
   Net.set_node_up net n2 true;
   Act.send a ~to_:c "finally";
@@ -192,7 +193,7 @@ let test_many_messages_all_arrive () =
   done;
   ignore (En.run engine);
   check i "all arrived" 100 (Act.inbox_length c);
-  check i "delivered stat" 100 (Net.stats net).Net.delivered
+  check i "delivered stat" 100 (Ctr.get (Net.stats net) Net.delivered)
 
 (* A crash/restart window driven from inside the simulation: sends
    before and after the window arrive, sends into it are lost, and the
@@ -217,7 +218,7 @@ let test_scheduled_crash_window () =
   let payloads = List.map (fun e -> e.Net.payload) (Act.drain c) in
   check (Alcotest.list Alcotest.string) "window loss only"
     [ "before"; "after" ] payloads;
-  check i "down loss counted" 1 (Net.stats net).Net.node_down
+  check i "down loss counted" 1 (Ctr.get (Net.stats net) Net.node_down)
 
 (* The message is in flight when the destination dies: it was accepted
    by the network but must not be delivered. *)
@@ -232,7 +233,7 @@ let test_crash_loses_in_flight () =
   ignore (En.schedule engine ~delay:0.0 (fun () -> Net.set_node_up net n2 false));
   ignore (En.run engine);
   check i "nothing delivered" 0 (Act.inbox_length c);
-  check i "in-flight loss counted" 1 (Net.stats net).Net.node_down
+  check i "in-flight loss counted" 1 (Ctr.get (Net.stats net) Net.node_down)
 
 let test_scheduled_partition_window () =
   let engine, net = make () in
@@ -253,7 +254,7 @@ let test_scheduled_partition_window () =
   let payloads = List.map (fun e -> e.Net.payload) (Act.drain c) in
   check (Alcotest.list Alcotest.string) "cut window only" [ "pre"; "post" ]
     payloads;
-  check i "cut counted" 1 (Net.stats net).Net.cut
+  check i "cut counted" 1 (Ctr.get (Net.stats net) Net.cut)
 
 let suite =
   [

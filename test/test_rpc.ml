@@ -3,6 +3,7 @@
 module En = Dsim.Engine
 module Net = Dsim.Network
 module Rpc = Dsim.Rpc
+module Ctr = Dsim.Counters
 
 let check = Alcotest.check
 let b = Alcotest.bool
@@ -29,10 +30,10 @@ let test_call_reply () =
   check b "reply" true (!got = Some (Ok 42));
   check i "none pending" 0 (Rpc.pending client);
   let s = Rpc.stats client in
-  check i "calls" 1 s.Rpc.calls;
-  check i "replies" 1 s.Rpc.replies;
-  check i "timeouts" 0 s.Rpc.timeouts;
-  check i "server served" 1 (Rpc.stats server).Rpc.served
+  check i "calls" 1 (Ctr.get s Rpc.calls);
+  check i "replies" 1 (Ctr.get s Rpc.replies);
+  check i "timeouts" 0 (Ctr.get s Rpc.timeouts);
+  check i "server served" 1 (Ctr.get (Rpc.stats server) Rpc.served)
 
 let test_timeout_on_loss () =
   let engine, net, n1, n2 =
@@ -47,7 +48,7 @@ let test_timeout_on_loss () =
     ~on_reply:(fun r -> got := Some r);
   ignore (En.run engine);
   check b "timeout" true (!got = Some (Error `Timeout));
-  check i "timeout counted" 1 (Rpc.stats client).Rpc.timeouts;
+  check i "timeout counted" 1 (Ctr.get (Rpc.stats client) Rpc.timeouts);
   check b "clock advanced to timeout" true (En.now engine >= 3.0)
 
 let test_handler_drop () =
@@ -62,7 +63,7 @@ let test_handler_drop () =
   ignore (En.run engine);
   check b "timed out" true (!got = Some (Error `Timeout));
   check i "request dropped by handler" 1
-    (Rpc.stats server).Rpc.dropped_requests
+    (Ctr.get (Rpc.stats server) Rpc.dropped_requests)
 
 let test_no_handler () =
   let engine, net, n1, n2 = make () in
@@ -71,7 +72,7 @@ let test_no_handler () =
   Rpc.call client ~to_:(Rpc.address server) ~timeout:2.0 1
     ~on_reply:(fun _ -> ());
   ignore (En.run engine);
-  check i "unserved" 1 (Rpc.stats server).Rpc.dropped_requests;
+  check i "unserved" 1 (Ctr.get (Rpc.stats server) Rpc.dropped_requests);
   (* a handler installed later serves new calls *)
   Rpc.set_handler server (fun x -> Some (x + 1));
   let got = ref None in
@@ -117,7 +118,7 @@ let test_concurrent_clients_one_server () =
   done;
   ignore (En.run engine);
   check i "all 20 correct" 20 !ok;
-  check i "server served 20" 20 (Rpc.stats server).Rpc.served
+  check i "server served 20" 20 (Ctr.get (Rpc.stats server) Rpc.served)
 
 let test_duplicate_response_is_late () =
   let engine, net, n1, n2 =
@@ -135,7 +136,7 @@ let test_duplicate_response_is_late () =
      duplicated; exactly one reaches the callback *)
   check i "exactly one callback" 1 !replies;
   check b "surplus counted as late" true
-    ((Rpc.stats client).Rpc.late_replies >= 1)
+    (Ctr.get (Rpc.stats client) Rpc.late_replies >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Retries, dedup and fault windows.                                   *)
@@ -155,9 +156,9 @@ let test_retry_recovers_loss () =
   ignore (En.run engine);
   check b "recovered by retrying" true (!got = Some (Ok 42));
   let s = Rpc.stats client in
-  check i "one logical call" 1 s.Rpc.calls;
-  check b "at least one retry" true (s.Rpc.retries >= 1);
-  check i "no exhaustion" 0 s.Rpc.exhausted
+  check i "one logical call" 1 (Ctr.get s Rpc.calls);
+  check b "at least one retry" true (Ctr.get s Rpc.retries >= 1);
+  check i "no exhaustion" 0 (Ctr.get s Rpc.exhausted)
 
 let test_retry_exhaustion_stats () =
   let engine, net, n1, n2 =
@@ -174,10 +175,10 @@ let test_retry_exhaustion_stats () =
   ignore (En.run engine);
   check b "exhausted" true (!got = Some (Error `Timeout));
   let s = Rpc.stats client in
-  check i "calls" 1 s.Rpc.calls;
-  check i "every attempt timed out" 3 s.Rpc.timeouts;
-  check i "two retransmissions" 2 s.Rpc.retries;
-  check i "one budget exhausted" 1 s.Rpc.exhausted;
+  check i "calls" 1 (Ctr.get s Rpc.calls);
+  check i "every attempt timed out" 3 (Ctr.get s Rpc.timeouts);
+  check i "two retransmissions" 2 (Ctr.get s Rpc.retries);
+  check i "one budget exhausted" 1 (Ctr.get s Rpc.exhausted);
   check i "none pending" 0 (Rpc.pending client);
   (* exponential backoff: 1 + 2 + 4 time units before giving up *)
   check b "backoff applied" true (En.now engine >= 7.0)
@@ -205,8 +206,8 @@ let test_deadline_cuts_retries_short () =
     (!got = Some (Error `Unavailable));
   check b "reported exactly at the deadline" true (!at = 5.0);
   let s = Rpc.stats client in
-  check i "counted as unavailable" 1 s.Rpc.unavailable;
-  check i "distinct from attempts-exhausted" 0 s.Rpc.exhausted;
+  check i "counted as unavailable" 1 (Ctr.get s Rpc.unavailable);
+  check i "distinct from attempts-exhausted" 0 (Ctr.get s Rpc.exhausted);
   check i "none pending" 0 (Rpc.pending client)
 
 let test_deadline_no_effect_when_reply_arrives () =
@@ -221,7 +222,7 @@ let test_deadline_no_effect_when_reply_arrives () =
     ~on_reply:(fun r -> got := Some r);
   ignore (En.run engine);
   check b "normal reply" true (!got = Some (Ok 42));
-  check i "no unavailable" 0 (Rpc.stats client).Rpc.unavailable;
+  check i "no unavailable" 0 (Ctr.get (Rpc.stats client) Rpc.unavailable);
   (* and an invalid deadline is rejected eagerly *)
   check b "non-positive deadline rejected" true
     (try
@@ -246,7 +247,8 @@ let test_duplicate_invokes_handler_twice_without_dedup () =
     ~on_reply:(fun _ -> ());
   ignore (En.run engine);
   check i "duplicate delivery runs the handler twice" 2 !invocations;
-  check i "no dedup hits without dedup" 0 (Rpc.stats server).Rpc.dedup_hits
+  check i "no dedup hits without dedup" 0
+    (Ctr.get (Rpc.stats server) Rpc.dedup_hits)
 
 let test_dedup_applies_once () =
   let engine, net, n1, n2 =
@@ -266,7 +268,7 @@ let test_dedup_applies_once () =
   check b "still replied" true (!got = Some (Ok 1));
   check i "handler ran once" 1 !invocations;
   check b "duplicate answered from memory" true
-    ((Rpc.stats server).Rpc.dedup_hits >= 1)
+    (Ctr.get (Rpc.stats server) Rpc.dedup_hits >= 1)
 
 let test_retry_across_crash_restart () =
   let engine, net, n1, n2 = make () in
@@ -285,7 +287,8 @@ let test_retry_across_crash_restart () =
   (* the server's binding survived the crash; a retry after the restart
      gets through *)
   check b "served after restart" true (!got = Some (Ok 2));
-  check b "down window cost retries" true ((Rpc.stats client).Rpc.retries >= 1)
+  check b "down window cost retries" true
+    (Ctr.get (Rpc.stats client) Rpc.retries >= 1)
 
 let test_retry_across_partition_heal () =
   let engine, net, n1, n2 = make () in
@@ -301,7 +304,8 @@ let test_retry_across_partition_heal () =
     ~on_reply:(fun r -> got := Some r);
   ignore (En.run engine);
   check b "served after heal" true (!got = Some (Ok 2));
-  check b "messages were cut meanwhile" true ((Net.stats net).Net.cut >= 1)
+  check b "messages were cut meanwhile" true
+    (Ctr.get (Net.stats net) Net.cut >= 1)
 
 (* property: with dedup on and a sufficient attempt budget, every
    logical request is applied exactly once, whatever the loss and
