@@ -174,9 +174,7 @@ let parse_entity_ref lineno s =
     | 'o' -> Entity.Object (num ())
     | _ -> parse_error lineno "bad entity reference %S" s
 
-(* One classified body line; the string parser and the streaming channel
-   decoder share this so the two accept the same line language and
-   report the same errors at the same positions. *)
+(* One classified body line. *)
 type line =
   | L_blank
   | L_entity of int * pre_entity
@@ -215,7 +213,7 @@ let classify_line lineno line =
   else parse_error lineno "unrecognised line %S" line
 
 (* Reference lookup, label application and bind application over the
-   id ↦ created-entity table — shared by both decoders. *)
+   id ↦ created-entity table. *)
 let find_created created lineno e =
   match e with
   | Entity.Undefined -> Entity.Undefined
@@ -238,52 +236,12 @@ let apply_bind store created (lineno, dir_id, atom, target) =
   | a -> Store.bind store ~dir a target
   | exception Name.Invalid msg -> parse_error lineno "bad atom: %s" msg
 
-let parse text =
-  let lines = String.split_on_char '\n' text in
-  (match lines with
-  | first :: _ when String.equal first header -> ()
-  | first :: _ -> parse_error 1 "bad header %S" first
-  | [] -> parse_error 1 "empty input");
-  let entities = Hashtbl.create 64 in
-  let labels = ref [] in
-  let binds = ref [] in
-  List.iteri
-    (fun idx line ->
-      let lineno = idx + 1 in
-      if idx = 0 then ()
-      else
-        match classify_line lineno line with
-        | L_blank -> ()
-        | L_entity (id, pre) -> Hashtbl.replace entities id pre
-        | L_label (ref_, l) -> labels := (lineno, ref_, l) :: !labels
-        | L_bind (dir, atom, target) ->
-            binds := (lineno, dir, atom, target) :: !binds)
-    lines;
-  (* Recreate entities in id order; ids must be dense from 0. *)
-  let store = Store.create () in
-  let count = Hashtbl.length entities in
-  let created = Hashtbl.create count in
-  for id = 0 to count - 1 do
-    match Hashtbl.find_opt entities id with
-    | None -> parse_error 0 "entity ids not dense: %d missing" id
-    | Some Pre_activity ->
-        Hashtbl.replace created id (Store.create_activity store)
-    | Some (Pre_file data) ->
-        Hashtbl.replace created id (Store.create_object ~state:(Store.Data data) store)
-    | Some Pre_dir ->
-        Hashtbl.replace created id (Store.create_context_object store)
-  done;
-  List.iter (apply_label store created) (List.rev !labels);
-  List.iter (apply_bind store created) (List.rev !binds);
-  store
-
-(* Streaming decode: one pass, constant-resident. Entities must arrive
-   in dense id order (what the encoder emits), so each can be created
-   the moment its line is read; labels and binds are applied eagerly
-   when their entities already exist — always the case for encoder
-   output — and parked until end of input otherwise, where a
-   still-dangling reference reports the same error at the same line as
-   [parse]. *)
+(* The decoder: one pass over the lines [next_line] yields. Entities
+   must arrive in dense id order (what the encoder emits), so each can
+   be created the moment its line is read; labels and binds are applied
+   eagerly when their entities already exist — always the case for
+   encoder output — and parked until end of input otherwise, where a
+   still-dangling reference is reported at its own line. *)
 let decode_lines next_line =
   (match next_line () with
   | Some first when String.equal first header -> ()
@@ -339,26 +297,32 @@ let decode_lines next_line =
   List.iter (apply_bind store created) (List.rev !pending_binds);
   store
 
-let decode_from_channel ic =
-  let next_line () =
-    match input_line ic with
-    | line -> Some line
-    | exception End_of_file -> None
-  in
+(* Total: any input — random bytes, truncated dumps, mutated valid dumps
+   — yields [Error] rather than an exception. The catch-all guards
+   against escapes from library calls the per-line checks don't cover;
+   it reports line 0 (no better position is known). *)
+let decode next_line =
   match decode_lines next_line with
   | store -> Ok store
   | exception Err e -> Error e
   | exception exn -> Error { line = 0; message = Printexc.to_string exn }
 
-(* Total: any input — random bytes, truncated dumps, mutated valid dumps
-   — yields [Error] rather than an exception. The catch-all guards
-   against escapes from library calls the per-line checks don't cover;
-   it reports line 0 (no better position is known). *)
+let decode_from_channel ic = decode (fun () -> In_channel.input_line ic)
+
+(* The lines [String.split_on_char '\n' text] would give, one at a
+   time. *)
 let of_string_result text =
-  match parse text with
-  | store -> Ok store
-  | exception Err e -> Error e
-  | exception exn -> Error { line = 0; message = Printexc.to_string exn }
+  let pos = ref 0 in
+  decode (fun () ->
+      let start = !pos in
+      if start > String.length text then None
+      else
+        let stop =
+          Option.value ~default:(String.length text)
+            (String.index_from_opt text start '\n')
+        in
+        pos := stop + 1;
+        Some (String.sub text start (stop - start)))
 
 let of_string text =
   match of_string_result text with

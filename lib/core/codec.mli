@@ -23,13 +23,17 @@ exception Parse_error of string
 
 type error = { line : int; message : string }
 (** A parse failure with its position: [line] is 1-based; line 0 means
-    the failure is not attributable to a single line (e.g. an entity id
-    missing from the whole dump). *)
+    the failure is not attributable to a single line. *)
 
 val of_string_result : string -> (Store.t, error) result
 (** Total decoder: never raises, whatever the input — random bytes,
     truncated dumps, or corrupted valid dumps all return [Error] with
-    the position of the first problem. *)
+    the position of the first problem. Entity lines must arrive in
+    dense id order (0, 1, 2, …), which is exactly what {!to_string} and
+    {!encode_to_channel} emit, so each entity is created the moment its
+    line is read; an entity line out of that order is an error at its
+    line. Labels and binds may reference entities not yet created; they
+    are applied at end of input. *)
 
 val of_string : string -> Store.t
 (** [of_string_result] with the error rendered into an exception.
@@ -37,14 +41,9 @@ val of_string : string -> Store.t
     entity references. *)
 
 val decode_from_channel : in_channel -> (Store.t, error) result
-(** Total streaming decoder: reads the channel line by line in one
-    constant-resident pass, never materialising the dump text. Accepts
-    the same line language as {!of_string_result} and reports the same
-    errors at the same positions, with one extra requirement: entity
-    lines must arrive in dense id order (0, 1, 2, …) — which is exactly
-    what {!to_string} and {!encode_to_channel} emit — so each entity is
-    created the moment its line is read. Labels and binds may reference
-    entities not yet created; they are applied at end of input. *)
+(** {!of_string_result} over the channel's lines, read one at a time in
+    one constant-resident pass that never materialises the dump text:
+    the same line language, the same errors at the same positions. *)
 
 val roundtrip_equal : Store.t -> Store.t -> bool
 (** Structural equality of two stores: same entities in the same order,

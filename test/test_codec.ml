@@ -59,7 +59,9 @@ let test_bad_inputs () =
   (* non-dense ids *)
   expect_fail "coherent-naming-store v1\nbind 0 \"x\" o5";
   (* dangling reference *)
-  expect_fail "coherent-naming-store v1\ndir 0\nbind 0 \"x\" o9"
+  expect_fail "coherent-naming-store v1\ndir 0\nbind 0 \"x\" o9";
+  (* dense, but out of id order *)
+  expect_fail "coherent-naming-store v1\ndir 1\ndir 0"
 
 let test_empty_store () =
   let st = S.create () in
@@ -204,8 +206,8 @@ let test_streaming_decode_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dangling reference accepted"
 
-(* Streaming and string decoders agree verdict-for-verdict on mutated
-   dumps: both total, both accepting/rejecting the same inputs. *)
+(* One decoder, two line sources: the channel reader and the string
+   splitter agree verdict-for-verdict on mutated dumps. *)
 let prop_streaming_matches_string =
   QCheck.Test.make ~name:"decode_from_channel agrees with of_string_result"
     ~count:60
