@@ -225,8 +225,7 @@ let coherence ?fuel (t : Subject.t) =
   List.filter_map
     (fun probe ->
       let p =
-        Predict.predict ?fuel ~engine:t.Subject.engine store t.Subject.rule
-          occs probe
+        Predict.predict ?fuel store t.Subject.rule occs probe
       in
       match p.Predict.outcome with
       | Predict.Coherent _ | Predict.Vacuous -> None

@@ -61,8 +61,7 @@ let classify results =
           | Some witness -> Incoherent ((occ_d, d), pair witness)
           | None -> Coherent d))
 
-let predict ?(fuel = default_fuel) ?engine store rule occs name =
-  let engine = Naming.Engine.select ?engine store in
+let predict ?(fuel = default_fuel) store rule occs name =
   if occs = [] then invalid_arg "Predict.predict: no occurrences";
   if N.length name > fuel then
     {
@@ -94,7 +93,7 @@ let predict ?(fuel = default_fuel) ?engine store rule occs name =
       let c0 =
         match selected with (_, Some c) :: _ -> c | _ -> assert false
       in
-      let e = Naming.Engine.resolve_trace_into buf engine store c0 name in
+      let e = R.resolve_trace_into buf store c0 name in
       let trace = R.buffer_trace buf in
       let results = List.map (fun (o, _) -> (o, e, trace)) selected in
       let outcome = if E.is_defined e then Coherent e else Vacuous in
@@ -106,7 +105,7 @@ let predict ?(fuel = default_fuel) ?engine store rule occs name =
             match ctx with
             | None -> (o, E.undefined, [])
             | Some c ->
-                let e = Naming.Engine.resolve_trace_into buf engine store c name in
+                let e = R.resolve_trace_into buf store c name in
                 (o, e, R.buffer_trace buf))
           selected
       in

@@ -55,16 +55,13 @@ val default_fuel : int
 
 val predict :
   ?fuel:int ->
-  ?engine:Naming.Engine.t ->
   Naming.Store.t ->
   Naming.Rule.t ->
   Naming.Occurrence.t list ->
   Naming.Name.t ->
   t
-(** Traces go through [engine] (default {!Naming.Engine.select}'s: the
-    store's own engine unless [NAMING_ENGINE] says otherwise); every
-    engine produces the same steps, so predictions are
-    engine-independent.
+(** Traces come from {!Naming.Resolver.resolve_trace_into}, walking the
+    store itself, so predictions do not depend on the engine.
     @raise Invalid_argument on an empty occurrence list. *)
 
 val agrees : t -> Naming.Coherence.verdict -> bool

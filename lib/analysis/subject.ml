@@ -6,10 +6,7 @@ type t = {
   rule : Naming.Rule.t;
   activities : E.t list;
   probes : N.t list;
-  engine : Naming.Engine.t;
 }
-
-let engine t = t.engine
 
 let occurrences t = List.map Naming.Occurrence.generated t.activities
 
@@ -45,9 +42,8 @@ let default_probes ?(max_depth = 3) t =
     (contexts t);
   List.rev !out
 
-let v ?probes ?engine ~rule ~activities store =
+let v ?probes ~rule ~activities store =
   if activities = [] then invalid_arg "Subject.v: no activities";
-  let engine = Naming.Engine.select ?engine store in
-  let t = { store; rule; activities; probes = []; engine } in
+  let t = { store; rule; activities; probes = [] } in
   let probes = match probes with Some p -> p | None -> default_probes t in
   { t with probes }

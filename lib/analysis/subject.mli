@@ -12,25 +12,16 @@ type t = private {
   rule : Naming.Rule.t;
   activities : Naming.Entity.t list;
   probes : Naming.Name.t list;
-  engine : Naming.Engine.t;
-      (** The resolution engine over [store], shared by analyses of this
-          subject. *)
 }
 
 val v :
   ?probes:Naming.Name.t list ->
-  ?engine:Naming.Engine.t ->
   rule:Naming.Rule.t ->
   activities:Naming.Entity.t list ->
   Naming.Store.t ->
   t
-(** When [probes] is omitted, {!default_probes} is used. The engine is
-    chosen by {!Naming.Engine.select}: [?engine], then [NAMING_ENGINE],
-    then the interpreter.
+(** When [probes] is omitted, {!default_probes} is used.
     @raise Invalid_argument on an empty activity list. *)
-
-val engine : t -> Naming.Engine.t
-(** The subject's shared engine (same as the [engine] field). *)
 
 val occurrences : t -> Naming.Occurrence.t list
 (** One [Generated] occurrence per activity, in order. *)

@@ -486,44 +486,6 @@ let resolve t ctx name =
       let a = Name.atom_id a in
       enter t k tab ((a lsl 2) land mask) mask a rest
 
-(* One step for the trace path: the target of [a] in context object
-   [dir], from its table, or from the store when a shard has none. *)
-let step t dir a =
-  let off = table t dir in
-  if off < 0 then Store.lookup t.store ~dir a
-  else
-    let arena = t.arena in
-    let mask = arena.(off - 1) in
-    let a = Name.atom_id a in
-    let rec go i =
-      let k = arena.(off + i) in
-      if k = a then t.ents.(arena.(off + i + 1))
-      else if k < 0 then Entity.undefined
-      else go ((i + 4) land mask)
-    in
-    go ((a lsl 2) land mask)
-
-(* The trace mirror of [Resolver.resolve_trace_into]: same steps, same
-   buffer, so trace consumers (Predict) can run over compiled form and
-   produce identical evidence. Whether a walk continues is the store's
-   answer, since a demoted object keeps its (empty) table. *)
-let resolve_trace_into buf t ctx name =
-  refresh t;
-  Resolver.buffer_clear buf;
-  let rec go at atoms =
-    match atoms with
-    | [] -> assert false
-    | a :: rest ->
-        let e =
-          if Entity.is_undefined at then Context.lookup ctx a else step t at a
-        in
-        Resolver.buffer_push buf { Resolver.at; atom = a; target = e };
-        if rest = [] then e
-        else if Store.is_context_object t.store e then go e rest
-        else Entity.undefined
-  in
-  go Entity.undefined (Name.atoms name)
-
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 

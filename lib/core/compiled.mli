@@ -64,10 +64,6 @@ val resolve_in : t -> Entity.t -> Name.t -> Entity.t
 (** [resolve_in t o n] — same result as
     [Resolver.resolve_in (store t) o n]. *)
 
-val resolve_trace_into : Resolver.buffer -> t -> Context.t -> Name.t -> Entity.t
-(** Same steps (and result) as {!Resolver.resolve_trace_into}, produced
-    from the packed tables: trace consumers see identical evidence. *)
-
 (** {1 Statistics} *)
 
 type stats = {

@@ -48,11 +48,6 @@ let resolve_in t o name =
   | Interpreted s -> Resolver.resolve_in s o name
   | Compiled c -> Compiled.resolve_in c o name
 
-let resolve_trace_into buf t store ctx name =
-  match t with
-  | Interpreted _ -> Resolver.resolve_trace_into buf store ctx name
-  | Compiled c -> Compiled.resolve_trace_into buf c ctx name
-
 let compiled = function Compiled c -> Some c | Interpreted _ -> None
 
 (* The shard protocol, in one place: refresh on the owning domain (so no

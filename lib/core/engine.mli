@@ -55,12 +55,6 @@ val store : t -> Store.t
 val resolve : t -> Context.t -> Name.t -> Entity.t
 val resolve_in : t -> Entity.t -> Name.t -> Entity.t
 
-val resolve_trace_into :
-  Resolver.buffer -> t -> Store.t -> Context.t -> Name.t -> Entity.t
-(** Same steps as {!Resolver.resolve_trace_into}. [Interpreted] walks
-    the store; [Compiled] reconstructs the identical trace from its
-    tables. *)
-
 (** {1 Parallel sweeps} *)
 
 val map_sharded : ?jobs:int -> t -> (t -> 'a -> 'b) -> 'a list -> 'b list

@@ -43,10 +43,6 @@ val create_buffer : unit -> buffer
 val buffer_clear : buffer -> unit
 val buffer_length : buffer -> int
 
-val buffer_push : buffer -> step -> unit
-(** Append one step. Exposed for alternative engines ({!Compiled}) that
-    fill a buffer with the same steps this module would produce. *)
-
 val buffer_trace : buffer -> trace
 (** Snapshot the buffered steps as a list (allocates). *)
 

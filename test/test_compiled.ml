@@ -103,20 +103,6 @@ let test_promotion_demotion () =
   check entity "demoted: leaf still resolves" o
     (Cp.resolve_in c root (N.of_string "o"))
 
-let test_trace_parity () =
-  let st, _, root = fixture () in
-  let c = Cp.compile st in
-  let ctx = C.of_bindings [ (N.root_atom, root) ] in
-  let b1 = R.create_buffer () and b2 = R.create_buffer () in
-  List.iter
-    (fun p ->
-      let n = N.of_string ("/" ^ p) in
-      let e1 = R.resolve_trace_into b1 st ctx n in
-      let e2 = Cp.resolve_trace_into b2 c ctx n in
-      check entity (p ^ " result") e1 e2;
-      check b (p ^ " trace") true (R.buffer_trace b1 = R.buffer_trace b2))
-    [ "bin/ls"; "usr/bin/cc"; "nope"; "bin/ls/x"; "usr/nope/cc" ]
-
 let test_stats_shape () =
   let st, _, _ = fixture () in
   let c = Cp.compile st in
@@ -522,7 +508,6 @@ let suite =
     Alcotest.test_case "matches the interpreter" `Quick test_matches_interpreter;
     Alcotest.test_case "incremental refresh" `Quick test_incremental_refresh;
     Alcotest.test_case "promotion / demotion" `Quick test_promotion_demotion;
-    Alcotest.test_case "trace parity" `Quick test_trace_parity;
     Alcotest.test_case "stats shape" `Quick test_stats_shape;
     Alcotest.test_case "engine selection" `Quick test_engine_select;
     Alcotest.test_case "sample-scheme parity" `Quick test_sample_scheme_parity;
