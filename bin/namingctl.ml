@@ -107,12 +107,31 @@ let cmd_report () =
   print_string (Harness.Report.generate ());
   0
 
-(* Runs [f] on one scheme, or on every sample scheme when [arg] is
-   "all"; the combined exit code is the max of the per-scheme codes. *)
+(* The schemes a scheme argument names: every sample scheme for "all",
+   else the argument itself. *)
+let schemes_of arg =
+  if String.equal (String.lowercase_ascii arg) "all" then sample_schemes
+  else [ arg ]
+
+(* Runs [f] on each scheme [arg] names; the combined exit code is the
+   max of the per-scheme codes. *)
 let on_schemes arg f =
-  if String.equal (String.lowercase_ascii arg) "all" then
-    List.fold_left (fun acc s -> max acc (f s)) 0 sample_schemes
-  else f arg
+  List.fold_left (fun acc s -> max acc (f s)) 0 (schemes_of arg)
+
+(* The fault schedule chaos and check-cluster build from their flags. *)
+let chaos_config ~seed ~drop ~partition ~replicas ~mode ~partition_leader
+    ~leader_kill =
+  {
+    Dsim.Chaos.default with
+    Dsim.Chaos.seed;
+    drop;
+    duplicate = drop;
+    partition_for = partition;
+    replicas;
+    mode;
+    partition_leader;
+    leader_kill_for = leader_kill;
+  }
 
 let cmd_dump scheme =
   on_schemes scheme (fun scheme ->
@@ -268,9 +287,9 @@ let cmd_chaos scheme seed drop partition replicas mode partition_leader
       Printf.eprintf "invalid --schedule: %s\n" m;
       2
   | Ok schedule ->
-  let schemes =
-    if String.equal (String.lowercase_ascii scheme) "all" then sample_schemes
-    else [ scheme ]
+  let config =
+    chaos_config ~seed ~drop ~partition ~replicas ~mode ~partition_leader
+      ~leader_kill
   in
   let results =
     List.map
@@ -283,22 +302,8 @@ let cmd_chaos scheme seed drop partition replicas mode partition_leader
         in
         match schedule with
         | Some s -> (scheme, Dsim.Chaos.run_schedule ~jobs ~spec ~probes s)
-        | None ->
-            let config =
-              {
-                Dsim.Chaos.default with
-                Dsim.Chaos.seed;
-                drop;
-                duplicate = drop;
-                partition_for = partition;
-                replicas;
-                mode;
-                partition_leader;
-                leader_kill_for = leader_kill;
-              }
-            in
-            (scheme, Dsim.Chaos.run ~jobs ~config ~spec ~probes ()))
-      schemes
+        | None -> (scheme, Dsim.Chaos.run ~jobs ~config ~spec ~probes ()))
+      (schemes_of scheme)
   in
   (match (json, results) with
   | true, [ (scheme, r) ] -> print_endline (Dsim.Chaos.to_json ~scheme r)
@@ -375,10 +380,6 @@ let no_line : int -> int option = fun _ -> None
 let cmd_analyze scheme json sarif min_severity jobs =
   with_min_severity min_severity @@ fun min_severity ->
   let config = { Analysis.Engine.default_config with min_severity } in
-  let schemes =
-    if String.equal (String.lowercase_ascii scheme) "all" then sample_schemes
-    else [ scheme ]
-  in
   let subjects =
     List.map
       (fun scheme ->
@@ -388,7 +389,7 @@ let cmd_analyze scheme json sarif min_severity jobs =
             ~activities:w.activities w.store
         in
         (scheme, w.store, subject))
-      schemes
+      (schemes_of scheme)
   in
   let reports =
     Analysis.Engine.analyze_many ~config ~jobs
@@ -490,30 +491,17 @@ let cmd_check_cluster scheme json sarif min_severity seed drop partition
   with_min_severity min_severity @@ fun min_severity ->
   with_mode mode @@ fun mode ->
   with_drop drop @@ fun drop ->
-  let schemes =
-    if String.equal (String.lowercase_ascii scheme) "all" then sample_schemes
-    else [ scheme ]
+  let config =
+    chaos_config ~seed ~drop ~partition ~replicas ~mode ~partition_leader
+      ~leader_kill
   in
   let subjects =
     List.map
       (fun scheme ->
         let w = sample_world scheme in
         let spec = Dsim.Nameserver.spec_of_context w.store w.ctx in
-        let config =
-          {
-            Dsim.Chaos.default with
-            Dsim.Chaos.seed;
-            drop;
-            duplicate = drop;
-            partition_for = partition;
-            replicas;
-            mode;
-            partition_leader;
-            leader_kill_for = leader_kill;
-          }
-        in
         (scheme, w.store, Analysis.Replpasses.subject config spec))
-      schemes
+      (schemes_of scheme)
   in
   let results =
     Analysis.Replpasses.report_many ~min_severity ~jobs
@@ -556,17 +544,13 @@ let cmd_explore scheme json sarif min_severity depth max_writes budget seed
       seed;
     }
   in
-  let schemes =
-    if String.equal (String.lowercase_ascii scheme) "all" then sample_schemes
-    else [ scheme ]
-  in
   let subjects =
     List.map
       (fun scheme ->
         let w = sample_world scheme in
         let spec = Dsim.Nameserver.spec_of_context w.store w.ctx in
         (scheme, w.store, Analysis.Explorepasses.subject ~config spec))
-      schemes
+      (schemes_of scheme)
   in
   let results =
     Analysis.Explorepasses.report_many ~min_severity ~jobs
