@@ -174,7 +174,6 @@ let parse_entity_ref lineno s =
     | 'o' -> Entity.Object (num ())
     | _ -> parse_error lineno "bad entity reference %S" s
 
-(* One classified body line. *)
 type line =
   | L_blank
   | L_entity of int * pre_entity
