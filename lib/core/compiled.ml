@@ -34,13 +34,15 @@
    rare linear sweep that buys the two-load step. Abandoned regions are
    simply left behind: the arena is a bump allocator.
 
-   Starting context {e values} (which have no backing context object)
-   are packed into small private entry tables, memoised by physical
-   equality in a ring, so repeated resolutions against one activity's
-   context skip the Context map entirely.
+   A starting context {e value} has no backing context object, so
+   [resolve] looks the first atom up in the value itself
+   ([Context.lookup], keyed by atom id and allocation-free) and walks
+   the rest through the tables. A value has no identity to key a table
+   by: it is an immutable map, and a union context is built afresh for
+   every selection.
 
    A shard ([snapshot]) shares the arena, [ents] and [offs] with its
-   owner and owns only its entry ring. Under [Store.read_only] nothing
+   owner and owns only its miss list. Under [Store.read_only] nothing
    changes them, and a shard never writes them: a walk into a context
    object with no table finishes on the interpreter — exact, since the
    store is frozen — and the shard remembers the object so the owner can
@@ -58,8 +60,6 @@ type stats = {
   patched_nodes : int;
 }
 
-let entry_ring = 8
-
 type t = {
   store : Store.t;
   tick : int ref;  (* the store's own clock cell: staleness polls inline *)
@@ -69,11 +69,6 @@ type t = {
   mutable offs : int array;  (* id -> table offset, -1 = none *)
   mutable arena : int array;
   mutable arena_top : int;  (* bump pointer *)
-  entry_ctxs : Context.t array;  (* memoised entry contexts *)
-  entry_tabs : int array array;  (* their tables: header at 0, cells from 1 *)
-  entry_ents : Entity.t array array;  (* their targets, by cell slot *)
-  mutable entry_n : int;  (* filled ring prefix *)
-  mutable entry_next : int;  (* round-robin eviction cursor *)
   misses : (int, Entity.t) Hashtbl.t;  (* a shard's unbuilt tables, by id *)
   mutable node_builds : int;
   mutable patches : int;
@@ -103,11 +98,6 @@ let create store =
     offs = Array.make n (-1);
     arena = [||];
     arena_top = 0;
-    entry_ctxs = Array.make entry_ring Context.empty;
-    entry_tabs = Array.make entry_ring [||];
-    entry_ents = Array.make entry_ring [||];
-    entry_n = 0;
-    entry_next = 0;
     misses = Hashtbl.create 1;
     node_builds = 0;
     patches = 0;
@@ -146,45 +136,40 @@ let alloc_region t cap =
   t.arena_top <- t.arena_top + need;
   off
 
-let link t e =
-  let id = id_of e in
-  if id < 0 || id >= Array.length t.offs then -1 else t.offs.(id)
-
 let mask_at t off = if off < 0 then 0 else t.arena.(off - 1)
 
 (* Set the cached link of the cell at [c] to the table at [off] (-1 for
    none). *)
-let set_link t cells c off =
-  cells.(c + 2) <- off;
-  cells.(c + 3) <- mask_at t off
+let set_link t c off =
+  t.arena.(c + 2) <- off;
+  t.arena.(c + 3) <- mask_at t off
 
-let rec place t cells base mask i a target off =
-  if cells.(base + i) = -1 then begin
-    cells.(base + i) <- a;
-    cells.(base + i + 1) <- target;
-    set_link t cells (base + i) off
+let rec place t base mask i a target off =
+  if t.arena.(base + i) = -1 then begin
+    t.arena.(base + i) <- a;
+    t.arena.(base + i + 1) <- target;
+    set_link t (base + i) off
   end
-  else place t cells base mask ((i + 4) land mask) a target off
+  else place t base mask ((i + 4) land mask) a target off
 
-(* Place atom [a] bound to [target] (an id or a slot) in the table at
+(* Place atom [a] bound to the entity id [target] in the table at
    [base]. *)
-let bind_cell t cells base a target off =
-  let mask = cells.(base - 1) in
-  place t cells base mask ((a lsl 2) land mask) a target off
+let bind_cell t base a target off =
+  let mask = t.arena.(base - 1) in
+  place t base mask ((a lsl 2) land mask) a target off
 
 (* Fill the empty table at [off] from a context; its capacity (and so
    its mask) is fixed, and callers guarantee it fits. Cells link to the
    targets' tables as [offs] has them now; later builds patch or re-sync
    them. *)
 let fill t off ctx =
-  let arena = t.arena in
   Context.iter_unordered
     (fun a e ->
       let id = id_of e in
       (* a dangling binding may name an id the store never issued *)
       if id >= Array.length t.offs then ensure_ids t (id + 1);
       t.ents.(id) <- e;
-      bind_cell t arena off (Name.atom_id a) id t.offs.(id))
+      bind_cell t off (Name.atom_id a) id t.offs.(id))
     ctx;
   t.node_builds <- t.node_builds + 1
 
@@ -211,9 +196,8 @@ let table t e =
       | None -> -1
 
 (* Re-point every live cell's cached link at its target's current
-   table — the repair pass after a rebuild moved a region. Entry tables
-   are swept too; abandoned regions are unreachable from [offs] and
-   skipped. *)
+   table — the repair pass after a rebuild moved a region. Abandoned
+   regions are unreachable from [offs] and skipped. *)
 let resync t =
   let arena = t.arena in
   Array.iter
@@ -222,19 +206,11 @@ let resync t =
         let last = off + arena.(off - 1) in
         let c = ref off in
         while !c <= last do
-          if arena.(!c) >= 0 then set_link t arena !c t.offs.(arena.(!c + 1));
+          if arena.(!c) >= 0 then set_link t !c t.offs.(arena.(!c + 1));
           c := !c + 4
         done
       end)
-    t.offs;
-  for k = 0 to t.entry_n - 1 do
-    let tab = t.entry_tabs.(k) and ents = t.entry_ents.(k) in
-    let c = ref 1 in
-    while !c < Array.length tab do
-      if tab.(!c) >= 0 then set_link t tab !c (link t ents.(tab.(!c + 1)));
-      c := !c + 4
-    done
-  done
+    t.offs
 
 (* Rebuild [e]'s table from its current state (empty once demoted),
    reporting whether the region moved. *)
@@ -295,19 +271,14 @@ let of_store store =
       Store.set_engine store (Own t);
       t
 
-(* A shard shares every table with its owner and owns only its entry
-   ring: nothing is copied, so a worker costs O(1) to create. It does
+(* A shard shares every table with its owner and owns only its miss
+   list: nothing is copied, so a worker costs O(1) to create. It does
    not refresh — the owner is refreshed on its own domain before the
    fan-out. *)
 let snapshot t =
   {
     t with
     owner = false;
-    entry_ctxs = Array.make entry_ring Context.empty;
-    entry_tabs = Array.make entry_ring [||];
-    entry_ents = Array.make entry_ring [||];
-    entry_n = 0;
-    entry_next = 0;
     misses = Hashtbl.create 8;
     node_builds = 0;
     patches = 0;
@@ -366,7 +337,7 @@ and cold t c atoms =
   let e = t.ents.(t.arena.(c + 1)) in
   let off = table t e in
   if off >= 0 then begin
-    if t.owner then set_link t t.arena c off;
+    if t.owner then set_link t c off;
     descend t off atoms
   end
   else fallback t e atoms
@@ -384,107 +355,26 @@ let resolve_in_cold t o atoms =
   let off = table t o in
   if off >= 0 then descend t off atoms else fallback t o atoms
 
-let resolve_in t o name =
-  refresh t;
+(* The walk from entity [o] on: straight into its table when it has
+   one, else the cold path. *)
+let walk_from t o atoms =
   match o with
   | Entity.Object id when id < Array.length t.offs && t.offs.(id) >= 0 ->
-      descend t t.offs.(id) (Name.atoms name)
-  | _ -> resolve_in_cold t o (Name.atoms name)
+      descend t t.offs.(id) atoms
+  | _ -> resolve_in_cold t o atoms
 
-(* The private entry table for a starting context value: the same cell
-   layout from index 1, with each key's target a slot of the entry's
-   own target array (so a shard never needs [ents]). *)
-let entry_table t ctx =
-  let cap = capacity ctx in
-  let tab = Array.make (1 + (4 * cap)) (-1) in
-  tab.(0) <- (4 * cap) - 4;
-  let ents = Array.make (Context.cardinal ctx) Entity.undefined in
-  let k = ref 0 in
-  Context.iter_unordered
-    (fun a e ->
-      ents.(!k) <- e;
-      bind_cell t tab 1 (Name.atom_id a) !k (link t e);
-      incr k)
-    ctx;
-  (tab, ents)
-
-let rec entry_find t ctx k =
-  if k >= t.entry_n then -1
-  else if t.entry_ctxs.(k) == ctx then k
-  else entry_find t ctx (k + 1)
-
-(* The ring slot of a starting context value, memoised by physical
-   equality: context values are immutable, so a hit can never be stale
-   (its links are kept fresh like any table's). Misses pack the context
-   and evict round-robin. *)
-let entry t ctx =
-  let k = entry_find t ctx 0 in
-  if k >= 0 then k
-  else begin
-    let tab, ents = entry_table t ctx in
-    let k =
-      if t.entry_n < entry_ring then begin
-        let k = t.entry_n in
-        t.entry_n <- k + 1;
-        k
-      end
-      else begin
-        let k = t.entry_next in
-        t.entry_next <- (k + 1) mod entry_ring;
-        k
-      end
-    in
-    t.entry_ctxs.(k) <- ctx;
-    t.entry_tabs.(k) <- tab;
-    t.entry_ents.(k) <- ents;
-    k
-  end
-
-(* An entry cell at [c] caches no link. Entry tables are private, so
-   shards patch theirs too. *)
-let entry_cold t k tab c atoms =
-  let e = t.entry_ents.(k).(tab.(c + 1)) in
-  let off = table t e in
-  if off >= 0 then begin
-    set_link t tab c off;
-    descend t off atoms
-  end
-  else fallback t e atoms
-
-let rec enter t k tab i mask a atoms =
-  let key = Array.unsafe_get tab (1 + i) in
-  if key = a then
-    match atoms with
-    | [] ->
-        Array.unsafe_get
-          (Array.unsafe_get t.entry_ents k)
-          (Array.unsafe_get tab (2 + i))
-    | a' :: rest ->
-        let off = Array.unsafe_get tab (3 + i) in
-        if off < 0 then entry_cold t k tab (1 + i) atoms
-        else
-          let m = Array.unsafe_get tab (4 + i) in
-          let a' = Name.atom_id a' in
-          walk t t.ents t.arena off ((a' lsl 2) land m) m a' rest
-  else if key < 0 then Entity.undefined
-  else enter t k tab ((i + 4) land mask) mask a atoms
+let resolve_in t o name =
+  refresh t;
+  walk_from t o (Name.atoms name)
 
 (* Resolution relative to a context value: the first atom through the
-   memoised entry table of the value, every further one through the
-   packed tables. *)
+   value itself, every further one through the packed tables. *)
 let resolve t ctx name =
   refresh t;
   match Name.atoms name with
   | [] -> assert false
-  | a :: rest ->
-      let k =
-        if t.entry_n > 0 && Array.unsafe_get t.entry_ctxs 0 == ctx then 0
-        else entry t ctx
-      in
-      let tab = Array.unsafe_get t.entry_tabs k in
-      let mask = Array.unsafe_get tab 0 in
-      let a = Name.atom_id a in
-      enter t k tab ((a lsl 2) land mask) mask a rest
+  | [ a ] -> Context.lookup ctx a
+  | a :: rest -> walk_from t (Context.lookup ctx a) rest
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

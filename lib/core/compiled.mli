@@ -44,9 +44,9 @@ val refresh : t -> unit
 val snapshot : t -> t
 (** A shard for a parallel worker, O(1) to take: it shares the arena
     and id tables with [t] (safe under {!Store.read_only}, where no
-    patching can occur) and owns only its entry ring, so concurrent
-    resolves in sibling domains never contend. A shard never writes the
-    shared tables: a walk into a context object whose table is not
+    patching can occur) and owns only its list of missed tables, so
+    concurrent resolves in sibling domains never contend. A shard never
+    writes the shared tables: a walk into a context object whose table is not
     built yet finishes on the interpreter, and the shard remembers the
     object (once) for {!adopt}. It does not refresh [t]. Per-run counters
     start at zero. *)

@@ -29,7 +29,7 @@
     {!map_shards} wrap their tasks in — and must not share a {!Compiled}
     engine between tasks; shard it via {!Engine.map_sharded}, which
     hands each participant a {!Compiled.snapshot} (shards share
-    the engine's tables read-only and own only their entry ring; a
+    the engine's tables read-only and own only their miss list; a
     participant creates its state only after claiming a task, so none
     is created after the batch returns). Interning new
     atoms ({!Name.atom}, {!Name.of_string}) is safe anywhere: the
