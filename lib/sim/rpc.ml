@@ -4,7 +4,7 @@ type ('req, 'resp) message =
 
 type ('req, 'resp) pending_call = {
   on_reply : ('resp, [ `Timeout | `Unavailable ]) result -> unit;
-  mutable timeout_handle : Engine.handle;
+  mutable timeout_handle : Engine.handle option;  (* set by [arm] *)
 }
 
 type stat
@@ -110,7 +110,9 @@ let receive t envelope =
       | None -> Counters.incr t.counters late_replies
       | Some call ->
           Hashtbl.remove t.pending_calls id;
-          Engine.cancel (Network.engine t.network) call.timeout_handle;
+          Option.iter
+            (Engine.cancel (Network.engine t.network))
+            call.timeout_handle;
           Counters.incr t.counters replies;
           call.on_reply (Ok payload))
 
@@ -147,11 +149,12 @@ let call t ~to_ ~timeout payload ~on_reply =
           on_reply (Error `Timeout)
         end)
   in
-  Hashtbl.replace t.pending_calls id { on_reply; timeout_handle };
+  Hashtbl.replace t.pending_calls id
+    { on_reply; timeout_handle = Some timeout_handle };
   Network.send t.network ~src:t.address ~dst:to_ (Request { id; payload })
 
-let call_retry t ~to_ ~timeout ?(backoff = 2.0) ?max_timeout ?(jitter = 0.1)
-    ?deadline ~rng ~attempts payload ~on_reply =
+let call_retry t ~to_ ~timeout ?(backoff = 2.0) ?(jitter = 0.1) ?deadline ~rng
+    ~attempts payload ~on_reply =
   if attempts < 1 then invalid_arg "Rpc.call_retry: attempts < 1";
   (match deadline with
   | Some d when d <= 0.0 -> invalid_arg "Rpc.call_retry: deadline <= 0"
@@ -173,43 +176,38 @@ let call_retry t ~to_ ~timeout ?(backoff = 2.0) ?max_timeout ?(jitter = 0.1)
      and then terminates the call with [Error `Unavailable]. *)
   let rec arm call attempt elapsed =
     let wait = timeout *. (backoff ** float_of_int attempt) in
-    let wait =
-      match max_timeout with Some m -> Float.min wait m | None -> wait
-    in
     let wait = wait +. Rng.float rng (jitter *. wait) in
     match deadline with
     | Some d when elapsed +. wait >= d ->
         let remaining = Float.max 0.0 (d -. elapsed) in
         call.timeout_handle <-
-          Engine.schedule engine ~delay:remaining (fun () ->
-              if Hashtbl.mem t.pending_calls id then begin
-                Hashtbl.remove t.pending_calls id;
-                Counters.incr t.counters timeouts;
-                Counters.incr t.counters unavailable;
-                on_reply (Error `Unavailable)
-              end)
+          Some
+            (Engine.schedule engine ~delay:remaining (fun () ->
+                 if Hashtbl.mem t.pending_calls id then begin
+                   Hashtbl.remove t.pending_calls id;
+                   Counters.incr t.counters timeouts;
+                   Counters.incr t.counters unavailable;
+                   on_reply (Error `Unavailable)
+                 end))
     | _ ->
         call.timeout_handle <-
-          Engine.schedule engine ~delay:wait (fun () ->
-              if Hashtbl.mem t.pending_calls id then begin
-                Counters.incr t.counters timeouts;
-                if attempt + 1 < attempts then begin
-                  Counters.incr t.counters retries;
-                  send_request ();
-                  arm call (attempt + 1) (elapsed +. wait)
-                end
-                else begin
-                  Hashtbl.remove t.pending_calls id;
-                  Counters.incr t.counters exhausted;
-                  on_reply (Error `Timeout)
-                end
-              end)
+          Some
+            (Engine.schedule engine ~delay:wait (fun () ->
+                 if Hashtbl.mem t.pending_calls id then begin
+                   Counters.incr t.counters timeouts;
+                   if attempt + 1 < attempts then begin
+                     Counters.incr t.counters retries;
+                     send_request ();
+                     arm call (attempt + 1) (elapsed +. wait)
+                   end
+                   else begin
+                     Hashtbl.remove t.pending_calls id;
+                     Counters.incr t.counters exhausted;
+                     on_reply (Error `Timeout)
+                   end
+                 end))
   in
-  let call =
-    (* placeholder handle, replaced by [arm] before the engine runs *)
-    { on_reply; timeout_handle = Engine.schedule engine ~delay:0.0 (fun () -> ()) }
-  in
-  Engine.cancel engine call.timeout_handle;
+  let call = { on_reply; timeout_handle = None } in
   Hashtbl.replace t.pending_calls id call;
   send_request ();
   arm call 0 0.0
@@ -219,14 +217,10 @@ let pending t = Hashtbl.length t.pending_calls
 (* Static bounds on the retry schedule of [call_retry], for analyzers
    that reason about the protocol without running it. Must mirror the
    [arm] arithmetic above: attempt [k] waits [timeout * backoff^k]
-   (capped at [max_timeout]) plus jitter in [0; jitter * wait). *)
-let retry_schedule ~timeout ?(backoff = 2.0) ?max_timeout ?(jitter = 0.1)
-    ~attempts () =
+   plus jitter in [0; jitter * wait). *)
+let retry_schedule ~timeout ?(backoff = 2.0) ?(jitter = 0.1) ~attempts () =
   if attempts < 1 then invalid_arg "Rpc.retry_schedule: attempts < 1";
-  let wait k =
-    let w = timeout *. (backoff ** float_of_int k) in
-    match max_timeout with Some m -> Float.min w m | None -> w
-  in
+  let wait k = timeout *. (backoff ** float_of_int k) in
   let sends = Array.make attempts (0.0, 0.0) in
   let lo = ref 0.0 and hi = ref 0.0 in
   for k = 0 to attempts - 1 do

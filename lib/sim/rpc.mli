@@ -66,7 +66,6 @@ val call_retry :
   to_:Network.address ->
   timeout:float ->
   ?backoff:float ->
-  ?max_timeout:float ->
   ?jitter:float ->
   ?deadline:float ->
   rng:Rng.t ->
@@ -77,9 +76,8 @@ val call_retry :
 (** Like {!call}, but the request is retransmitted (with the {e same}
     request id, so a deduplicating server applies it at most once) each
     time an attempt times out, up to [attempts] total attempts. Attempt
-    [k] (counting from 0) waits [timeout * backoff^k] time units, capped
-    at [max_timeout] when given, plus a uniform random extra in
-    [0; jitter * wait) drawn from [rng] — fully deterministic for a
+    [k] (counting from 0) waits [timeout * backoff^k] time units plus a
+    uniform random extra in [0; jitter * wait) drawn from [rng] — fully deterministic for a
     seeded generator. Defaults: [backoff = 2.0], [jitter = 0.1].
 
     [on_reply] fires exactly once: [Ok] on the first response to any
@@ -105,7 +103,6 @@ val pending : ('req, 'resp) endpoint -> int
 val retry_schedule :
   timeout:float ->
   ?backoff:float ->
-  ?max_timeout:float ->
   ?jitter:float ->
   attempts:int ->
   unit ->
@@ -116,7 +113,7 @@ val retry_schedule :
     attempt [k] relative to the call (attempt 0 at time 0), and
     [exhaust] bounds the instant the retry budget runs out. Bounds are
     exact for the implementation above: attempt [k] waits
-    [timeout * backoff^k] (capped at [max_timeout]) plus a jitter in
+    [timeout * backoff^k] plus a jitter in
     [0; jitter * wait). Defaults match {!call_retry}.
     @raise Invalid_argument when [attempts < 1]. *)
 

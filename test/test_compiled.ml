@@ -316,34 +316,52 @@ let test_patch_survives_journal_overflow () =
 (* Engine parity on random worlds: full verdict lists, both engines,
    through the ?jobs fan-out when NAMING_JOBS asks for it. *)
 let prop_engine_verdict_parity =
-  QCheck.Test.make ~name:"engines agree on random-world verdicts" ~count:25
+  QCheck.Test.make ~name:"engines agree on random-world verdicts" ~count:100
     QCheck.small_nat (fun seed ->
       let rng, st, root, dirs, files = build_world seed in
       for k = 0 to 30 do
         random_mutation rng st dirs files k
       done;
       let asg = Naming.Rule.Assignment.create () in
+      (* 1-16 activities, each starting in a random directory *)
       let acts =
-        List.map
+        List.init
+          (1 + Dsim.Rng.int rng 16)
           (fun k ->
             let a = S.create_activity st in
-            let o =
-              if k = 0 then root
-              else
-                S.create_context_object
-                  ~ctx:(C.of_bindings [ (N.root_atom, Dsim.Rng.pick rng !dirs) ])
-                  st
-            in
+            let o = if k = 0 then root else Dsim.Rng.pick rng !dirs in
             Naming.Rule.Assignment.set asg a o;
             a)
-          [ 0; 1; 2 ]
       in
-      let rule = Naming.Rule.of_activity asg in
-      let occs = List.map Naming.Occurrence.generated acts in
+      (* received names resolve in a union context built afresh on every
+         select *)
+      let prefer = if Dsim.Rng.bool rng 0.5 then `Sender else `Receiver in
+      let rule =
+        Naming.Rule.fallback
+          (Naming.Rule.of_receiver_sender ~prefer asg)
+          (Naming.Rule.of_activity asg)
+      in
+      let occs =
+        List.concat_map
+          (fun a ->
+            [
+              Naming.Occurrence.generated a;
+              Naming.Occurrence.received ~sender:(Dsim.Rng.pick rng acts)
+                ~receiver:a;
+            ])
+          acts
+      in
       let probes = List.init 25 (fun _ -> random_name rng) in
+      (* the verdicts, and every occurrence's resolution of every probe *)
       let via kind =
-        Naming.Coherence.classify ~engine:(Eng.create kind st) st rule occs
-          probes
+        let engine = Eng.create kind st in
+        ( Naming.Coherence.classify ~engine st rule occs probes,
+          List.concat_map
+            (fun occ ->
+              match Naming.Rule.select rule st occ with
+              | None -> []
+              | Some ctx -> List.map (Eng.resolve engine ctx) probes)
+            occs )
       in
       let interp = via `Interpreted in
       via `Compiled = interp)
