@@ -350,18 +350,16 @@ and descend t off atoms =
       let a = Name.atom_id a in
       walk t t.ents t.arena off ((a lsl 2) land mask) mask a rest
 
-(* The owner's table of [o], or a fallback when it has none yet. *)
-let resolve_in_cold t o atoms =
-  let off = table t o in
-  if off >= 0 then descend t off atoms else fallback t o atoms
-
 (* The walk from entity [o] on: straight into its table when it has
-   one, else the cold path. *)
+   one, else through [table] (which the owner builds on first use) or
+   the fallback. *)
 let walk_from t o atoms =
   match o with
   | Entity.Object id when id < Array.length t.offs && t.offs.(id) >= 0 ->
       descend t t.offs.(id) atoms
-  | _ -> resolve_in_cold t o atoms
+  | _ ->
+      let off = table t o in
+      if off >= 0 then descend t off atoms else fallback t o atoms
 
 let resolve_in t o name =
   refresh t;

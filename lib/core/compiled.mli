@@ -1,13 +1,15 @@
 (** The resolution compiler: a naming world packed into flat int tables.
 
     Each context object becomes an open-addressed hash table of interned
-    atom ids in one int arena, so that resolving a compound name is one
-    integer table probe per path component — no Context map descent, no
-    Store hashtable lookup, and no allocation on the resolve path. A
-    table is built the first time a walk steps into its directory, so a
-    caller pays only for the part of the world it visits. The engine
-    tracks the store's mutation clock ({!Store.tick} /
-    {!Store.touched_since}) and patches {e incrementally}: a bind
+    atom ids in one int arena, so that resolving a compound name from a
+    context object is one integer table probe per path component — no
+    Context map descent, no Store hashtable lookup, and no allocation on
+    the resolve path. A name resolved in a context value ({!resolve})
+    looks its first atom up in that value and walks the rest through the
+    tables. A table is built the first time a walk steps into its
+    directory, so a caller pays only for the part of the world it
+    visits. The engine tracks the store's mutation clock ({!Store.tick}
+    / {!Store.touched_since}) and patches {e incrementally}: a bind
     rebuilds exactly the table of the directory it touched, not the
     world.
 

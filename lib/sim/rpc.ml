@@ -4,7 +4,8 @@ type ('req, 'resp) message =
 
 type ('req, 'resp) pending_call = {
   on_reply : ('resp, [ `Timeout | `Unavailable ]) result -> unit;
-  mutable timeout_handle : Engine.handle option;  (* set by [arm] *)
+  mutable timeout_handle : Engine.handle option;
+      (* [None] only until [call_retry] arms its first attempt *)
 }
 
 type stat
