@@ -48,10 +48,10 @@ val snapshot : t -> t
     and id tables with [t] (safe under {!Store.read_only}, where no
     patching can occur) and owns only its list of missed tables, so
     concurrent resolves in sibling domains never contend. A shard never
-    writes the shared tables: a walk into a context object whose table is not
-    built yet finishes on the interpreter, and the shard remembers the
-    object (once) for {!adopt}. It does not refresh [t]. Per-run counters
-    start at zero. *)
+    writes the shared tables: a walk into a context object whose table
+    is not built yet finishes on the interpreter, and the shard
+    remembers the object (once) for {!adopt}. It does not refresh [t].
+    Per-run counters start at zero. *)
 
 val adopt : t -> t list -> unit
 (** [adopt t shards], on [t]'s domain after the batch, builds the tables

@@ -77,8 +77,9 @@ val call_retry :
     request id, so a deduplicating server applies it at most once) each
     time an attempt times out, up to [attempts] total attempts. Attempt
     [k] (counting from 0) waits [timeout * backoff^k] time units plus a
-    uniform random extra in [0; jitter * wait) drawn from [rng] — fully deterministic for a
-    seeded generator. Defaults: [backoff = 2.0], [jitter = 0.1].
+    uniform random extra in [0; jitter * wait) drawn from [rng] — fully
+    deterministic for a seeded generator. Defaults: [backoff = 2.0],
+    [jitter = 0.1].
 
     [on_reply] fires exactly once: [Ok] on the first response to any
     attempt, [Error `Timeout] when the budget is exhausted (counted in
@@ -113,8 +114,8 @@ val retry_schedule :
     attempt [k] relative to the call (attempt 0 at time 0), and
     [exhaust] bounds the instant the retry budget runs out. Bounds are
     exact for the implementation above: attempt [k] waits
-    [timeout * backoff^k] plus a jitter in
-    [0; jitter * wait). Defaults match {!call_retry}.
+    [timeout * backoff^k] plus a jitter in [0; jitter * wait). Defaults
+    match {!call_retry}.
     @raise Invalid_argument when [attempts < 1]. *)
 
 type stat
