@@ -57,49 +57,22 @@ let strict_degree r =
   if meaningful <= 0 then 1.0
   else float_of_int r.coherent /. float_of_int meaningful
 
-(* One verdict per probe, in probe order, fanned out by
-   {!Engine.map_sharded} (at jobs > 1 the store is frozen, so a mutation
-   mid-sweep raises instead of racing, and each worker gets an engine
-   shard): every derived quantity equals the sequential path's. *)
-let verdicts_of ?equiv ?engine ?jobs store rule occs probes =
-  Engine.map_sharded ?jobs (Engine.select ?engine store)
-    (fun engine name -> check ?equiv ~engine store rule occs name)
-    probes
-
-(* A streaming sweep calls [verdicts_of] once per chunk; it selects its
+(* The one sweep behind every batch entry point: [judge engine u] is the
+   verdict of unit [u], fanned out by {!Engine.map_sharded} (at jobs > 1
+   the store is frozen, so a mutation mid-sweep raises instead of racing,
+   and each worker gets an engine shard): verdicts come back in unit
+   order and every derived quantity equals the sequential path's. A
+   streaming sweep calls the result once per chunk, so it selects its
    engine and resolves [?jobs] once, up front. *)
-let sweep_of ?equiv ?engine ?jobs store rule occs =
+let sweep ?engine ?jobs store judge =
   let engine = Engine.select ?engine store in
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  verdicts_of ?equiv ~engine ~jobs store rule occs
+  Engine.map_sharded ~jobs engine judge
 
-(* Streaming sweep: probes arrive as a [Seq.t], are materialised one
-   chunk at a time (sequentially or fanned over the pool, chunk by
-   chunk) and folded away immediately — peak residency is one chunk of
-   verdicts, never O(probes), so an exact sweep over 10^6 probes stops
-   allocating million-element intermediate lists. Chunk size trades
-   pool dispatch overhead against residency; verdict values and order
-   are independent of it and of [jobs]. *)
-let chunk_size = 4096
-
-let fold_verdicts ?equiv ?engine ?jobs store rule occs ~init ~f seq =
-  let sweep = sweep_of ?equiv ?engine ?jobs store rule occs in
-  let rec take acc k seq =
-    if k = 0 then (List.rev acc, seq)
-    else
-      match Seq.uncons seq with
-      | None -> (List.rev acc, Seq.empty)
-      | Some (x, rest) -> take (x :: acc) (k - 1) rest
-  in
-  let rec go acc seq =
-    match take [] chunk_size seq with
-    | [], _ -> acc
-    | chunk, rest ->
-        let acc = List.fold_left f acc (sweep chunk) in
-        if List.compare_length_with chunk chunk_size < 0 then acc
-        else go acc rest
-  in
-  go init seq
+(* Fixed occurrences: the unit is the probe itself, no per-probe tuple. *)
+let probe_sweep ?equiv ?engine ?jobs store rule occs =
+  sweep ?engine ?jobs store (fun engine name ->
+      check ?equiv ~engine store rule occs name)
 
 let empty_report =
   { probes = 0; coherent = 0; weakly_coherent = 0; incoherent = 0; vacuous = 0 }
@@ -112,34 +85,47 @@ let count_verdict acc verdict =
   | Incoherent _ -> { acc with incoherent = acc.incoherent + 1 }
   | Vacuous -> { acc with vacuous = acc.vacuous + 1 }
 
-let tally verdicts = List.fold_left count_verdict empty_report verdicts
+(* Streaming tally: units arrive as a [Seq.t], are materialised one
+   chunk at a time (sequentially or fanned over the pool, chunk by
+   chunk) and counted immediately — peak residency is one chunk of
+   verdicts, never O(units), so an exact sweep over 10^6 probes stops
+   allocating million-element intermediate lists. Chunk size trades
+   pool dispatch overhead against residency; verdict values and order
+   are independent of it and of [jobs]. *)
+let chunk_size = 4096
+
+let tally_chunks sweep seq =
+  let rec take acc k seq =
+    if k = 0 then (List.rev acc, seq)
+    else
+      match Seq.uncons seq with
+      | None -> (List.rev acc, Seq.empty)
+      | Some (x, rest) -> take (x :: acc) (k - 1) rest
+  in
+  let rec go acc seq =
+    match take [] chunk_size seq with
+    | [], _ -> acc
+    | chunk, rest ->
+        let acc = List.fold_left count_verdict acc (sweep chunk) in
+        if List.compare_length_with chunk chunk_size < 0 then acc
+        else go acc rest
+  in
+  go empty_report seq
 
 let measure_seq ?equiv ?engine ?jobs store rule occs probes =
-  fold_verdicts ?equiv ?engine ?jobs store rule occs ~init:empty_report
-    ~f:count_verdict probes
+  tally_chunks (probe_sweep ?equiv ?engine ?jobs store rule occs) probes
 
 let measure ?equiv ?engine ?jobs store rule occs probes =
   measure_seq ?equiv ?engine ?jobs store rule occs (List.to_seq probes)
 
+let measure_units ?equiv ?engine ?jobs store rule units =
+  tally_chunks
+    (sweep ?engine ?jobs store (fun engine (occs, name) ->
+         check ?equiv ~engine store rule occs name))
+    (List.to_seq units)
+
 let classify ?equiv ?engine ?jobs store rule occs probes =
-  List.combine probes
-    (verdicts_of ?equiv ?engine ?jobs store rule occs probes)
-
-let coherent_names ?equiv ?engine ?jobs store rule occs probes =
-  List.filter_map
-    (fun (n, v) ->
-      match v with
-      | Coherent _ | Weakly_coherent _ -> Some n
-      | Incoherent _ | Vacuous -> None)
-    (classify ?equiv ?engine ?jobs store rule occs probes)
-
-let incoherent_names ?equiv ?engine ?jobs store rule occs probes =
-  List.filter_map
-    (fun (n, v) ->
-      match v with
-      | Incoherent _ -> Some n
-      | Coherent _ | Weakly_coherent _ | Vacuous -> None)
-    (classify ?equiv ?engine ?jobs store rule occs probes)
+  List.combine probes (probe_sweep ?equiv ?engine ?jobs store rule occs probes)
 
 type estimate = {
   degree : float;
@@ -230,7 +216,7 @@ let estimate ?equiv ?engine ?jobs ?(confidence = 0.95)
     invalid_arg "Coherence.estimate: epsilon must be positive";
   if max_samples < 1 then
     invalid_arg "Coherence.estimate: max_samples must be at least 1";
-  let sweep = sweep_of ?equiv ?engine ?jobs store rule occs in
+  let sweep = probe_sweep ?equiv ?engine ?jobs store rule occs in
   let rec draw child acc k =
     if k = 0 then List.rev acc
     else draw child (sampler.draw child :: acc) (k - 1)

@@ -65,9 +65,6 @@ val degree : report -> float
 val strict_degree : report -> float
 (** [coherent / (probes - vacuous)]. *)
 
-val tally : verdict list -> report
-(** The report of a list of verdicts, one probe per verdict. *)
-
 val measure :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
   ?engine:Engine.t ->
@@ -77,8 +74,10 @@ val measure :
   Occurrence.t list ->
   Name.t list ->
   report
-(** Every batch entry point takes [?jobs] and fans its probes out
-    through {!Engine.map_sharded}: with [jobs > 1] the probes are swept
+(** Every batch entry point ({!measure}, {!measure_seq},
+    {!measure_units}, {!estimate}, {!classify}) runs one sweep, which
+    takes [?jobs] and fans its probes out through
+    {!Engine.map_sharded}: with [jobs > 1] the probes are swept
     in parallel on a {!Pool} of that many domains — the store frozen
     ({!Store.read_only}) for the duration, one engine shard per worker
     (the shared interpreter, or a {!Compiled.snapshot} that shares the
@@ -104,19 +103,20 @@ val measure_seq :
     to [measure] over the forced sequence, for every engine and every
     [jobs]. *)
 
-val fold_verdicts :
+val measure_units :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
   ?engine:Engine.t ->
   ?jobs:int ->
   Store.t ->
   Rule.t ->
-  Occurrence.t list ->
-  init:'a ->
-  f:('a -> verdict -> 'a) ->
-  Name.t Seq.t ->
-  'a
-(** The streaming fold underneath {!measure_seq}: verdicts are folded
-    in probe order, chunk by chunk. *)
+  (Occurrence.t list * Name.t) list ->
+  report
+(** {!measure} over units that each bring their own occurrence set: one
+    verdict per [(occs, name)] unit, [check store rule occs name]. This
+    is the tally behind the exchange fractions (the sender's and the
+    receiver's occurrence per event) and the embedded-name degree (every
+    reader of one source document per name). Same sweep, same [?jobs]
+    and engine contract, same report at every [jobs]. *)
 
 type estimate = {
   degree : float;  (** point estimate of {!degree} *)
@@ -180,26 +180,6 @@ val classify :
   Name.t list ->
   (Name.t * verdict) list
 (** Per-probe detail, in probe order. *)
-
-val coherent_names :
-  ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?engine:Engine.t ->
-  ?jobs:int ->
-  Store.t ->
-  Rule.t ->
-  Occurrence.t list ->
-  Name.t list ->
-  Name.t list
-
-val incoherent_names :
-  ?equiv:(Entity.t -> Entity.t -> bool) ->
-  ?engine:Engine.t ->
-  ?jobs:int ->
-  Store.t ->
-  Rule.t ->
-  Occurrence.t list ->
-  Name.t list ->
-  Name.t list
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit

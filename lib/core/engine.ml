@@ -48,24 +48,27 @@ let resolve_in t o name =
   | Interpreted s -> Resolver.resolve_in s o name
   | Compiled c -> Compiled.resolve_in c o name
 
-let compiled = function Compiled c -> Some c | Interpreted _ -> None
-
 (* The shard protocol, in one place: refresh on the owning domain (so no
    shard ever patches), fan out with the store frozen and one shard per
    participant — the shared interpreter, or a compiled snapshot that
    shares the tables — then, back on the owning domain, build the tables
    the shards walked into without finding. *)
-let shards t =
-  match t with
-  | Interpreted _ ->
-      { Pool.own = t; prepare = ignore; shard = (fun () -> t); merge = ignore }
-  | Compiled c ->
-      {
-        Pool.own = t;
-        prepare = (fun () -> Compiled.refresh c);
-        shard = (fun () -> Compiled (Compiled.snapshot c));
-        merge =
-          (fun shards -> Compiled.adopt c (List.filter_map compiled shards));
-      }
-
-let map_sharded ?jobs t f xs = Pool.map_shards ?jobs (store t) (shards t) f xs
+let map_sharded ?jobs t f xs =
+  match (Pool.shared ?jobs (), t) with
+  | None, _ -> List.map (f t) xs
+  | Some pool, Interpreted store ->
+      Store.read_only store (fun () ->
+          fst (Pool.map_local pool ~local:(fun () -> t) f xs))
+  | Some pool, Compiled c ->
+      Compiled.refresh c;
+      let ys, shards =
+        Store.read_only (Compiled.store c) (fun () ->
+            Pool.map_local pool
+              ~local:(fun () ->
+                let s = Compiled.snapshot c in
+                (s, Compiled s))
+              (fun (_, shard) x -> f shard x)
+              xs)
+      in
+      Compiled.adopt c (List.map fst shards);
+      ys

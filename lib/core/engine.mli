@@ -59,16 +59,15 @@ val resolve_in : t -> Entity.t -> Name.t -> Entity.t
 
 val map_sharded : ?jobs:int -> t -> (t -> 'a -> 'b) -> 'a list -> 'b list
 (** [map_sharded ?jobs t f xs] is [List.map (f t) xs], the fan-out of
-    every sweep over one store ({!Pool.map_shards} decides the path).
-    At [jobs <= 1] that is exactly what runs, on the calling domain: [f]
-    receives [t] itself, with the store writable. At [jobs > 1] the
-    items are fanned over the shared pool — results in input order —
-    with [t]'s store frozen ({!Store.read_only}) for the duration. [t]
-    is brought up to date on the calling domain first, and each
+    {!Coherence}'s sweeps over one store ({!Pool.shared} decides the
+    path). At [jobs <= 1] that is exactly what runs, on the calling
+    domain: [f] receives [t] itself, with the store writable. At
+    [jobs > 1] the items are fanned over the shared pool
+    ({!Pool.map_local}) — results in input order — with [t]'s store
+    frozen ({!Store.read_only}) for the duration. [t] is brought up to
+    date on the calling domain first ({!Compiled.refresh}), and each
     participant gets its own shard: the shared interpreter, or a
     {!Compiled.snapshot} that shares [t]'s tables and finishes a walk
     into a table not built yet on the interpreter. Afterwards, on the
     calling domain, [t] builds the tables its shards missed
     ({!Compiled.adopt}), so the next batch finds them. *)
-
-val compiled : t -> Compiled.t option

@@ -83,8 +83,6 @@ let grow t ~jobs =
   end;
   Mutex.unlock t.lock
 
-let available_parallelism () = Domain.recommended_domain_count ()
-
 let default_jobs () =
   match Sys.getenv_opt "NAMING_JOBS" with
   | None -> 1
@@ -183,27 +181,27 @@ let map_local ?jobs:requested t ~local f xs =
 (* The shared pool behind [?jobs]: created on first parallel request,
    grown on demand, joined at exit so the process does not leave domains
    blocked on the condition variable. *)
-let shared : t option ref = ref None
-let shared_lock = Mutex.create ()
+let instance : t option ref = ref None
+let instance_lock = Mutex.create ()
 
 let shared_pool jobs =
-  Mutex.lock shared_lock;
+  Mutex.lock instance_lock;
   let t =
-    match !shared with
+    match !instance with
     | Some t -> t
     | None ->
         let t = create ~jobs in
-        shared := Some t;
+        instance := Some t;
         at_exit (fun () -> shutdown t);
         t
   in
-  Mutex.unlock shared_lock;
+  Mutex.unlock instance_lock;
   if t.size < jobs then grow t ~jobs;
   t
 
 (* The one sequential-or-parallel decision behind every fan-out entry
    point: [None] means [List.map] on the caller. *)
-let pool_for ?jobs () =
+let shared ?jobs () =
   match (match jobs with None -> default_jobs () | Some j -> j) with
   | j when j <= 1 -> None
   | j -> Some (shared_pool j)
@@ -212,30 +210,12 @@ let map_on pool f xs =
   fst (map_local pool ~local:(fun () -> ()) (fun () x -> f x) xs)
 
 let map ?jobs f xs =
-  match pool_for ?jobs () with
+  match shared ?jobs () with
   | None -> List.map f xs
   | Some pool -> map_on pool f xs
 
 let map_frozen ?jobs ~store f xs =
-  match pool_for ?jobs () with
+  match shared ?jobs () with
   | None -> List.map f xs
   | Some pool ->
       map_on pool (fun x -> Store.read_only (store x) (fun () -> f x)) xs
-
-type 'w shards = {
-  own : 'w;
-  prepare : unit -> unit;
-  shard : unit -> 'w;
-  merge : 'w list -> unit;
-}
-
-let map_shards ?jobs store s f xs =
-  match pool_for ?jobs () with
-  | None -> List.map (f s.own) xs
-  | Some pool ->
-      s.prepare ();
-      let ys, shards =
-        Store.read_only store (fun () -> map_local pool ~local:s.shard f xs)
-      in
-      s.merge shards;
-      ys

@@ -26,9 +26,9 @@
     Domain-safety contract for tasks (see doc/PARALLEL.md): tasks must
     treat every {!Store} they can reach as read-only — enforced by
     {!Store.read_only}, which the parallel paths of {!map_frozen} and
-    {!map_shards} wrap their tasks in — and must not share a {!Compiled}
-    engine between tasks; shard it via {!Engine.map_sharded}, which
-    hands each participant a {!Compiled.snapshot} (shards share
+    {!Engine.map_sharded} wrap their batches in — and must not share a
+    {!Compiled} engine between tasks; {!Engine.map_sharded} hands each
+    participant of {!map_local} a {!Compiled.snapshot} (shards share
     the engine's tables read-only and own only their miss list; a
     participant creates its state only after claiming a task, so none
     is created after the batch returns). Interning new
@@ -50,9 +50,6 @@ val shutdown : t -> unit
 (** Joins the worker domains. Call only when no batch is in flight;
     further batches on the pool run sequentially on the caller. *)
 
-val available_parallelism : unit -> int
-(** What the hardware offers: {!Domain.recommended_domain_count}. *)
-
 val default_jobs : unit -> int
 (** The [NAMING_JOBS] environment variable when set to a positive
     integer, else [1]. This is what the fan-out entry points fall back
@@ -63,13 +60,18 @@ val default_jobs : unit -> int
 
 (** {1 Fan-out entry points}
 
-    Every batch API fans its sweep out through one of these three (the
-    second by way of {!Engine.map_sharded}), and they are the only
-    places that decide between the sequential and the parallel path.
-    An omitted [?jobs] means {!default_jobs}[ ()]. At [jobs <= 1] each
-    is [List.map] on the calling domain, with no store frozen and no
-    shard taken. At [jobs > 1] the sweep runs on a shared pool, created
-    on first use, grown to at least [jobs] and joined at exit. *)
+    Every batch API fans its sweep out through {!map}, {!map_frozen} or
+    {!Engine.map_sharded}, and all three decide between the sequential
+    and the parallel path by {!shared}. An omitted [?jobs] means
+    {!default_jobs}[ ()]. At [jobs <= 1] each is [List.map] on the
+    calling domain, with no store frozen and no shard taken. At
+    [jobs > 1] the sweep runs on the shared pool. *)
+
+val shared : ?jobs:int -> unit -> t option
+(** The one sequential-or-parallel decision: [None] at [jobs <= 1]
+    (run [List.map] on the caller), else the process-wide pool —
+    created on first use, grown to at least [jobs] and joined at
+    exit. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Independent items: [map f xs] applies [f] to every element,
@@ -81,26 +83,6 @@ val map_frozen :
 (** One store per item: {!map}, except that on the parallel path each
     task runs with its item's store frozen ({!Store.read_only}). The
     stores must be distinct. *)
-
-type 'w shards = {
-  own : 'w;  (** what every item receives on the sequential path *)
-  prepare : unit -> unit;
-      (** run on the calling domain before a parallel batch *)
-  shard : unit -> 'w;  (** one per participant of a parallel batch *)
-  merge : 'w list -> unit;
-      (** run on the calling domain after a parallel batch, with the
-          participants' shards, once the store is writable again *)
-}
-(** How one piece of state is split across the participants of a
-    parallel batch and folded back afterwards. *)
-
-val map_shards :
-  ?jobs:int -> Store.t -> 'w shards -> ('w -> 'a -> 'b) -> 'a list -> 'b list
-(** One store, sharded state: sequentially [List.map (f s.own) xs];
-    in parallel [s.prepare ()], then the batch with the store frozen and
-    each participant's tasks receiving its own [s.shard ()], then
-    [s.merge]. This is the engine-agnostic core of
-    {!Engine.map_sharded}; call that. *)
 
 (** {1 Explicit pools} *)
 

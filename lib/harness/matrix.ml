@@ -17,24 +17,20 @@ type row = {
 
 
 let generated_degree ?engine ?jobs w =
-  let engine = Naming.Engine.select ?engine w.store in
   let occs = List.map Naming.Occurrence.generated w.activities in
-  let report =
-    Naming.Coherence.measure ?equiv:w.equiv ~engine ?jobs w.store w.rule occs
-      w.probes
-  in
-  Naming.Coherence.degree report
+  Naming.Coherence.degree
+    (Naming.Coherence.measure ?equiv:w.equiv ?engine ?jobs w.store w.rule occs
+       w.probes)
 
 let received_degree ?engine ?jobs w =
-  let engine = Naming.Engine.select ?engine w.store in
   let events =
     Workload.Exchange.all_pairs ~activities:w.activities ~probes:w.probes
   in
-  Workload.Exchange.coherent_fraction ?equiv:w.equiv ~engine ?jobs w.store
+  Workload.Exchange.coherent_fraction ?equiv:w.equiv ?engine ?jobs w.store
     w.rule events
 
-(* One embedded check per (source document, embedded name): the sweep
-   unit of the parallel path, classified across all reading activities. *)
+(* One embedded check per (source document, embedded name), classified
+   across all reading activities. *)
 let embedded_units w =
   List.concat_map
     (fun (source, names) ->
@@ -50,22 +46,18 @@ let embedded_degree ?engine ?jobs w =
   match w.embedded with
   | [] -> None
   | _ ->
-      Naming.Engine.map_sharded ?jobs (Naming.Engine.select ?engine w.store)
-        (fun engine (occs, name) ->
-          Naming.Coherence.check ?equiv:w.equiv ~engine w.store w.rule occs
-            name)
-        (embedded_units w)
-      |> Naming.Coherence.tally |> Naming.Coherence.degree |> Option.some
+      Naming.Coherence.measure_units ?equiv:w.equiv ?engine ?jobs w.store
+        w.rule (embedded_units w)
+      |> Naming.Coherence.degree |> Option.some
 
-(* The three degrees share one engine (the store's own, by default), so
-   a directory's table is built once for the whole row. *)
+(* Without [?engine] each degree takes the store's own engine, so a
+   directory's table is built once for the whole row. *)
 let measure ?engine ?jobs w =
-  let engine = Naming.Engine.select ?engine w.store in
   {
     world = w.label;
-    generated = generated_degree ~engine ?jobs w;
-    received = received_degree ~engine ?jobs w;
-    embedded_deg = embedded_degree ~engine ?jobs w;
+    generated = generated_degree ?engine ?jobs w;
+    received = received_degree ?engine ?jobs w;
+    embedded_deg = embedded_degree ?engine ?jobs w;
   }
 
 (* Worlds are independent (each has its own store), so the coarser

@@ -33,12 +33,9 @@ let occurrences ev =
   ]
 
 let coherent_fraction ?equiv ?engine ?jobs store rule events =
-  Naming.Engine.map_sharded ?jobs (Naming.Engine.select ?engine store)
-    (fun engine ev ->
-      Naming.Coherence.check ?equiv ~engine store rule (occurrences ev)
-        ev.name)
-    events
-  |> Naming.Coherence.tally |> Naming.Coherence.degree
+  Naming.Coherence.measure_units ?equiv ?engine ?jobs store rule
+    (List.map (fun ev -> (occurrences ev, ev.name)) events)
+  |> Naming.Coherence.degree
 
 let run_over_network ~engine ~actor_of events =
   let addr_to_entity = Hashtbl.create 16 in

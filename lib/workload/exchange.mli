@@ -38,13 +38,11 @@ val coherent_fraction :
   Naming.Rule.t ->
   event list ->
   float
-(** Fraction of non-vacuous events that are coherent under the rule.
-    Resolutions share one {!Naming.Engine}, chosen by
-    {!Naming.Engine.select} from [?engine] / [NAMING_ENGINE], else the
-    store's own compiled engine. The events are checked through
-    {!Naming.Engine.map_sharded}: with [jobs > 1] in parallel — store
-    frozen, one engine shard per worker — and the fraction is identical
-    to the sequential one. *)
+(** Fraction of non-vacuous events that are coherent under the rule:
+    the {!Naming.Coherence.degree} of {!Naming.Coherence.measure_units}
+    over one [(occurrences ev, ev.name)] unit per event, so [?engine]
+    and [?jobs] mean what they mean there and the fraction is identical
+    at every [jobs]. *)
 
 val run_over_network :
   engine:Dsim.Engine.t ->

@@ -111,12 +111,19 @@ let test_classify_and_filters () =
   let probes = [ N.of_string "shared"; N.of_string "local" ] in
   let detail = Coh.classify st rule (occs acts) probes in
   check Alcotest.int "detail length" 2 (List.length detail);
-  let coh = Coh.coherent_names st rule (occs acts) probes in
+  let names keep =
+    List.filter_map
+      (fun (n, v) -> if keep v then Some (N.to_string n) else None)
+      detail
+  in
   check (Alcotest.list Alcotest.string) "coherent names" [ "shared" ]
-    (List.map N.to_string coh);
-  let inc = Coh.incoherent_names st rule (occs acts) probes in
+    (names (function
+      | Coh.Coherent _ | Coh.Weakly_coherent _ -> true
+      | Coh.Incoherent _ | Coh.Vacuous -> false));
   check (Alcotest.list Alcotest.string) "incoherent names" [ "local" ]
-    (List.map N.to_string inc)
+    (names (function
+      | Coh.Incoherent _ -> true
+      | Coh.Coherent _ | Coh.Weakly_coherent _ | Coh.Vacuous -> false))
 
 (* property: the verdict class is invariant under permutation of the
    occurrence list. *)
@@ -186,12 +193,34 @@ let test_measure_seq_parity () =
   check b "streamed report equals list report" true (r_list = r_seq);
   let r_jobs = Coh.measure_seq ~jobs:2 st rule os (List.to_seq names) in
   check b "streamed report equals at jobs 2" true (r_list = r_jobs);
-  let count =
-    Coh.fold_verdicts st rule os ~init:0
-      ~f:(fun acc _ -> acc + 1)
-      (List.to_seq names)
+  check Alcotest.int "fold visits every probe" 5000 r_seq.Coh.probes
+
+(* Units bring their own occurrence sets: "only1" is coherent for a1
+   alone but not across a1 and a2. Over one shared set, the units tally
+   is [measure]'s report. *)
+let test_measure_units () =
+  let st, rule, acts, _ = fixture () in
+  let a1, a2 =
+    match acts with a1 :: a2 :: _ -> (a1, a2) | _ -> assert false
   in
-  check Alcotest.int "fold visits every probe" 5000 count
+  let units =
+    [
+      (occs [ a1 ], N.of_string "only1");
+      (occs [ a1; a2 ], N.of_string "only1");
+      (occs acts, N.of_string "shared");
+      (occs [ a2 ], N.of_string "ghost");
+    ]
+  in
+  let r = Coh.measure_units st rule units in
+  check Alcotest.int "coherent" 2 r.Coh.coherent;
+  check Alcotest.int "incoherent" 1 r.Coh.incoherent;
+  check Alcotest.int "vacuous" 1 r.Coh.vacuous;
+  check b "same report at jobs 2" true
+    (r = Coh.measure_units ~jobs:2 st rule units);
+  let names = List.map N.of_string probe_names in
+  check b "one shared set = measure" true
+    (Coh.measure st rule (occs acts) names
+    = Coh.measure_units st rule (List.map (fun n -> (occs acts, n)) names))
 
 (* Uniform draws from a fixed name list: the estimator's target is then
    the exact degree over that population. *)
@@ -261,6 +290,8 @@ let test_estimate_invalid () =
 let suite =
   [
     Alcotest.test_case "coherent" `Quick test_coherent;
+    Alcotest.test_case "measure_units: per-unit occurrence sets" `Quick
+      test_measure_units;
     Alcotest.test_case "incoherent (different entities)" `Quick
       test_incoherent_different;
     Alcotest.test_case "incoherent (defined vs bottom)" `Quick

@@ -71,9 +71,16 @@ let test_agrees_with_coherence () =
   let st, rule, a, bb = fixture () in
   let d = D.diff st rule ~a ~b:bb ~probes in
   let occs = [ Naming.Occurrence.generated a; Naming.Occurrence.generated bb ] in
-  let coherent = Naming.Coherence.coherent_names st rule occs probes in
-  check (Alcotest.list Alcotest.string) "same set"
-    (List.map N.to_string coherent)
+  let coherent =
+    List.filter_map
+      (fun (n, v) ->
+        match v with
+        | Naming.Coherence.Coherent _ | Naming.Coherence.Weakly_coherent _ ->
+            Some (N.to_string n)
+        | Naming.Coherence.Incoherent _ | Naming.Coherence.Vacuous -> None)
+      (Naming.Coherence.classify st rule occs probes)
+  in
+  check (Alcotest.list Alcotest.string) "same set" coherent
     (List.map (fun (n, _) -> N.to_string n) d.D.agree)
 
 let suite =
