@@ -55,8 +55,8 @@
                         sampling-based coherence estimation: draw seeded
                         probes until the Wilson interval is tight enough
                         (--confidence, --epsilon, --max-samples, --seed,
-                        --engine, --jobs, --json; nonzero exit when the
-                        interval stays wider than epsilon)
+                        --jobs, --json; nonzero exit when the interval
+                        stays wider than epsilon)
 
    analyze, check-script, check-cluster, explore, chaos and compile-stats
    take --jobs N (default from NAMING_JOBS, else 1) to fan their sweeps
@@ -645,27 +645,17 @@ let estimate_world target =
    split child streams), so the printed report is byte-identical across
    --jobs values and engines — CI diffs it. Exit code 1 when the
    confidence interval never reached the requested half-width. *)
-let cmd_estimate target confidence epsilon max_samples seed engine jobs json =
-  let engine_kind =
-    match String.lowercase_ascii engine with
-    | "" | "default" -> Ok None
-    | s ->
-        Result.map Option.some (Naming.Engine.parse_kind s)
-        |> Result.map_error (fun msg -> "invalid --engine " ^ msg)
-  in
-  match (estimate_world target, engine_kind) with
-  | Error msg, _ | _, Error msg ->
+let cmd_estimate target confidence epsilon max_samples seed jobs json =
+  match estimate_world target with
+  | Error msg ->
       Printf.eprintf "%s\n" msg;
       2
-  | Ok w, Ok engine_kind -> (
-      let engine =
-        Option.map (fun k -> Naming.Engine.create k w.store) engine_kind
-      in
+  | Ok w -> (
       let occs = List.map Naming.Occurrence.generated w.activities in
       let rng = Dsim.Rng.create seed in
       let sampler = Harness.Worldgen.sampler w in
       match
-        Naming.Coherence.estimate ?engine ~jobs ~confidence ~epsilon
+        Naming.Coherence.estimate ~jobs ~confidence ~epsilon
           ~max_samples ~rng w.store w.rule occs sampler
       with
       | exception Invalid_argument msg ->
@@ -963,14 +953,7 @@ let estimate_cmd =
     Arg.(value & opt int64 42L
          & info [ "seed" ] ~docv:"SEED"
              ~doc:"Probe-stream seed. The estimate depends only on \
-                   $(docv) — never on --jobs or --engine.")
-  in
-  let engine =
-    Arg.(value & opt string "default"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Resolution engine: interpreted or compiled \
-                   (default: the library's usual selection, honouring \
-                   NAMING_ENGINE).")
+                   $(docv) — never on --jobs or NAMING_ENGINE.")
   in
   Cmd.v
     (Cmd.info "estimate"
@@ -980,7 +963,7 @@ let estimate_cmd =
              sweeping every name exactly; exits nonzero when the \
              interval never converges within --max-samples")
     Term.(const cmd_estimate $ target $ confidence $ epsilon $ max_samples
-          $ seed $ engine $ jobs_opt $ json_flag)
+          $ seed $ jobs_opt $ json_flag)
 
 let report_cmd =
   Cmd.v

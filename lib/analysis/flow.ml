@@ -245,20 +245,16 @@ let dyn_parent_dir fs path =
           if Naming.Store.is_context_object (Vfs.Fs.store fs) e then e
           else E.undefined)
 
-let replay ?(config = default_config) ?engine:ekind (plan : plan) =
+let replay ?(config = default_config) (plan : plan) =
   let store = Naming.Store.create () in
   let w = Sc.new_world store in
   let env = Sc.env w in
   let fs = Sc.fs w in
   let asg = Schemes.Process_env.assignment env in
-  (* One engine for the whole replay, the store's own by default. Script
-     ops mutate the store between flows; the compiled engine re-patches
-     only the tables those ops touched. *)
-  let engine =
-    Naming.Engine.select
-      ?engine:(Option.map (fun k -> Naming.Engine.create k store) ekind)
-      store
-  in
+  (* One engine for the whole replay, selected once. Script ops mutate
+     the store between flows; the compiled engine re-patches only the
+     tables those ops touched. *)
+  let engine = Naming.Engine.select store in
   let parents : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let proc = Sc.proc w in
   let resolve p name = Schemes.Process_env.resolve ~engine env ~as_:p name in

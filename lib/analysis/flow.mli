@@ -123,15 +123,15 @@ type replay_result = {
   dyn_skips : (int * Workload.Script.skip) list;
 }
 
-val replay :
-  ?config:config -> ?engine:Naming.Engine.kind -> plan -> replay_result
+val replay : ?config:config -> plan -> replay_result
 (** Actually runs the plan over a fresh world and judges every flow
     from the concrete resolutions — absolute-name sends through
     [Naming.Coherence.check] under the configured rule, the rest
     through the per-activity resolutions of [Schemes.Process_env]. All
-    resolutions share one {!Naming.Engine} of the given kind for the
-    replayed world ({!Naming.Engine.select}'s by default: the store's
-    own compiled engine, which script ops patch between flows). *)
+    resolutions share one {!Naming.Engine}, selected once per replay
+    ({!Naming.Engine.select}: the store's own compiled engine, which
+    script ops patch between flows, or the interpreter under
+    [NAMING_ENGINE=interpreted]). *)
 
 val agrees : outcome -> outcome -> bool
 (** [agrees static dynamic] — the soundness relation: a static

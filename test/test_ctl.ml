@@ -77,10 +77,9 @@ let test_subcommands_are_distinct () =
   check Alcotest.int "no subcommand registered twice" (List.length sorted)
     (List.length subs)
 
-(* The removed "cached" engine is refused by name, both as the
-   estimate command's --engine value and through NAMING_ENGINE, with
-   exit 2 and the accepted names listed. Runs the built CLI (a declared
-   dune dep next to the source). *)
+(* The removed "cached" engine is refused by name through
+   NAMING_ENGINE, with exit 2 and the accepted names listed. Runs the
+   built CLI (a declared dune dep next to the source). *)
 let namingctl_path () =
   List.find_opt Sys.file_exists
     [ "../bin/namingctl.exe"; "_build/default/bin/namingctl.exe" ]
@@ -114,10 +113,7 @@ let test_cached_engine_rejected () =
       check Alcotest.int (label ^ ": exit 2") 2 code;
       check Alcotest.bool (label ^ ": lists the engines") true
         (contains_sub msg "interpreted, compiled"))
-    [
-      ("--engine cached", "", "estimate unix --engine cached");
-      ("NAMING_ENGINE=cached", "NAMING_ENGINE=cached", "estimate unix");
-    ]
+    [ ("NAMING_ENGINE=cached", "NAMING_ENGINE=cached", "estimate unix") ]
 
 (* An out-of-range --drop is bad user input (exit 2) for both commands
    that share the option, not a run whose report prints "nan". *)
