@@ -54,16 +54,17 @@ let resolve_in t o name =
    shares the tables — then, back on the owning domain, build the tables
    the shards walked into without finding. *)
 let map_sharded ?jobs t f xs =
-  match (Pool.shared ?jobs (), t) with
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  match (Pool.shared ~jobs (), t) with
   | None, _ -> List.map (f t) xs
   | Some pool, Interpreted store ->
       Store.read_only store (fun () ->
-          fst (Pool.map_local pool ~local:(fun () -> t) f xs))
+          fst (Pool.map_local ~jobs pool ~local:(fun () -> t) f xs))
   | Some pool, Compiled c ->
       Compiled.refresh c;
       let ys, shards =
         Store.read_only (Compiled.store c) (fun () ->
-            Pool.map_local pool
+            Pool.map_local ~jobs pool
               ~local:(fun () ->
                 let s = Compiled.snapshot c in
                 (s, Compiled s))

@@ -199,23 +199,31 @@ let shared_pool jobs =
   if t.size < jobs then grow t ~jobs;
   t
 
+let resolve_jobs = function None -> default_jobs () | Some j -> j
+
 (* The one sequential-or-parallel decision behind every fan-out entry
    point: [None] means [List.map] on the caller. *)
 let shared ?jobs () =
-  match (match jobs with None -> default_jobs () | Some j -> j) with
+  match resolve_jobs jobs with
   | j when j <= 1 -> None
   | j -> Some (shared_pool j)
 
-let map_on pool f xs =
-  fst (map_local pool ~local:(fun () -> ()) (fun () x -> f x) xs)
+(* The pool may have grown past [jobs] for an earlier batch; the cap
+   keeps this one to the parallelism it asked for. *)
+let map_on ~jobs pool f xs =
+  fst (map_local ~jobs pool ~local:(fun () -> ()) (fun () x -> f x) xs)
 
 let map ?jobs f xs =
-  match shared ?jobs () with
+  let jobs = resolve_jobs jobs in
+  match shared ~jobs () with
   | None -> List.map f xs
-  | Some pool -> map_on pool f xs
+  | Some pool -> map_on ~jobs pool f xs
 
 let map_frozen ?jobs ~store f xs =
-  match shared ?jobs () with
+  let jobs = resolve_jobs jobs in
+  match shared ~jobs () with
   | None -> List.map f xs
   | Some pool ->
-      map_on pool (fun x -> Store.read_only (store x) (fun () -> f x)) xs
+      map_on ~jobs pool
+        (fun x -> Store.read_only (store x) (fun () -> f x))
+        xs

@@ -65,7 +65,9 @@ val default_jobs : unit -> int
     and the parallel path by {!shared}. An omitted [?jobs] means
     {!default_jobs}[ ()]. At [jobs <= 1] each is [List.map] on the
     calling domain, with no store frozen and no shard taken. At
-    [jobs > 1] the sweep runs on the shared pool. *)
+    [jobs > 1] the sweep runs on the shared pool, across at most [jobs]
+    participants even once an earlier, wider batch has grown the pool
+    past that. *)
 
 val shared : ?jobs:int -> unit -> t option
 (** The one sequential-or-parallel decision: [None] at [jobs <= 1]

@@ -72,6 +72,40 @@ let test_jobs_cap () =
   check b "?jobs caps participants below pool size" true
     (List.length locals <= 2)
 
+(* The shared pool grows to the widest batch asked of it; a later,
+   narrower batch must still run on at most the participants it asked
+   for. Each task spins briefly, so idle helpers have time to join; the
+   participants are counted as the distinct domains that ran tasks and,
+   through [Engine.map_sharded], as the distinct shards [map_local]
+   handed out. *)
+let test_jobs_cap_shared () =
+  let spin () =
+    let k = ref 0 in
+    while Sys.opaque_identity !k < 100_000 do
+      incr k
+    done
+  in
+  let xs = List.init 128 Fun.id in
+  let distinct eq l =
+    List.length
+      (List.fold_left (fun acc x -> if List.exists (eq x) acc then acc else x :: acc) [] l)
+  in
+  let domains jobs =
+    distinct ( = ) (P.map ~jobs (fun _ -> spin (); Domain.self ()) xs)
+  in
+  ignore (domains 4);
+  check b "map: at most 2 domains after a jobs-4 batch" true (domains 2 <= 2);
+  let stores = List.map (fun _ -> S.create ()) xs in
+  check b "map_frozen: at most 2 domains" true
+    (distinct ( = )
+       (P.map_frozen ~jobs:2 ~store:Fun.id (fun _ -> spin (); Domain.self ()) stores)
+    <= 2);
+  let engine = Naming.Engine.create `Compiled (S.create ()) in
+  check b "map_sharded: at most 2 shards" true
+    (distinct ( == )
+       (Naming.Engine.map_sharded ~jobs:2 engine (fun shard _ -> spin (); shard) xs)
+    <= 2)
+
 let test_write_barrier () =
   let st = S.create () in
   let dir = S.create_context_object st in
@@ -320,6 +354,8 @@ let suite =
     Alcotest.test_case "lowest-index exception, pool reusable" `Quick
       test_exception_propagates;
     Alcotest.test_case "?jobs caps a batch" `Quick test_jobs_cap;
+    Alcotest.test_case "?jobs caps a batch on a grown shared pool" `Quick
+      test_jobs_cap_shared;
     Alcotest.test_case "store write barrier" `Quick test_write_barrier;
     Alcotest.test_case "engine parity (jobs 2/4)" `Quick test_engine_parity;
     Alcotest.test_case "matrix parity (jobs 2/4)" `Quick test_matrix_parity;
