@@ -214,8 +214,10 @@ let sampler ?(valid_fraction = 0.9) ?(max_depth = 8) (w : Sample.world) =
   (* Bindings of each visited directory, indexed once: a draw then costs
      O(depth) array picks instead of one O(fan-out) list walk per step —
      on a zipf-shaped tree the hot directories have fan-out in the
-     thousands, and they are exactly the ones every descent crosses. *)
-  let index : (E.t, (N.atom * E.t) array) Hashtbl.t = Hashtbl.create 256 in
+     thousands, and they are exactly the ones every descent crosses.
+     Keyed by {!Naming.Entity.Tbl}, so each step hashes and compares an
+     entity as ints, not through the polymorphic C primitives. *)
+  let index : (N.atom * E.t) array E.Tbl.t = E.Tbl.create 256 in
   let edges_of_ctx ctx =
     Array.of_list
       (List.filter
@@ -224,7 +226,7 @@ let sampler ?(valid_fraction = 0.9) ?(max_depth = 8) (w : Sample.world) =
          (Naming.Context.bindings ctx))
   in
   let edges_of_entity e =
-    match Hashtbl.find_opt index e with
+    match E.Tbl.find_opt index e with
     | Some arr -> arr
     | None ->
         let arr =
@@ -232,7 +234,7 @@ let sampler ?(valid_fraction = 0.9) ?(max_depth = 8) (w : Sample.world) =
           | Some ctx -> edges_of_ctx ctx
           | None -> [||]
         in
-        Hashtbl.add index e arr;
+        E.Tbl.add index e arr;
         arr
   in
   let root_edges = edges_of_ctx root_ctx in
