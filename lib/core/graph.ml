@@ -1,12 +1,21 @@
 type edge = { src : Entity.t; label : Name.atom; dst : Entity.t }
 
+(* [Context.bindings], in the same atom (string) order, but each atom's
+   string is fetched once instead of twice per comparison: interned atoms
+   have distinct strings, so sorting on them gives the identical order.
+   A context never binds ⊥, so there is nothing to filter. *)
+let sorted_bindings c =
+  let keyed = ref [] in
+  Context.iter_unordered
+    (fun a e -> keyed := (Name.atom_to_string a, (a, e)) :: !keyed)
+    c;
+  List.map snd
+    (List.sort (fun (s1, _) (s2, _) -> String.compare s1 s2) !keyed)
+
 let out_edges store e =
   match Store.context_of store e with
   | None -> []
-  | Some c ->
-      List.filter
-        (fun (_a, dst) -> Entity.is_defined dst)
-        (Context.bindings c)
+  | Some c -> sorted_bindings c
 
 let out_degree store e = List.length (out_edges store e)
 
@@ -84,14 +93,13 @@ let is_tree store ~root ~ignore =
    only the current level is materialised, and the next is expanded from
    it once it has been consumed. *)
 let names_seq store ctx ~max_depth ?(skip = default_skip) () =
-  let keep a e = (not (skip a)) && Entity.is_defined e in
   let expand frontier =
     List.rev
       (List.fold_left
          (fun next (n, e) ->
            List.fold_left
              (fun next (a, dst) ->
-               if keep a dst then (Name.snoc n a, dst) :: next else next)
+               if skip a then next else (Name.snoc n a, dst) :: next)
              next (out_edges store e))
          [] frontier)
   in
@@ -106,8 +114,8 @@ let names_seq store ctx ~max_depth ?(skip = default_skip) () =
   in
   level
     (List.filter_map
-       (fun (a, e) -> if keep a e then Some (Name.singleton a, e) else None)
-       (Context.bindings ctx))
+       (fun (a, e) -> if skip a then None else Some (Name.singleton a, e))
+       (sorted_bindings ctx))
     1
 
 let all_names store ctx ~max_depth ?skip () =
