@@ -4,35 +4,97 @@ type verdict =
   | Incoherent of (Occurrence.t * Entity.t) * (Occurrence.t * Entity.t)
   | Vacuous
 
-(* Rule.resolve through an engine: the rule selects the context, the
-   engine performs the walk. *)
-let resolve_via_engine engine store rule occ name =
-  match Rule.select rule store occ with
-  | None -> Entity.undefined
-  | Some ctx -> Engine.resolve engine ctx name
+(* The kind of a verdict, without its witnesses: what a tally counts. *)
+module Kind = struct
+  type t = Coherent | Weak | Incoherent | Vacuous
+end
+
+(* One probe's resolutions, in occurrence order, and after [judge] where
+   its witnesses sit: [first] is the first defined entity, [witness] the
+   one an incoherent probe conflicts with. A batch reuses one scratch
+   per task, so judging a probe allocates nothing. *)
+type scratch = {
+  es : Entity.t array;
+  mutable first : int;
+  mutable witness : int;
+}
+
+let scratch n = { es = Array.make n Entity.undefined; first = 0; witness = 0 }
+let no_occurrences () = invalid_arg "Coherence.check: no occurrences"
+
+(* Rule.resolve through an engine: the rule has selected the contexts
+   (⊥ where it selected none), the engine performs the walks. *)
+let resolve_into engine ctxs name p =
+  for i = 0 to Array.length ctxs - 1 do
+    p.es.(i) <-
+      (match ctxs.(i) with
+      | None -> Entity.undefined
+      | Some ctx -> Engine.resolve engine ctx name)
+  done
+
+let select_all store rule occs = Array.map (Rule.select rule store) occs
+
+let rec first_defined es i =
+  if i = Array.length es || Entity.is_defined es.(i) then i
+  else first_defined es (i + 1)
+
+let rec first_undefined es i =
+  if i = Array.length es || Entity.is_undefined es.(i) then i
+  else first_undefined es (i + 1)
+
+let rec first_inequivalent equiv d es i =
+  if i = Array.length es || not (equiv d es.(i)) then i
+  else first_inequivalent equiv d es (i + 1)
+
+let rec all_equal d es i =
+  i = Array.length es || (Entity.equal d es.(i) && all_equal d es (i + 1))
+
+(* The one classification: vacuous when nothing is defined; else,
+   against the first defined entity d, incoherent at the first ⊥ or,
+   failing one, at the first entity not equivalent to d; else coherent
+   when every entity is d, weakly coherent otherwise. *)
+let judge equiv p =
+  let es = p.es and n = Array.length p.es in
+  let first = first_defined es 0 in
+  if first = n then Kind.Vacuous
+  else begin
+    p.first <- first;
+    let d = es.(first) in
+    let w =
+      match first_undefined es 0 with
+      | w when w < n -> w
+      | _ -> first_inequivalent equiv d es 0
+    in
+    if w < n then begin
+      p.witness <- w;
+      Kind.Incoherent
+    end
+    else if all_equal d es 0 then Kind.Coherent
+    else Kind.Weak
+  end
+
+let verdict_of occs p = function
+  | Kind.Vacuous -> Vacuous
+  | Kind.Coherent -> Coherent p.es.(p.first)
+  | Kind.Weak -> Weakly_coherent (Array.to_list p.es)
+  | Kind.Incoherent ->
+      Incoherent
+        ( (occs.(p.first), p.es.(p.first)),
+          (occs.(p.witness), p.es.(p.witness)) )
+
+(* One probe under its own occurrence set: select, resolve, judge. *)
+let judge_unit equiv engine store rule occs name =
+  if occs = [] then no_occurrences ();
+  let occs = Array.of_list occs in
+  let p = scratch (Array.length occs) in
+  resolve_into engine (select_all store rule occs) name p;
+  (occs, p, judge equiv p)
 
 let check ?(equiv = Entity.equal) ?engine store rule occs name =
-  match occs with
-  | [] -> invalid_arg "Coherence.check: no occurrences"
-  | first :: rest ->
-      let engine = Engine.select ?engine store in
-      let resolve occ = (occ, resolve_via_engine engine store rule occ name) in
-      let results = resolve first :: List.map resolve rest in
-      let defined = List.filter (fun (_, e) -> Entity.is_defined e) results in
-      (match defined with
-      | [] -> Vacuous
-      | (occ_d, d) :: _ -> (
-          match
-            List.find_opt (fun (_, e) -> Entity.is_undefined e) results
-          with
-          | Some witness -> Incoherent ((occ_d, d), witness)
-          | None -> (
-              match List.find_opt (fun (_, e) -> not (equiv d e)) results with
-              | Some witness -> Incoherent ((occ_d, d), witness)
-              | None ->
-                  if List.for_all (fun (_, e) -> Entity.equal d e) results then
-                    Coherent d
-                  else Weakly_coherent (List.map snd results))))
+  let occs, p, kind =
+    judge_unit equiv (Engine.select ?engine store) store rule occs name
+  in
+  verdict_of occs p kind
 
 let is_coherent ?equiv ?engine store rule occs name =
   match check ?equiv ?engine store rule occs name with
@@ -57,44 +119,62 @@ let strict_degree r =
   if meaningful <= 0 then 1.0
   else float_of_int r.coherent /. float_of_int meaningful
 
-(* The one sweep behind every batch entry point: [judge engine u] is the
-   verdict of unit [u], fanned out by {!Engine.map_sharded} (at jobs > 1
-   the store is frozen, so a mutation mid-sweep raises instead of racing,
-   and each worker gets an engine shard): verdicts come back in unit
-   order and every derived quantity equals the sequential path's. A
-   streaming sweep calls the result once per chunk, so it selects its
-   engine and resolves [?jobs] once, up front. *)
-let sweep ?engine ?jobs store judge =
-  let engine = Engine.select ?engine store in
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  Engine.map_sharded ~jobs engine judge
+(* The counters behind every tally, bumped in place per probe. *)
+module Tally = struct
+  type t = {
+    mutable probes : int;
+    mutable coherent : int;
+    mutable weak : int;
+    mutable incoherent : int;
+    mutable vacuous : int;
+  }
 
-(* Fixed occurrences: the unit is the probe itself, no per-probe tuple. *)
-let probe_sweep ?equiv ?engine ?jobs store rule occs =
-  sweep ?engine ?jobs store (fun engine name ->
-      check ?equiv ~engine store rule occs name)
+  let create () =
+    { probes = 0; coherent = 0; weak = 0; incoherent = 0; vacuous = 0 }
 
-let empty_report =
-  { probes = 0; coherent = 0; weakly_coherent = 0; incoherent = 0; vacuous = 0 }
+  let add t (kind : Kind.t) =
+    t.probes <- t.probes + 1;
+    match kind with
+    | Coherent -> t.coherent <- t.coherent + 1
+    | Weak -> t.weak <- t.weak + 1
+    | Incoherent -> t.incoherent <- t.incoherent + 1
+    | Vacuous -> t.vacuous <- t.vacuous + 1
 
-let count_verdict acc verdict =
-  let acc = { acc with probes = acc.probes + 1 } in
-  match verdict with
-  | Coherent _ -> { acc with coherent = acc.coherent + 1 }
-  | Weakly_coherent _ -> { acc with weakly_coherent = acc.weakly_coherent + 1 }
-  | Incoherent _ -> { acc with incoherent = acc.incoherent + 1 }
-  | Vacuous -> { acc with vacuous = acc.vacuous + 1 }
+  let merge t u =
+    t.probes <- t.probes + u.probes;
+    t.coherent <- t.coherent + u.coherent;
+    t.weak <- t.weak + u.weak;
+    t.incoherent <- t.incoherent + u.incoherent;
+    t.vacuous <- t.vacuous + u.vacuous
 
-(* Streaming tally: units arrive as a [Seq.t], are materialised one
-   chunk at a time (sequentially or fanned over the pool, chunk by
-   chunk) and counted immediately — peak residency is one chunk of
-   verdicts, never O(units), so an exact sweep over 10^6 probes stops
-   allocating million-element intermediate lists. Chunk size trades
-   pool dispatch overhead against residency; verdict values and order
-   are independent of it and of [jobs]. *)
+  let report t : report =
+    {
+      probes = t.probes;
+      coherent = t.coherent;
+      weakly_coherent = t.weak;
+      incoherent = t.incoherent;
+      vacuous = t.vacuous;
+    }
+end
+
+(* Every batch entry point selects its engine and resolves [?jobs] once,
+   up front, and fans out through {!Engine.map_sharded} (at jobs > 1 the
+   store is frozen, so a mutation mid-sweep raises instead of racing,
+   and each worker gets an engine shard). *)
+let setup ?engine ?jobs store =
+  ( Engine.select ?engine store,
+    match jobs with Some j -> j | None -> Pool.default_jobs () )
+
+(* Streaming: units arrive as a [Seq.t] and are materialised one chunk at
+   a time (sequentially or fanned over the pool, chunk by chunk) and
+   counted immediately — peak residency is one chunk of probes, never
+   O(units), so an exact sweep over 10^6 probes stops allocating
+   million-element intermediate lists. Chunk size trades pool dispatch
+   overhead against residency; the report is independent of it and of
+   [jobs]. *)
 let chunk_size = 4096
 
-let tally_chunks sweep seq =
+let iter_chunks ?(size = chunk_size) f seq =
   let rec take acc k seq =
     if k = 0 then (List.rev acc, seq)
     else
@@ -102,30 +182,96 @@ let tally_chunks sweep seq =
       | None -> (List.rev acc, Seq.empty)
       | Some (x, rest) -> take (x :: acc) (k - 1) rest
   in
-  let rec go acc seq =
-    match take [] chunk_size seq with
-    | [], _ -> acc
+  let rec go seq =
+    match take [] size seq with
+    | [], _ -> ()
     | chunk, rest ->
-        let acc = List.fold_left count_verdict acc (sweep chunk) in
-        if List.compare_length_with chunk chunk_size < 0 then acc
-        else go acc rest
+        f chunk;
+        if List.compare_length_with chunk size = 0 then go rest
   in
-  go empty_report seq
+  go seq
 
-let measure_seq ?equiv ?engine ?jobs store rule occs probes =
-  tally_chunks (probe_sweep ?equiv ?engine ?jobs store rule occs) probes
+(* A tallied batch is cut into slices, each counted into its own
+   counters by one task: at jobs 1 the whole batch is one task on the
+   calling domain; at jobs > 1 there are a few slices per job, so the
+   pool balances domains of unequal speed. Sums do not depend on the
+   cut, so every report equals the sequential one. *)
+let slices_per_job = 4
+
+let tally ~jobs engine count acc xs =
+  let slices =
+    if jobs <= 1 then [ xs ]
+    else
+      let k = jobs * slices_per_job in
+      let pieces = ref [] in
+      iter_chunks
+        ~size:(max 1 ((List.length xs + k - 1) / k))
+        (fun piece -> pieces := piece :: !pieces)
+        (List.to_seq xs);
+      List.rev !pieces
+  in
+  List.iter (Tally.merge acc) (Engine.map_sharded ~jobs engine count slices)
+
+(* Fixed occurrences: the rule picks a context from the occurrence, never
+   from the name, so one batch or chunk selects each context once, here
+   on the calling domain. The contexts are immutable values, shared by
+   every shard; each task resolves into one scratch. *)
+let count_fixed equiv ctxs engine probes =
+  let t = Tally.create () and p = scratch (Array.length ctxs) in
+  List.iter
+    (fun name ->
+      resolve_into engine ctxs name p;
+      Tally.add t (judge equiv p))
+    probes;
+  t
+
+let tally_fixed ~equiv ~jobs engine store rule occs acc = function
+  | [] -> ()
+  | probes ->
+      if Array.length occs = 0 then no_occurrences ();
+      tally ~jobs engine
+        (count_fixed equiv (select_all store rule occs))
+        acc probes
+
+let measure_seq ?(equiv = Entity.equal) ?engine ?jobs store rule occs probes =
+  let engine, jobs = setup ?engine ?jobs store in
+  let occs = Array.of_list occs and acc = Tally.create () in
+  iter_chunks (tally_fixed ~equiv ~jobs engine store rule occs acc) probes;
+  Tally.report acc
 
 let measure ?equiv ?engine ?jobs store rule occs probes =
   measure_seq ?equiv ?engine ?jobs store rule occs (List.to_seq probes)
 
-let measure_units ?equiv ?engine ?jobs store rule units =
-  tally_chunks
-    (sweep ?engine ?jobs store (fun engine (occs, name) ->
-         check ?equiv ~engine store rule occs name))
-    (List.to_seq units)
+let measure_units ?(equiv = Entity.equal) ?engine ?jobs store rule units =
+  let engine, jobs = setup ?engine ?jobs store in
+  let acc = Tally.create () in
+  tally ~jobs engine
+    (fun engine units ->
+      let t = Tally.create () in
+      List.iter
+        (fun (occs, name) ->
+          let _, _, kind = judge_unit equiv engine store rule occs name in
+          Tally.add t kind)
+        units;
+      t)
+    acc units;
+  Tally.report acc
 
-let classify ?equiv ?engine ?jobs store rule occs probes =
-  List.combine probes (probe_sweep ?equiv ?engine ?jobs store rule occs probes)
+let classify ?(equiv = Entity.equal) ?engine ?jobs store rule occs probes =
+  let engine, jobs = setup ?engine ?jobs store in
+  match probes with
+  | [] -> []
+  | probes ->
+      if occs = [] then no_occurrences ();
+      let occs = Array.of_list occs in
+      let ctxs = select_all store rule occs in
+      List.combine probes
+        (Engine.map_sharded ~jobs engine
+           (fun engine name ->
+             let p = scratch (Array.length occs) in
+             resolve_into engine ctxs name p;
+             verdict_of occs p (judge equiv p))
+           probes)
 
 type estimate = {
   degree : float;
@@ -209,34 +355,34 @@ let wilson ~z ~s ~n =
    point estimate (half-width), or at [max_samples]. *)
 let estimate_batch = 256
 
-let estimate ?equiv ?engine ?jobs ?(confidence = 0.95)
+let estimate ?(equiv = Entity.equal) ?engine ?jobs ?(confidence = 0.95)
     ?(epsilon = 0.01) ?(max_samples = 100_000) ~rng store rule occs sampler =
   let z = z_of_confidence confidence in
   if not (epsilon > 0.0) then
     invalid_arg "Coherence.estimate: epsilon must be positive";
   if max_samples < 1 then
     invalid_arg "Coherence.estimate: max_samples must be at least 1";
-  let sweep = probe_sweep ?equiv ?engine ?jobs store rule occs in
+  let engine, jobs = setup ?engine ?jobs store in
+  let occs = Array.of_list occs and acc = Tally.create () in
   let rec draw child acc k =
     if k = 0 then List.rev acc
     else draw child (sampler.draw child :: acc) (k - 1)
   in
-  let rec go report =
+  let rec go () =
     let child = sampler.split rng in
-    let batch = min estimate_batch (max_samples - report.probes) in
-    let report =
-      List.fold_left count_verdict report (sweep (draw child [] batch))
-    in
-    let meaningful = report.probes - report.vacuous in
-    let successes = report.coherent + report.weakly_coherent in
+    let batch = min estimate_batch (max_samples - acc.probes) in
+    tally_fixed ~equiv ~jobs engine store rule occs acc (draw child [] batch);
+    let meaningful = acc.probes - acc.vacuous in
+    let successes = acc.coherent + acc.weak in
     let lo, hi = wilson ~z ~s:successes ~n:meaningful in
     if
       (meaningful > 0 && (hi -. lo) /. 2.0 <= epsilon)
-      || report.probes >= max_samples
-    then (report, lo, hi)
-    else go report
+      || acc.probes >= max_samples
+    then (lo, hi)
+    else go ()
   in
-  let report, ci_low, ci_high = go empty_report in
+  let ci_low, ci_high = go () in
+  let report = Tally.report acc in
   {
     degree = degree report;
     strict_degree = strict_degree report;

@@ -36,7 +36,9 @@ val check :
     once and share that engine across every (occurrence, probe) pair;
     since the store keeps its engine, repeated calls on one store reuse
     the tables earlier calls built. Every engine produces the same
-    verdicts.
+    verdicts. [check] and every batch entry point classify a probe by
+    one routine, so a tally counts exactly the verdicts [check] would
+    return.
     @raise Invalid_argument on an empty occurrence list. *)
 
 val is_coherent :
@@ -83,8 +85,18 @@ val measure :
     (the shared interpreter, or a {!Compiled.snapshot} that shares the
     caller's tables). Results are returned in probe order and are
     structurally equal to the sequential ones; [jobs = 1] (or omitting
-    it, with [NAMING_JOBS] unset) runs [List.map] on the caller with the
-    selected engine itself. *)
+    it, with [NAMING_JOBS] unset) runs on the caller with the selected
+    engine itself.
+
+    The rule selects a context from the circumstance of an occurrence,
+    never from the name (paper, section 3), so a batch with fixed
+    occurrences ({!measure}, a {!measure_seq} chunk, an {!estimate}
+    batch, {!classify}) selects each occurrence's context once, on the
+    calling domain, and resolves every probe of the batch in it. A rule
+    must therefore be a function of the store and the occurrence: one
+    that answered differently per call would see one call per
+    occurrence per batch, not one per probe. The tallies count verdict
+    kinds in place and build no per-probe verdict. *)
 
 val measure_seq :
   ?equiv:(Entity.t -> Entity.t -> bool) ->
@@ -112,7 +124,8 @@ val measure_units :
   (Occurrence.t list * Name.t) list ->
   report
 (** {!measure} over units that each bring their own occurrence set: one
-    verdict per [(occs, name)] unit, [check store rule occs name]. This
+    verdict per [(occs, name)] unit, [check store rule occs name], its
+    contexts selected per unit. This
     is the tally behind the exchange fractions (the sender's and the
     receiver's occurrence per event) and the embedded-name degree (every
     reader of one source document per name). Same sweep, same [?jobs]

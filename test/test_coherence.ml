@@ -287,6 +287,160 @@ let test_estimate_invalid () =
   expect "epsilon 0 accepted" (fun () -> est ~epsilon:0.0 ());
   expect "max_samples 0 accepted" (fun () -> est ~max_samples:0 ())
 
+(* --- the tally against the verdicts it counts ----------------------- *)
+
+(* The verdict by its definition, over Rule.resolve: every occurrence
+   resolves the name on its own, and the witnesses are picked from the
+   list of results. An oracle independent of Coherence's scratch arrays. *)
+let reference_check ~equiv st rule occs name =
+  let results = List.map (fun o -> (o, R.resolve rule st o name)) occs in
+  match List.filter (fun (_, e) -> E.is_defined e) results with
+  | [] -> Coh.Vacuous
+  | (o, d) :: _ -> (
+      match List.find_opt (fun (_, e) -> E.is_undefined e) results with
+      | Some w -> Coh.Incoherent ((o, d), w)
+      | None -> (
+          match List.find_opt (fun (_, e) -> not (equiv d e)) results with
+          | Some w -> Coh.Incoherent ((o, d), w)
+          | None ->
+              if List.for_all (fun (_, e) -> E.equal d e) results then
+                Coh.Coherent d
+              else Coh.Weakly_coherent (List.map snd results)))
+
+let count_verdict (r : Coh.report) v =
+  let r = { r with probes = r.probes + 1 } in
+  match v with
+  | Coh.Coherent _ -> { r with coherent = r.coherent + 1 }
+  | Coh.Weakly_coherent _ -> { r with weakly_coherent = r.weakly_coherent + 1 }
+  | Coh.Incoherent _ -> { r with incoherent = r.incoherent + 1 }
+  | Coh.Vacuous -> { r with vacuous = r.vacuous + 1 }
+
+let empty_report =
+  { Coh.probes = 0; coherent = 0; weakly_coherent = 0; incoherent = 0;
+    vacuous = 0 }
+
+let probe_pool =
+  List.map N.of_string
+    [ "a"; "b"; "c"; "d"; "dir/x"; "dir/y"; "dir/z"; "dir"; "e"; "a/x" ]
+
+(* A random store: four leaves, one shared directory, and 1-4 activities
+   whose contexts bind a-d and dir at random. The rule selects no
+   context for a random subset of the activities, and two leaves are
+   equivalent when their ids agree mod 2 — so every verdict kind,
+   weak coherence included, occurs. *)
+let random_subject seed =
+  let rng = Dsim.Rng.create (Int64.of_int (seed + 1)) in
+  let st = S.create () in
+  let leaves = Array.init 4 (fun _ -> S.create_object st) in
+  let leaf () = leaves.(Dsim.Rng.int rng 4) in
+  let dir =
+    S.create_context_object
+      ~ctx:(C.of_bindings [ (N.atom "x", leaf ()); (N.atom "y", leaf ()) ])
+      st
+  in
+  let asg = R.Assignment.create () in
+  let acts = List.init (1 + Dsim.Rng.int rng 4) (fun _ -> S.create_activity st) in
+  let silent = List.filter (fun _ -> Dsim.Rng.bool rng 0.15) acts in
+  List.iter
+    (fun a ->
+      let bindings =
+        List.filter_map
+          (fun (atom, target) ->
+            if Dsim.Rng.bool rng 0.85 then Some (N.atom atom, target) else None)
+          [ ("a", leaf ()); ("b", leaf ()); ("c", leaf ()); ("d", leaf ());
+            ("dir", dir) ]
+      in
+      R.Assignment.set asg a
+        (S.create_context_object ~ctx:(C.of_bindings bindings) st))
+    acts;
+  let base = R.of_activity asg in
+  let rule =
+    R.make ~label:"partial" (fun st o ->
+        if List.exists (E.equal (O.subject o)) silent then None
+        else R.select base st o)
+  in
+  let equiv a b = E.id a mod 2 = E.id b mod 2 in
+  let probes =
+    List.init (Dsim.Rng.int rng 40) (fun _ -> Dsim.Rng.pick rng probe_pool)
+  in
+  (st, rule, equiv, occs acts, probes)
+
+let prop_tally_counts_verdicts =
+  QCheck.Test.make ~name:"tally = fold of count_verdict over the verdicts"
+    ~count:60 QCheck.small_nat (fun seed ->
+      let st, rule, equiv, os, probes = random_subject seed in
+      let verdicts = List.map (reference_check ~equiv st rule os) probes in
+      let expected = List.fold_left count_verdict empty_report verdicts in
+      let units = List.map (fun n -> (os, n)) probes in
+      (* every recorded draw, so the estimate can be checked the same way *)
+      let drawn = ref [] in
+      let sampler =
+        {
+          Coh.split = Dsim.Rng.split;
+          draw =
+            (fun rng ->
+              let n = Dsim.Rng.pick rng probe_pool in
+              drawn := n :: !drawn;
+              n);
+        }
+      in
+      List.for_all
+        (fun (jobs, kind) ->
+          let engine = Naming.Engine.create kind st in
+          drawn := [];
+          let est =
+            Coh.estimate ~equiv ~engine ~jobs ~epsilon:0.05 ~max_samples:700
+              ~rng:(Dsim.Rng.create (Int64.of_int seed)) st rule os sampler
+          in
+          let sampled =
+            List.fold_left count_verdict empty_report
+              (List.rev_map (reference_check ~equiv st rule os) !drawn)
+          in
+          Coh.measure ~equiv ~engine ~jobs st rule os probes = expected
+          && Coh.measure_seq ~equiv ~engine ~jobs st rule os
+               (List.to_seq probes)
+             = expected
+          && Coh.measure_units ~equiv ~engine ~jobs st rule units = expected
+          && Coh.classify ~equiv ~engine ~jobs st rule os probes
+             = List.combine probes verdicts
+          && est.Coh.samples = sampled.probes
+          && est.Coh.degree = Coh.degree sampled
+          && est.Coh.strict_degree = Coh.strict_degree sampled)
+        [ (1, `Compiled); (2, `Compiled); (4, `Compiled); (1, `Interpreted);
+          (2, `Interpreted); (4, `Interpreted) ])
+
+(* The rule is a function of store and occurrence, so a batch selects
+   each occurrence's context once: a counting rule sees one select per
+   occurrence per measure batch, per measure_seq chunk (4096 probes) and
+   per estimate batch (256 draws). *)
+let test_select_once_per_batch () =
+  let st, base, acts, _ = fixture () in
+  let selects = Atomic.make 0 in
+  let rule =
+    R.make ~label:"counting" (fun st o ->
+        Atomic.incr selects;
+        R.select base st o)
+  in
+  let os = occs acts in
+  let names n = List.init n (fun i -> N.of_string (List.nth probe_names (i mod 4))) in
+  let count label expected run =
+    Atomic.set selects 0;
+    ignore (run ());
+    check Alcotest.int label expected (Atomic.get selects)
+  in
+  List.iter
+    (fun jobs ->
+      count "measure: one select per occurrence" 3 (fun () ->
+          Coh.measure ~jobs st rule os (names 1000));
+      count "classify: one select per occurrence" 3 (fun () ->
+          Coh.classify ~jobs st rule os (names 1000));
+      count "measure_seq: per occurrence per chunk" 6 (fun () ->
+          Coh.measure_seq ~jobs st rule os (List.to_seq (names 5000)));
+      count "estimate: per occurrence per batch" 9 (fun () ->
+          Coh.estimate ~jobs ~max_samples:600 ~rng:(Dsim.Rng.create 1L) st
+            rule os (uniform [ "missing" ])))
+    [ 1; 4 ]
+
 let suite =
   [
     Alcotest.test_case "coherent" `Quick test_coherent;
@@ -312,6 +466,9 @@ let suite =
     Alcotest.test_case "estimate all vacuous" `Quick test_estimate_all_vacuous;
     Alcotest.test_case "estimate invalid arguments" `Quick
       test_estimate_invalid;
+    Alcotest.test_case "a batch selects each context once" `Quick
+      test_select_once_per_batch;
+    QCheck_alcotest.to_alcotest prop_tally_counts_verdicts;
     QCheck_alcotest.to_alcotest prop_order_invariant;
     QCheck_alcotest.to_alcotest prop_monotone_in_activities;
   ]
