@@ -1,13 +1,16 @@
 type edge = { src : Entity.t; label : Name.atom; dst : Entity.t }
 
-(* [Context.bindings], in the same atom (string) order, but each atom's
-   string is fetched once instead of twice per comparison: interned atoms
-   have distinct strings, so sorting on them gives the identical order.
-   A context never binds ⊥, so there is nothing to filter. *)
-let sorted_bindings c =
+(* [Context.bindings] less the atoms [skip] drops, in the same atom
+   (string) order, but each atom's string is fetched once instead of
+   twice per comparison: interned atoms have distinct strings, so sorting
+   on them gives the identical order. Skipped atoms are dropped before
+   the sort, not after it. A context never binds ⊥, so nothing else is
+   filtered. *)
+let sorted_bindings ~skip c =
   let keyed = ref [] in
   Context.iter_unordered
-    (fun a e -> keyed := (Name.atom_to_string a, (a, e)) :: !keyed)
+    (fun a e ->
+      if not (skip a) then keyed := (Name.atom_to_string a, (a, e)) :: !keyed)
     c;
   List.map snd
     (List.sort (fun (s1, _) (s2, _) -> String.compare s1 s2) !keyed)
@@ -15,7 +18,7 @@ let sorted_bindings c =
 let out_edges store e =
   match Store.context_of store e with
   | None -> []
-  | Some c -> sorted_bindings c
+  | Some c -> sorted_bindings ~skip:(fun _ -> false) c
 
 let out_degree store e = List.length (out_edges store e)
 
@@ -93,14 +96,18 @@ let is_tree store ~root ~ignore =
    only the current level is materialised, and the next is expanded from
    it once it has been consumed. *)
 let names_seq store ctx ~max_depth ?(skip = default_skip) () =
+  let children e =
+    match Store.context_of store e with
+    | None -> []
+    | Some c -> sorted_bindings ~skip c
+  in
   let expand frontier =
     List.rev
       (List.fold_left
          (fun next (n, e) ->
            List.fold_left
-             (fun next (a, dst) ->
-               if skip a then next else (Name.snoc n a, dst) :: next)
-             next (out_edges store e))
+             (fun next (a, dst) -> (Name.snoc n a, dst) :: next)
+             next (children e))
          [] frontier)
   in
   let rec level frontier depth () =
@@ -113,9 +120,7 @@ let names_seq store ctx ~max_depth ?(skip = default_skip) () =
         ()
   in
   level
-    (List.filter_map
-       (fun (a, e) -> if skip a then None else Some (Name.singleton a, e))
-       (sorted_bindings ctx))
+    (List.map (fun (a, e) -> (Name.singleton a, e)) (sorted_bindings ~skip ctx))
     1
 
 let all_names store ctx ~max_depth ?skip () =
