@@ -178,9 +178,9 @@ let iter_chunks ?(size = chunk_size) f seq =
   let rec take acc k seq =
     if k = 0 then (List.rev acc, seq)
     else
-      match Seq.uncons seq with
-      | None -> (List.rev acc, Seq.empty)
-      | Some (x, rest) -> take (x :: acc) (k - 1) rest
+      match seq () with
+      | Seq.Nil -> (List.rev acc, Seq.empty)
+      | Seq.Cons (x, rest) -> take (x :: acc) (k - 1) rest
   in
   let rec go seq =
     match take [] size seq with
@@ -239,8 +239,12 @@ let measure_seq ?(equiv = Entity.equal) ?engine ?jobs store rule occs probes =
   iter_chunks (tally_fixed ~equiv ~jobs engine store rule occs acc) probes;
   Tally.report acc
 
-let measure ?equiv ?engine ?jobs store rule occs probes =
-  measure_seq ?equiv ?engine ?jobs store rule occs (List.to_seq probes)
+(* A list is one batch: its probes are resident already. *)
+let measure ?(equiv = Entity.equal) ?engine ?jobs store rule occs probes =
+  let engine, jobs = setup ?engine ?jobs store in
+  let acc = Tally.create () in
+  tally_fixed ~equiv ~jobs engine store rule (Array.of_list occs) acc probes;
+  Tally.report acc
 
 let measure_units ?(equiv = Entity.equal) ?engine ?jobs store rule units =
   let engine, jobs = setup ?engine ?jobs store in
