@@ -1,24 +1,10 @@
 type edge = { src : Entity.t; label : Name.atom; dst : Entity.t }
 
-(* [Context.bindings] less the atoms [skip] drops, in the same atom
-   (string) order, but each atom's string is fetched once instead of
-   twice per comparison: interned atoms have distinct strings, so sorting
-   on them gives the identical order. Skipped atoms are dropped before
-   the sort, not after it. A context never binds ⊥, so nothing else is
-   filtered. *)
-let sorted_bindings ~skip c =
-  let keyed = ref [] in
-  Context.iter_unordered
-    (fun a e ->
-      if not (skip a) then keyed := (Name.atom_to_string a, (a, e)) :: !keyed)
-    c;
-  List.map snd
-    (List.sort (fun (s1, _) (s2, _) -> String.compare s1 s2) !keyed)
-
+(* A context never binds ⊥, so its bindings are the edges. *)
 let out_edges store e =
   match Store.context_of store e with
   | None -> []
-  | Some c -> sorted_bindings ~skip:(fun _ -> false) c
+  | Some c -> Context.bindings c
 
 let out_degree store e = List.length (out_edges store e)
 
@@ -96,10 +82,23 @@ let is_tree store ~root ~ignore =
    only the current level is materialised, and the next is expanded from
    it once it has been consumed. *)
 let names_seq store ctx ~max_depth ?(skip = default_skip) () =
+  (* [Context.bindings] less the skipped atoms, dropped before the sort
+     rather than after it, and sorted on each atom's string fetched once
+     rather than twice per comparison: interned atoms have distinct
+     strings, so the order is the same. *)
+  let sorted_children c =
+    let keyed = ref [] in
+    Context.iter_unordered
+      (fun a e ->
+        if not (skip a) then keyed := (Name.atom_to_string a, (a, e)) :: !keyed)
+      c;
+    List.map snd
+      (List.sort (fun (s1, _) (s2, _) -> String.compare s1 s2) !keyed)
+  in
   let children e =
     match Store.context_of store e with
     | None -> []
-    | Some c -> sorted_bindings ~skip c
+    | Some c -> sorted_children c
   in
   let expand frontier =
     List.rev
@@ -120,7 +119,7 @@ let names_seq store ctx ~max_depth ?(skip = default_skip) () =
         ()
   in
   level
-    (List.map (fun (a, e) -> (Name.singleton a, e)) (sorted_bindings ~skip ctx))
+    (List.map (fun (a, e) -> (Name.singleton a, e)) (sorted_children ctx))
     1
 
 let all_names store ctx ~max_depth ?skip () =
