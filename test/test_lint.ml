@@ -114,6 +114,18 @@ let test_pp_report () =
     in
     contains 0)
 
+(* The broken analyzer fixture's violations, rendered line by line. *)
+let test_pp_report_broken () =
+  let st = (Broken_world.build ()).Analysis.Subject.store in
+  check Alcotest.string "report"
+    "lint: 14 context objects, 5 violation(s):\n\
+    \  etc(o1): binding ghost -> unknown entity o9999\n\
+    \  selfbad(o5): '.' does not denote itself\n\
+    \  pbad(o6): '..' denotes non-directory passwd(o2)\n\
+    \  det(o7): parent /(o0) does not link back\n\
+    \  lost(o9): parent oldp(o8) does not link back"
+    (Format.asprintf "%a" (L.pp_report st) (L.check st))
+
 (* property: docgen projects, with all subtree operations applied, stay
    lint-clean *)
 let prop_operations_preserve_cleanliness =
@@ -145,5 +157,7 @@ let suite =
     Alcotest.test_case "detects foreign binding" `Quick
       test_detects_foreign_binding;
     Alcotest.test_case "pp report" `Quick test_pp_report;
+    Alcotest.test_case "pp report of the broken world" `Quick
+      test_pp_report_broken;
     QCheck_alcotest.to_alcotest prop_operations_preserve_cleanliness;
   ]
