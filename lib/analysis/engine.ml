@@ -1,17 +1,7 @@
-type config = {
-  min_severity : Diagnostic.severity;
-  passes : string list option;
-  fuel : int;
-  alias_depth : int;
-}
+type config = { min_severity : Diagnostic.severity; fuel : int }
 
 let default_config =
-  {
-    min_severity = Diagnostic.Info;
-    passes = None;
-    fuel = Predict.default_fuel;
-    alias_depth = 4;
-  }
+  { min_severity = Diagnostic.Info; fuel = Predict.default_fuel }
 
 type pass = {
   id : string;
@@ -44,7 +34,7 @@ let all_passes =
     {
       id = "aliases";
       doc = "entities with several non-dot names (NG009)";
-      run = (fun cfg t -> Passes.aliases ~max_depth:cfg.alias_depth t);
+      run = (fun _cfg t -> Passes.aliases t);
     };
     {
       id = "coherence";
@@ -65,18 +55,6 @@ type report = {
   warnings : int;
   infos : int;
 }
-
-let selected_passes cfg =
-  match cfg.passes with
-  | None -> all_passes
-  | Some ids ->
-      List.map
-        (fun id ->
-          match List.find_opt (fun p -> String.equal p.id id) all_passes with
-          | Some p -> p
-          | None ->
-              invalid_arg (Printf.sprintf "Engine.analyze: unknown pass %S" id))
-        ids
 
 let assemble ?(min_severity = Diagnostic.Info) ~label ~activities ~objects
     ~context_objects ~probes ~passes_run diagnostics =
@@ -114,21 +92,17 @@ let assemble ?(min_severity = Diagnostic.Info) ~label ~activities ~objects
   }
 
 let analyze ?(config = default_config) ~label (t : Subject.t) =
-  let passes = selected_passes config in
-  let diagnostics = List.concat_map (fun p -> p.run config t) passes in
+  let diagnostics = List.concat_map (fun p -> p.run config t) all_passes in
   let store = t.Subject.store in
   assemble ~min_severity:config.min_severity ~label
     ~activities:(List.length t.Subject.activities)
     ~objects:(List.length (Naming.Store.objects store))
     ~context_objects:(List.length (Naming.Store.context_objects store))
     ~probes:(List.length t.Subject.probes)
-    ~passes_run:(List.map (fun p -> p.id) passes)
+    ~passes_run:(List.map (fun p -> p.id) all_passes)
     diagnostics
 
 let analyze_many ?config ?jobs subjects =
-  (* Validate pass selection once, up front: an unknown pass id should
-     raise on the caller's stack, not inside a worker domain. *)
-  (match config with Some cfg -> ignore (selected_passes cfg) | None -> ());
   Naming.Pool.map_frozen ?jobs
     ~store:(fun (_, t) -> t.Subject.store)
     (fun (label, t) -> analyze ?config ~label t)

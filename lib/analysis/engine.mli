@@ -1,6 +1,6 @@
 (** The multi-pass analyzer driver.
 
-    Runs a configurable set of {!Passes} over a {!Subject}, collects the
+    Runs every {!Passes} pass over a {!Subject}, collects the
     diagnostics into a deterministic report (severity descending, then
     code, then message), and renders it as text or JSON. Exit-code
     policy for CI: {!has_errors} reflects the {e unfiltered} error
@@ -10,14 +10,11 @@ type config = {
   min_severity : Diagnostic.severity;
       (** Diagnostics below this are dropped from the report (the
           severity counters still see them). *)
-  passes : string list option;  (** pass ids to run; [None] = all *)
   fuel : int;  (** budget of the coherence predictor *)
-  alias_depth : int;  (** name-enumeration depth of the alias pass *)
 }
 
 val default_config : config
-(** [min_severity = Info], all passes, [fuel = Predict.default_fuel],
-    [alias_depth = 4]. *)
+(** [min_severity = Info], [fuel = Predict.default_fuel]. *)
 
 type pass = {
   id : string;
@@ -43,8 +40,7 @@ type report = {
 }
 
 val analyze : ?config:config -> label:string -> Subject.t -> report
-(** @raise Invalid_argument when [config.passes] names an unknown
-    pass. *)
+(** Runs {!all_passes}, in order. *)
 
 val analyze_many :
   ?config:config -> ?jobs:int -> (string * Subject.t) list -> report list
@@ -52,9 +48,7 @@ val analyze_many :
     are independent (each has its own store), so with [jobs > 1] the
     analyses fan out one task per subject on the shared domain pool,
     each subject's store frozen for the duration. Reports are
-    structurally identical to the sequential ones.
-    @raise Invalid_argument when [config.passes] names an unknown pass
-    (raised on the caller's stack before any task is scheduled). *)
+    structurally identical to the sequential ones. *)
 
 val assemble :
   ?min_severity:Diagnostic.severity ->

@@ -251,13 +251,9 @@ let replay ?(config = default_config) (plan : plan) =
   let env = Sc.env w in
   let fs = Sc.fs w in
   let asg = Schemes.Process_env.assignment env in
-  (* One engine for the whole replay, selected once. Script ops mutate
-     the store between flows; the compiled engine re-patches only the
-     tables those ops touched. *)
-  let engine = Naming.Engine.select store in
   let parents : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let proc = Sc.proc w in
-  let resolve p name = Schemes.Process_env.resolve ~engine env ~as_:p name in
+  let resolve p name = Schemes.Process_env.resolve env ~as_:p name in
   let judge_dyn index fl =
     let unknown reason =
       { dyn_index = index; dyn_outcome = Unknown reason; dyn_diverged = false }
@@ -305,7 +301,7 @@ let replay ?(config = default_config) (plan : plan) =
                         (Naming.Rule.of_activity asg)
                 in
                 outcome_of_coherence
-                  (Naming.Coherence.check ~engine store rule occs name)
+                  (Naming.Coherence.check store rule occs name)
               else
                 let ea = resolve ps name in
                 let eb =

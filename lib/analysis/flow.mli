@@ -128,10 +128,9 @@ val replay : ?config:config -> plan -> replay_result
     from the concrete resolutions — absolute-name sends through
     [Naming.Coherence.check] under the configured rule, the rest
     through the per-activity resolutions of [Schemes.Process_env]. All
-    resolutions share one {!Naming.Engine}, selected once per replay
-    ({!Naming.Engine.select}: the store's own compiled engine, which
-    script ops patch between flows, or the interpreter under
-    [NAMING_ENGINE=interpreted]). *)
+    resolutions go through the fresh store's own compiled engine
+    ({!Naming.Engine.select}), which script ops patch between flows, or
+    the interpreter under [NAMING_ENGINE=interpreted]. *)
 
 val agrees : outcome -> outcome -> bool
 (** [agrees static dynamic] — the soundness relation: a static

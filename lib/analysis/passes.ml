@@ -11,26 +11,17 @@ let es store e = Format.asprintf "%a" (S.pp_entity store) e
 
 let structure (t : Subject.t) =
   let store = t.Subject.store in
-  let of_violation = function
-    | L.Self_not_self d ->
-        Diagnostic.make ~code:"NG001" ~severity:Diagnostic.Error
-          ~pass:"structure" ~entities:[ d ]
-          (Printf.sprintf "%s: '.' does not denote itself" (es store d))
-    | L.Parent_not_directory (d, p) ->
-        Diagnostic.make ~code:"NG002" ~severity:Diagnostic.Error
-          ~pass:"structure" ~entities:[ d; p ]
-          (Printf.sprintf "%s: '..' denotes non-directory %s" (es store d)
-             (es store p))
-    | L.Parent_not_linked (d, p) ->
-        Diagnostic.make ~code:"NG003" ~severity:Diagnostic.Error
-          ~pass:"structure" ~entities:[ d; p ]
-          (Printf.sprintf "%s: parent %s does not link back" (es store d)
-             (es store p))
-    | L.Binding_to_foreign (d, a, e) ->
-        Diagnostic.make ~code:"NG004" ~severity:Diagnostic.Error
-          ~pass:"structure" ~entities:[ d; e ]
-          (Printf.sprintf "%s: binding %s -> unknown entity %s" (es store d)
-             (N.atom_to_string a) (E.to_string e))
+  let of_violation v =
+    let code, entities =
+      match v with
+      | L.Self_not_self d -> ("NG001", [ d ])
+      | L.Parent_not_directory (d, p) -> ("NG002", [ d; p ])
+      | L.Parent_not_linked (d, p) -> ("NG003", [ d; p ])
+      | L.Binding_to_foreign (d, _, e) -> ("NG004", [ d; e ])
+    in
+    Diagnostic.make ~code ~severity:Diagnostic.Error ~pass:"structure"
+      ~entities
+      (Format.asprintf "%a" (L.pp_violation store) v)
   in
   List.map of_violation (L.check store).L.violations
 
@@ -179,7 +170,7 @@ let cycles (t : Subject.t) =
 (* ------------------------------------------------------------------ *)
 (* aliases: NG009, entities with several non-dot names                 *)
 
-let aliases ?(max_depth = 4) (t : Subject.t) =
+let aliases (t : Subject.t) =
   let store = t.Subject.store in
   let seen = ref E.Set.empty in
   let diags = ref [] in
@@ -196,7 +187,7 @@ let aliases ?(max_depth = 4) (t : Subject.t) =
                   (function None -> Some [ n ] | Some ns -> Some (n :: ns))
                   acc)
               E.Map.empty
-              (Naming.Graph.all_names store root_ctx ~max_depth ())
+              (Naming.Graph.all_names store root_ctx ~max_depth:4 ())
           in
           E.Map.iter
             (fun e names ->

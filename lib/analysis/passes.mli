@@ -3,7 +3,7 @@
     Each pass inspects one aspect of the naming world and emits
     diagnostics ({!Diagnostic.catalogue} lists the codes). Passes are
     pure with respect to the store — they only read it — and
-    independent, so the engine can run any subset.
+    independent of one another.
 
     - [structure] (NG001–NG004): the four well-formedness conventions of
       {!Naming.Lint} — dot bindings and foreign bindings.
@@ -27,8 +27,8 @@ val reachability : Subject.t -> Diagnostic.t list
 val crosslinks : Subject.t -> Diagnostic.t list
 val cycles : Subject.t -> Diagnostic.t list
 
-val aliases : ?max_depth:int -> Subject.t -> Diagnostic.t list
-(** [max_depth] bounds the name enumeration (default 4). *)
+val aliases : Subject.t -> Diagnostic.t list
+(** Names are enumerated to depth 4. *)
 
 val coherence : ?fuel:int -> Subject.t -> Diagnostic.t list
 (** [fuel] is the predictor's budget (default {!Predict.default_fuel}). *)

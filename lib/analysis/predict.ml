@@ -85,16 +85,12 @@ let predict ?(fuel = default_fuel) store rule occs name =
             rest
       | _ -> false
     in
-    (* One reusable step buffer for every walk this prediction makes;
-       [buffer_trace] snapshots it into the per-occurrence result. *)
-    let buf = R.create_buffer () in
     if all_same_context then
       (* Equal context values resolve identically: one walk decides. *)
       let c0 =
         match selected with (_, Some c) :: _ -> c | _ -> assert false
       in
-      let e = R.resolve_trace_into buf store c0 name in
-      let trace = R.buffer_trace buf in
+      let e, trace = R.resolve_trace store c0 name in
       let results = List.map (fun (o, _) -> (o, e, trace)) selected in
       let outcome = if E.is_defined e then Coherent e else Vacuous in
       { outcome; evidence = Same_context; results }
@@ -105,8 +101,8 @@ let predict ?(fuel = default_fuel) store rule occs name =
             match ctx with
             | None -> (o, E.undefined, [])
             | Some c ->
-                let e = R.resolve_trace_into buf store c name in
-                (o, e, R.buffer_trace buf))
+                let e, trace = R.resolve_trace store c name in
+                (o, e, trace))
           selected
       in
       let outcome = classify results in

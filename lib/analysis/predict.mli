@@ -60,7 +60,7 @@ val predict :
   Naming.Occurrence.t list ->
   Naming.Name.t ->
   t
-(** Traces come from {!Naming.Resolver.resolve_trace_into}, walking the
+(** Traces come from {!Naming.Resolver.resolve_trace}, walking the
     store itself, so predictions do not depend on the engine.
     @raise Invalid_argument on an empty occurrence list. *)
 

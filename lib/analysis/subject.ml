@@ -20,7 +20,7 @@ let contexts t =
       | None -> None)
     t.activities
 
-let default_probes ?(max_depth = 3) t =
+let default_probes t =
   let seen = ref N.Set.empty in
   let out = ref [] in
   let add n =
@@ -38,7 +38,7 @@ let default_probes ?(max_depth = 3) t =
           add (N.singleton N.root_atom);
           List.iter
             (fun (n, _e) -> add (N.cons N.root_atom n))
-            (Naming.Graph.all_names t.store root_ctx ~max_depth ()))
+            (Naming.Graph.all_names t.store root_ctx ~max_depth:3 ()))
     (contexts t);
   List.rev !out
 

@@ -20,7 +20,10 @@ val v :
   activities:Naming.Entity.t list ->
   Naming.Store.t ->
   t
-(** When [probes] is omitted, {!default_probes} is used.
+(** When [probes] is omitted, the subject probes the union, over the
+    activities, of the absolute names of length ≤ 3 resolvable from each
+    activity's ["/"] binding, de-duplicated in first-seen order — the
+    same generic probe set the CLI and the experiments use.
     @raise Invalid_argument on an empty activity list. *)
 
 val occurrences : t -> Naming.Occurrence.t list
@@ -30,9 +33,3 @@ val contexts : t -> (Naming.Entity.t * Naming.Context.t) list
 (** Each activity with the context the rule selects for its generated
     occurrence; activities for which the rule selects no context are
     omitted. *)
-
-val default_probes : ?max_depth:int -> t -> Naming.Name.t list
-(** The union, over the activities, of the absolute names of length ≤
-    [max_depth] (default 3) resolvable from the activity's ["/"] binding,
-    de-duplicated in first-seen order — the same generic probe set the
-    CLI and the experiments use. *)

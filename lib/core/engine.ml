@@ -13,13 +13,21 @@ let parse_kind = function
 
 let env_var = "NAMING_ENGINE"
 
-let env_kind () =
+(* Read once, when the module initialises: [select] runs on every
+   resolve RPC and replayed check, and on pool workers too, so the
+   parsed value is a plain immutable one (forcing a [Lazy.t] from two
+   domains at once raises [Lazy.Undefined]). A bad value is kept as its
+   message and raised by each [env_kind] call. *)
+let env_request =
   match Sys.getenv_opt env_var with
-  | None | Some "" -> None
+  | None | Some "" -> Ok None
   | Some s -> (
       match parse_kind s with
-      | Ok k -> Some k
-      | Error msg -> invalid_arg (env_var ^ "=" ^ msg))
+      | Ok k -> Ok (Some k)
+      | Error msg -> Error (env_var ^ "=" ^ msg))
+
+let env_kind () =
+  match env_request with Ok k -> k | Error msg -> invalid_arg msg
 
 (* Inside a read-only section other domains may be reading the store,
    so its own engine (which builds tables as walks reach them) is not

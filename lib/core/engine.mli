@@ -14,8 +14,9 @@
       the property tests' oracle.
 
     The two produce identical results on every input (a property test
-    holds them to it); they differ only in cost model. Call sites take
-    [?engine] and fall back to {!select}, so the environment variable
+    holds them to it); they differ only in cost model. Every call site
+    takes its engine from {!select} ({!Coherence} alone also accepts an
+    explicit one), so the environment variable
     [NAMING_ENGINE=interpreted] re-runs any unchanged workload on the
     reference interpreter. *)
 
@@ -33,6 +34,7 @@ val parse_kind : string -> (kind, string) result
 
 val env_kind : unit -> kind option
 (** The kind requested by [NAMING_ENGINE], or [None] when unset/empty.
+    The variable is read once, when the program starts.
     @raise Invalid_argument on an unrecognised value. *)
 
 val of_env : Store.t -> t

@@ -1,30 +1,6 @@
 type step = { at : Entity.t; atom : Name.atom; target : Entity.t }
 type trace = step list
 
-(* A reusable trace buffer: callers that resolve many names (coherence
-   sweeps, the static analyzers) push steps into one growable array
-   instead of consing a fresh list per resolution. *)
-type buffer = { mutable steps : step array; mutable len : int }
-
-let dummy_step =
-  { at = Entity.undefined; atom = Name.root_atom; target = Entity.undefined }
-
-let create_buffer () = { steps = Array.make 16 dummy_step; len = 0 }
-let buffer_clear b = b.len <- 0
-let buffer_length b = b.len
-
-let buffer_push b s =
-  let cap = Array.length b.steps in
-  if b.len >= cap then begin
-    let bigger = Array.make (2 * cap) dummy_step in
-    Array.blit b.steps 0 bigger 0 cap;
-    b.steps <- bigger
-  end;
-  b.steps.(b.len) <- s;
-  b.len <- b.len + 1
-
-let buffer_trace b = Array.to_list (Array.sub b.steps 0 b.len)
-
 (* The success path allocates nothing: it walks the atom list, looking
    each atom up in the current context and stepping through the store. *)
 let resolve store ctx name =
@@ -40,28 +16,21 @@ let resolve store ctx name =
   in
   go ctx (Name.atoms name)
 
-let resolve_trace_into buf store ctx name =
-  buffer_clear buf;
-  let rec go at ctx atoms =
+let resolve_trace store ctx name =
+  let rec go steps at ctx atoms =
     match atoms with
     | [] -> assert false
     | [ a ] ->
         let e = Context.lookup ctx a in
-        buffer_push buf { at; atom = a; target = e };
-        e
+        (e, List.rev ({ at; atom = a; target = e } :: steps))
     | a :: rest -> (
         let e = Context.lookup ctx a in
-        buffer_push buf { at; atom = a; target = e };
+        let steps = { at; atom = a; target = e } :: steps in
         match Store.context_of store e with
-        | Some next_ctx -> go e next_ctx rest
-        | None -> Entity.undefined)
+        | Some next_ctx -> go steps e next_ctx rest
+        | None -> (Entity.undefined, List.rev steps))
   in
-  go Entity.undefined ctx (Name.atoms name)
-
-let resolve_trace store ctx name =
-  let buf = create_buffer () in
-  let e = resolve_trace_into buf store ctx name in
-  (e, buffer_trace buf)
+  go [] Entity.undefined ctx (Name.atoms name)
 
 let resolve_in store o name =
   match Store.context_of store o with

@@ -31,25 +31,6 @@ val resolve_trace : Store.t -> Context.t -> Name.t -> Entity.t * trace
 (** Like {!resolve} but also returns the resolution path. On failure the
     trace stops at the failing step. *)
 
-(** {1 Reusable trace buffers}
-
-    Callers that trace many resolutions (coherence sweeps, the static
-    analyzers) can reuse one buffer across calls instead of allocating a
-    step list per resolution. *)
-
-type buffer
-
-val create_buffer : unit -> buffer
-val buffer_clear : buffer -> unit
-val buffer_length : buffer -> int
-
-val buffer_trace : buffer -> trace
-(** Snapshot the buffered steps as a list (allocates). *)
-
-val resolve_trace_into : buffer -> Store.t -> Context.t -> Name.t -> Entity.t
-(** Like {!resolve_trace}, writing the steps into [buffer] (cleared
-    first) instead of building a list. *)
-
 val resolve_in : Store.t -> Entity.t -> Name.t -> Entity.t
 (** [resolve_in store o n] resolves [n] in the context that is the state of
     context object [o]; ⊥ when [o] is not a context object. *)

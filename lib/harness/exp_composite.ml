@@ -9,7 +9,7 @@ type point = {
   composite_receiver_wins : float;
 }
 
-let default_fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
+let fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
 let measure_point (w : Fixture.two_machine) ~global_fraction ~n =
   let probes = Fixture.probes w ~global_fraction ~n in
@@ -35,7 +35,7 @@ let measure_point (w : Fixture.two_machine) ~global_fraction ~n =
       degree (Naming.Rule.of_receiver_sender ~prefer:`Receiver asg);
   }
 
-let sweep ?(fractions = default_fractions) () =
+let sweep () =
   let w = Fixture.two_machine_world () in
   List.map (fun g -> measure_point w ~global_fraction:g ~n:40) fractions
 

@@ -17,5 +17,7 @@ type point = {
   composite_receiver_wins : float;
 }
 
-val sweep : ?fractions:float list -> unit -> point list
+val sweep : unit -> point list
+(** One point per global fraction 0, 1/4, 1/2, 3/4, 1. *)
+
 val run : Format.formatter -> unit

@@ -30,12 +30,15 @@ let denotations fs root =
         (Emb.refs_of store file))
     (Workload.Docgen.sources fs root)
 
-let measure ?(spec = Workload.Docgen.default_spec) ?(seed = 42L) () =
+let measure () =
   let store = Naming.Store.create () in
   let fs = Vfs.Fs.create ~root_label:"host:/" store in
   Vfs.Fs.populate fs Schemes.Unix_scheme.default_tree;
-  let rng = Dsim.Rng.create seed in
-  let project = Workload.Docgen.build fs ~at:"proj/tool" ~rng ~spec in
+  let rng = Dsim.Rng.create 42L in
+  let project =
+    Workload.Docgen.build fs ~at:"proj/tool" ~rng
+      ~spec:Workload.Docgen.default_spec
+  in
   let env = Schemes.Process_env.create store in
   let host_root = Vfs.Fs.root fs in
   let r1 = Schemes.Process_env.spawn ~label:"r1" ~root:host_root ~cwd:project env in
@@ -59,22 +62,21 @@ let measure ?(spec = Workload.Docgen.default_spec) ?(seed = 42L) () =
     in
     fraction (List.length (List.filter Fun.id checks)) (List.length checks)
   in
-  (* Shadowing: an inner source's [lib/c0] must reach the inner component. *)
+  (* Shadowing: an inner source's [lib/c0] must reach the inner component
+     (the default spec nests a sub-project). *)
   let shadowing_correct =
-    if not spec.Workload.Docgen.nested then true
-    else
-      let sub_src =
-        Vfs.Fs.resolve_from fs ~dir:project (N.of_strings [ "sub"; "src" ])
-      in
-      let inner =
-        Emb.resolve_at store ~dir:sub_src (N.of_strings [ "lib"; "c0" ])
-      in
-      match Naming.Store.data_of store inner with
-      | Some content ->
-          String.length content >= 7
-          && String.equal (String.sub content (String.length content - 7) 7)
-               "inner-0"
-      | None -> false
+    let sub_src =
+      Vfs.Fs.resolve_from fs ~dir:project (N.of_strings [ "sub"; "src" ])
+    in
+    let inner =
+      Emb.resolve_at store ~dir:sub_src (N.of_strings [ "lib"; "c0" ])
+    in
+    match Naming.Store.data_of store inner with
+    | Some content ->
+        String.length content >= 7
+        && String.equal (String.sub content (String.length content - 7) 7)
+             "inner-0"
+    | None -> false
   in
   let algol_rule = Emb.rule_algol () in
   let scenario label root ~expected =

@@ -27,5 +27,7 @@ type result = {
   scenarios : scenario list;  (** initial / relocated / copied / attached *)
 }
 
-val measure : ?spec:Workload.Docgen.spec -> ?seed:int64 -> unit -> result
+val measure : unit -> result
+(** A {!Workload.Docgen.default_spec} project drawn from seed 42. *)
+
 val run : Format.formatter -> unit

@@ -312,7 +312,7 @@ let worlds () =
     newcastle_world ~algol:true "newcastle + Algol embedded rule";
   ]
 
-let measure ?jobs () = Matrix.measure_all ?jobs (worlds ())
+let measure () = Matrix.measure_all (worlds ())
 
 let run ppf =
   let rows = measure () in

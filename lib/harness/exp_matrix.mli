@@ -14,9 +14,10 @@
 
 val worlds : unit -> Matrix.world list
 
-val measure : ?jobs:int -> unit -> Matrix.row list
-(** One {!Matrix.row} per world, via {!Matrix.measure_all}: with
-    [jobs > 1] the worlds are measured in parallel, one domain task per
-    world, with rows identical to the sequential sweep. *)
+val measure : unit -> Matrix.row list
+(** One {!Matrix.row} per world, via {!Matrix.measure_all} at
+    {!Naming.Pool.default_jobs}: with [NAMING_JOBS > 1] the worlds are
+    measured in parallel, one domain task per world, with rows identical
+    to the sequential sweep. *)
 
 val run : Format.formatter -> unit

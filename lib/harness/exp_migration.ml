@@ -63,8 +63,10 @@ let random_migration r rng =
   | [] -> ()
   | _ -> R.move_process r p (Dsim.Rng.pick rng others)
 
-let measure ?(seed = 42L) ?(n_ops = 8) () =
-  let rng = Dsim.Rng.create seed in
+let n_ops = 8
+
+let measure () =
+  let rng = Dsim.Rng.create 42L in
   (* two identical worlds, two workloads *)
   let r1 = build () and r2 = build () in
   let conns1 = local_connections r1 and conns2 = local_connections r2 in

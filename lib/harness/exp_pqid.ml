@@ -40,7 +40,10 @@ let same_network reg a b =
     (R.network_of_mach reg (R.machine_of_proc reg a) : R.net :> int)
     (R.network_of_mach reg (R.machine_of_proc reg b) : R.net :> int)
 
-let measure ?(seed = 42L) ?(n_ops = 8) ?(connections_per_proc = 3) () =
+let n_ops = 8
+let connections_per_proc = 3
+
+let measure ?(seed = 42L) () =
   let rng = Dsim.Rng.create seed in
   let engine = Dsim.Engine.create () in
   let t = Ps.build ~topology ~engine ~rng:(Dsim.Rng.split rng) () in

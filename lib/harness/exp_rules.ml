@@ -11,7 +11,7 @@ type point = {
   embedded_object : float;
 }
 
-let default_fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
+let fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
 let measure_point (w : Fixture.two_machine) ~global_fraction ~n =
   let probes = Fixture.probes w ~global_fraction ~n in
@@ -49,7 +49,7 @@ let measure_point (w : Fixture.two_machine) ~global_fraction ~n =
     embedded_object = degree (Naming.Rule.of_object obj_asg) emb_occs;
   }
 
-let sweep ?(fractions = default_fractions) () =
+let sweep () =
   let w = Fixture.two_machine_world () in
   List.map (fun g -> measure_point w ~global_fraction:g ~n:40) fractions
 

@@ -17,7 +17,7 @@ type point = {
   embedded_object : float;  (** Fig 2b, R(object) *)
 }
 
-val sweep : ?fractions:float list -> unit -> point list
-(** Default fractions: 0, 1/4, 1/2, 3/4, 1. *)
+val sweep : unit -> point list
+(** One point per global fraction 0, 1/4, 1/2, 3/4, 1. *)
 
 val run : Format.formatter -> unit

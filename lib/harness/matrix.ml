@@ -16,17 +16,17 @@ type row = {
 }
 
 
-let generated_degree ?engine ?jobs w =
+let generated_degree ?jobs w =
   let occs = List.map Naming.Occurrence.generated w.activities in
   Naming.Coherence.degree
-    (Naming.Coherence.measure ?equiv:w.equiv ?engine ?jobs w.store w.rule occs
+    (Naming.Coherence.measure ?equiv:w.equiv ?jobs w.store w.rule occs
        w.probes)
 
-let received_degree ?engine ?jobs w =
+let received_degree ?jobs w =
   let events =
     Workload.Exchange.all_pairs ~activities:w.activities ~probes:w.probes
   in
-  Workload.Exchange.coherent_fraction ?equiv:w.equiv ?engine ?jobs w.store
+  Workload.Exchange.coherent_fraction ?equiv:w.equiv ?jobs w.store
     w.rule events
 
 (* One embedded check per (source document, embedded name), classified
@@ -42,22 +42,22 @@ let embedded_units w =
       List.map (fun name -> (occs, name)) names)
     w.embedded
 
-let embedded_degree ?engine ?jobs w =
+let embedded_degree ?jobs w =
   match w.embedded with
   | [] -> None
   | _ ->
-      Naming.Coherence.measure_units ?equiv:w.equiv ?engine ?jobs w.store
+      Naming.Coherence.measure_units ?equiv:w.equiv ?jobs w.store
         w.rule (embedded_units w)
       |> Naming.Coherence.degree |> Option.some
 
-(* Without [?engine] each degree takes the store's own engine, so a
-   directory's table is built once for the whole row. *)
-let measure ?engine ?jobs w =
+(* Each degree takes the store's own engine, so a directory's table is
+   built once for the whole row. *)
+let measure ?jobs w =
   {
     world = w.label;
-    generated = generated_degree ?engine ?jobs w;
-    received = received_degree ?engine ?jobs w;
-    embedded_deg = embedded_degree ?engine ?jobs w;
+    generated = generated_degree ?jobs w;
+    received = received_degree ?jobs w;
+    embedded_deg = embedded_degree ?jobs w;
   }
 
 (* Worlds are independent (each has its own store), so the coarser

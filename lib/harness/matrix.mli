@@ -25,21 +25,20 @@ type row = {
   embedded_deg : float option;  (** [None] when the world embeds nothing *)
 }
 
-val generated_degree : ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
+val generated_degree : ?jobs:int -> world -> float
 (** Coherence across all activities for names each generates itself.
     Each degree resolves through one {!Naming.Engine}
-    ({!Naming.Engine.select}: [?engine], then [NAMING_ENGINE], then the
-    store's own compiled engine). *)
+    ({!Naming.Engine.select}: the store's own compiled engine, unless
+    [NAMING_ENGINE] asks for the interpreter). *)
 
-val received_degree : ?engine:Naming.Engine.t -> ?jobs:int -> world -> float
+val received_degree : ?jobs:int -> world -> float
 (** Mean coherence over all ordered (sender, receiver) pairs for all
     probes sent from one to the other. *)
 
-val embedded_degree :
-  ?engine:Naming.Engine.t -> ?jobs:int -> world -> float option
+val embedded_degree : ?jobs:int -> world -> float option
 (** Coherence across all activities reading each embedded source. *)
 
-val measure : ?engine:Naming.Engine.t -> ?jobs:int -> world -> row
+val measure : ?jobs:int -> world -> row
 (** Measure all three degrees of one world. With [jobs > 1] each degree's
     sweep fans its probe/event units across the shared domain pool (store
     frozen for the duration); the row is structurally identical to the

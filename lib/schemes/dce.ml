@@ -13,16 +13,14 @@ type t = {
       (** machine → (cell, local fs) *)
 }
 
-let default_local_tree = [ "tmp/"; "opt/site.conf" ]
+let local_tree = [ "tmp/"; "opt/site.conf" ]
 
-let default_cell_tree =
+let cell_tree =
   [ "services/print"; "services/auth"; "profiles/default"; "hosts/gateway" ]
 
-let default_global_tree = [ "registry/orgs.txt" ]
+let global_tree = [ "registry/orgs.txt" ]
 
-let build ~cells ?(local_tree = default_local_tree)
-    ?(cell_tree = default_cell_tree) ?(global_tree = default_global_tree) store
-    =
+let build ~cells store =
   if cells = [] then invalid_arg "Dce.build: no cells";
   let global_fs = Vfs.Fs.create ~root_label:"gds:/" store in
   Vfs.Fs.populate global_fs global_tree;

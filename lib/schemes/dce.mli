@@ -18,18 +18,12 @@ val global_atom : string
 val cell_atom : string
 (** [".:"] *)
 
-val build :
-  cells:(string * string list) list ->
-  ?local_tree:string list ->
-  ?cell_tree:string list ->
-  ?global_tree:string list ->
-  Naming.Store.t ->
-  t
+val build : cells:(string * string list) list -> Naming.Store.t -> t
 (** [cells] lists each cell with its member machines. Every cell's tree
-    ([cell_tree], default: services and profiles) is created under
-    [/.../cells/<cell>] in the global tree; every machine gets a private
-    [local_tree] with ["..."] bound to the global root and [".:"] bound to
-    its cell's directory. *)
+    (services and profiles) is created under [/.../cells/<cell>] in the
+    global tree (which also holds a registry); every machine gets a
+    small private tree with ["..."] bound to the global root and [".:"]
+    bound to its cell's directory. *)
 
 val env : t -> Process_env.t
 val store : t -> Naming.Store.t

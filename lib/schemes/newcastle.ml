@@ -14,7 +14,7 @@ type t = {
   machines : (string * entry) list;
 }
 
-let build ~machines ?(tree = Unix_scheme.default_tree) store =
+let build ~machines store =
   if machines = [] then invalid_arg "Newcastle.build: no machines";
   let super = S.create_context_object ~label:"super-root" store in
   S.bind store ~dir:super N.self_atom super;
@@ -23,7 +23,7 @@ let build ~machines ?(tree = Unix_scheme.default_tree) store =
     List.map
       (fun m ->
         let fs = Vfs.Fs.create ~root_label:(m ^ ":/") store in
-        Vfs.Fs.populate fs tree;
+        Vfs.Fs.populate fs Unix_scheme.default_tree;
         S.bind store ~dir:super (N.atom m) (Vfs.Fs.root fs);
         (* '..' above the machine root reaches the super-root. *)
         S.bind store ~dir:(Vfs.Fs.root fs) N.parent_atom super;

@@ -17,11 +17,10 @@
 
 type t
 
-val build :
-  machines:string list -> ?tree:string list -> Naming.Store.t -> t
-(** One Unix tree per machine label ([tree] defaults to
-    {!Unix_scheme.default_tree}), joined under a fresh super-root. Each
-    machine root's [".."] is rebound to the super-root. *)
+val build : machines:string list -> Naming.Store.t -> t
+(** One {!Unix_scheme.default_tree} per machine label, joined under a
+    fresh super-root. Each machine root's [".."] is rebound to the
+    super-root. *)
 
 val join : Naming.Store.t -> (string * t) list -> t
 (** The paper: "The Newcastle Connection is a distributed system that can

@@ -69,7 +69,7 @@ let cwd_of t a = C.lookup (context t a) N.self_atom
 let activities t = List.rev t.rev_activities
 let rule t = Naming.Rule.of_activity t.asg
 
-let resolve ?engine t ~as_ name =
+let resolve t ~as_ name =
   let ctx = context t as_ in
   (* Absolute names go through the "/" binding; relative names whose head
      is bound directly in the activity's context (a per-process
@@ -80,7 +80,7 @@ let resolve ?engine t ~as_ name =
     else N.cons N.self_atom name
   in
   Naming.Engine.resolve_in
-    (Naming.Engine.select ?engine t.store)
+    (Naming.Engine.select t.store)
     (context_object t as_) name
 
-let resolve_str ?engine t ~as_ s = resolve ?engine t ~as_ (N.of_string s)
+let resolve_str t ~as_ s = resolve t ~as_ (N.of_string s)

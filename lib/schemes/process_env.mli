@@ -67,23 +67,14 @@ val rule : t -> Naming.Rule.t
 (** R(activity) over this environment's assignment — the common
     operating-system closure mechanism. *)
 
-val resolve :
-  ?engine:Naming.Engine.t ->
-  t ->
-  as_:Naming.Entity.t ->
-  Naming.Name.t ->
-  Naming.Entity.t
+val resolve : t -> as_:Naming.Entity.t -> Naming.Name.t -> Naming.Entity.t
 (** Resolves a name generated internally by [as_], under {!rule}.
     Absolute names resolve through the ["/"] binding; a relative name
     whose head is bound directly in the activity's context (a
     per-process attachment) resolves there; any other relative name is
     resolved from the working directory (the ["."] binding). The walk
-    goes through [engine] when given, else {!Naming.Engine.select}'s
-    (the store's own engine). Every engine returns the same entity. *)
+    goes through {!Naming.Engine.select}'s engine (the store's own,
+    unless [NAMING_ENGINE] asks for the interpreter). Every engine
+    returns the same entity. *)
 
-val resolve_str :
-  ?engine:Naming.Engine.t ->
-  t ->
-  as_:Naming.Entity.t ->
-  string ->
-  Naming.Entity.t
+val resolve_str : t -> as_:Naming.Entity.t -> string -> Naming.Entity.t

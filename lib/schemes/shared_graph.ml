@@ -22,16 +22,15 @@ let default_shared_tree =
     "users/alice/public/paper.tex";
   ]
 
-let build ~clients ?(attach_name = "vice") ?(local_tree = default_local_tree)
-    ?(shared_tree = default_shared_tree) store =
+let build ~clients ?(attach_name = "vice") store =
   if clients = [] then invalid_arg "Shared_graph.build: no clients";
   let shared_fs = Vfs.Fs.create ~root_label:"shared:/" store in
-  Vfs.Fs.populate shared_fs shared_tree;
+  Vfs.Fs.populate shared_fs default_shared_tree;
   let client_fss =
     List.map
       (fun c ->
         let fs = Vfs.Fs.create ~root_label:(c ^ ":/") store in
-        Vfs.Fs.populate fs local_tree;
+        Vfs.Fs.populate fs default_local_tree;
         Vfs.Fs.link fs ~dir:(Vfs.Fs.root fs) attach_name (Vfs.Fs.root shared_fs);
         (c, fs))
       clients

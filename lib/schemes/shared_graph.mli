@@ -10,16 +10,10 @@
 
 type t
 
-val build :
-  clients:string list ->
-  ?attach_name:string ->
-  ?local_tree:string list ->
-  ?shared_tree:string list ->
-  Naming.Store.t ->
-  t
-(** [attach_name] defaults to ["vice"]. [local_tree] is each client's
-    private tree (default: a small home/tmp layout); [shared_tree] the
-    shared one (default: packages and project files). *)
+val build : clients:string list -> ?attach_name:string -> Naming.Store.t -> t
+(** [attach_name] defaults to ["vice"]. Each client's private tree is
+    {!default_local_tree} (a small home/tmp layout); the shared one is
+    {!default_shared_tree} (packages and project files). *)
 
 val default_local_tree : string list
 val default_shared_tree : string list

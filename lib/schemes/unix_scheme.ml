@@ -25,11 +25,11 @@ let build ?(tree = default_tree) store =
   Vfs.Fs.populate fs tree;
   { env = Process_env.create store; fs }
 
-let build_distributed ~machines ?(tree_per_machine = default_tree) store =
+let build_distributed ~machines store =
   let fs = Vfs.Fs.create ~root_label:"/" store in
   List.iter
     (fun m ->
-      Vfs.Fs.populate fs (List.map (fun spec -> m ^ "/" ^ spec) tree_per_machine))
+      Vfs.Fs.populate fs (List.map (fun spec -> m ^ "/" ^ spec) default_tree))
     machines;
   { env = Process_env.create store; fs }
 

@@ -17,10 +17,9 @@ val build : ?tree:string list -> Naming.Store.t -> t
 (** A single-machine world. [tree] uses {!Vfs.Fs.populate} syntax; the
     default is a small conventional Unix layout. *)
 
-val build_distributed :
-  machines:string list -> ?tree_per_machine:string list -> Naming.Store.t -> t
-(** A Locus/V-style world: per-machine subtrees ["/<machine>"] combined
-    under one root shared by every process. *)
+val build_distributed : machines:string list -> Naming.Store.t -> t
+(** A Locus/V-style world: per-machine subtrees ["/<machine>"], each a
+    {!default_tree}, combined under one root shared by every process. *)
 
 val default_tree : string list
 

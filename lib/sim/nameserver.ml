@@ -17,7 +17,10 @@ let atom_is a b = Int.equal (N.atom_id a) (N.atom_id b)
 let skip_atom a =
   atom_is a N.self_atom || atom_is a N.parent_atom || atom_is a N.root_atom
 
-let spec_of_context ?(max_depth = 4) ?(max_nodes = 512) store ctx =
+let max_depth = 4
+let max_nodes = 512
+
+let spec_of_context store ctx =
   let dirs = ref [] and leaves = ref [] and links = ref [] in
   let leaf_keys : (int, string) Hashtbl.t = Hashtbl.create 32 in
   let visited : (int, unit) Hashtbl.t = Hashtbl.create 32 in

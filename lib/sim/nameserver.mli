@@ -35,18 +35,13 @@ val split_last : Naming.Name.t -> Naming.Name.t * Naming.Name.atom
 (** A path's parent directory (the root for a one-atom path) and last
     atom. @raise Invalid_argument on the empty path. *)
 
-val spec_of_context :
-  ?max_depth:int ->
-  ?max_nodes:int ->
-  Naming.Store.t ->
-  Naming.Context.t ->
-  spec
+val spec_of_context : Naming.Store.t -> Naming.Context.t -> spec
 (** Extracts a tree specification from an existing naming world by
     walking the given root context: context objects become [dirs], other
     objects become shared leaves (deduplicated by identity, so hard
     links survive). Self links ("." ".." "/") are skipped, revisited
     directories (cross-links, cycles) are pruned to keep the result a
-    tree. Defaults: [max_depth = 4], [max_nodes = 512]. *)
+    tree. The walk stops at depth 4 and after 512 nodes. *)
 
 (** {1 Consistency modes} *)
 

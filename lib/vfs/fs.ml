@@ -2,28 +2,25 @@ module N = Naming.Name
 module E = Naming.Entity
 module S = Naming.Store
 
-type t = { store : S.t; root : E.t; with_dots : bool }
+type t = { store : S.t; root : E.t }
 
 let add_dots t dir ~parent =
-  if t.with_dots then begin
-    S.bind t.store ~dir N.self_atom dir;
-    S.bind t.store ~dir N.parent_atom parent
-  end
+  S.bind t.store ~dir N.self_atom dir;
+  S.bind t.store ~dir N.parent_atom parent
 
-let create ?(with_dots = true) ?(root_label = "/") store =
+let create ?(root_label = "/") store =
   let root = S.create_context_object ~label:root_label store in
-  let t = { store; root; with_dots } in
+  let t = { store; root } in
   add_dots t root ~parent:root;
   t
 
-let of_root ?(with_dots = true) store root =
+let of_root store root =
   if not (S.is_context_object store root) then
     invalid_arg "Fs.of_root: entity is not a context object";
-  { store; root; with_dots }
+  { store; root }
 
 let store t = t.store
 let root t = t.root
-let with_dots t = t.with_dots
 
 let kind t e =
   match S.obj_state t.store e with

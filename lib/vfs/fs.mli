@@ -7,24 +7,22 @@
     trees through this module, so resolution in a scheme and resolution in
     the formal model are literally the same code path.
 
-    When created [~with_dots:true] (the default), each directory carries
-    the ordinary Unix bindings ["."] (itself) and [".."] (its parent; the
-    root is its own parent). These are regular context bindings — [".."]
-    above a machine's root is precisely the mechanism the Newcastle
-    Connection exploits. *)
+    Each directory carries the ordinary Unix bindings ["."] (itself) and
+    [".."] (its parent; the root is its own parent). These are regular
+    context bindings — [".."] above a machine's root is precisely the
+    mechanism the Newcastle Connection exploits. *)
 
 type t
 
-val create : ?with_dots:bool -> ?root_label:string -> Naming.Store.t -> t
+val create : ?root_label:string -> Naming.Store.t -> t
 (** A fresh file system with a fresh root directory. *)
 
-val of_root : ?with_dots:bool -> Naming.Store.t -> Naming.Entity.t -> t
+val of_root : Naming.Store.t -> Naming.Entity.t -> t
 (** Wraps an existing directory as a file-system root.
     @raise Invalid_argument if the entity is not a context object. *)
 
 val store : t -> Naming.Store.t
 val root : t -> Naming.Entity.t
-val with_dots : t -> bool
 
 (** {1 Creating} *)
 

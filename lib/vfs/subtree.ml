@@ -104,5 +104,5 @@ let relocate fs ~src ~name ~dst ?new_name () =
   let new_atom = match new_name with None -> atom | Some s -> N.atom s in
   S.unbind store ~dir:src atom;
   S.bind store ~dir:dst new_atom target;
-  if Fs.with_dots fs && S.is_context_object store target then
+  if S.is_context_object store target then
     S.bind store ~dir:target N.parent_atom dst

@@ -44,7 +44,7 @@ val relocate :
   unit
 (** Moves the binding [name] from directory [src] to directory [dst]
     (keeping the name unless [new_name] is given) and, when the moved
-    entity is a directory with dots, rebinds its [".."] to [dst].
+    entity is a directory, rebinds its [".."] to [dst].
     @raise Invalid_argument when [src] has no such binding or [dst] is not
     a directory. *)
 

@@ -32,8 +32,8 @@ let occurrences ev =
     Naming.Occurrence.received ~sender:ev.sender ~receiver:ev.receiver;
   ]
 
-let coherent_fraction ?equiv ?engine ?jobs store rule events =
-  Naming.Coherence.measure_units ?equiv ?engine ?jobs store rule
+let coherent_fraction ?equiv ?jobs store rule events =
+  Naming.Coherence.measure_units ?equiv ?jobs store rule
     (List.map (fun ev -> (occurrences ev, ev.name)) events)
   |> Naming.Coherence.degree
 

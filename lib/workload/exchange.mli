@@ -32,7 +32,6 @@ val occurrences : event -> Naming.Occurrence.t list
 
 val coherent_fraction :
   ?equiv:(Naming.Entity.t -> Naming.Entity.t -> bool) ->
-  ?engine:Naming.Engine.t ->
   ?jobs:int ->
   Naming.Store.t ->
   Naming.Rule.t ->
@@ -40,9 +39,9 @@ val coherent_fraction :
   float
 (** Fraction of non-vacuous events that are coherent under the rule:
     the {!Naming.Coherence.degree} of {!Naming.Coherence.measure_units}
-    over one [(occurrences ev, ev.name)] unit per event, so [?engine]
-    and [?jobs] mean what they mean there and the fraction is identical
-    at every [jobs]. *)
+    over one [(occurrences ev, ev.name)] unit per event, through the
+    store's own engine; [?jobs] means what it means there, and the
+    fraction is identical at every [jobs]. *)
 
 val run_over_network :
   engine:Dsim.Engine.t ->

@@ -95,11 +95,7 @@ let test_broken_json_golden () =
 let test_min_severity_filter () =
   let subject = Broken_world.build () in
   let config =
-    {
-      A.Engine.default_config with
-      A.Engine.min_severity = A.Diagnostic.Error;
-      fuel = Broken_world.fuel;
-    }
+    { A.Engine.min_severity = A.Diagnostic.Error; fuel = Broken_world.fuel }
   in
   let r = A.Engine.analyze ~config ~label:"broken" subject in
   check b "only errors reported" true
@@ -110,25 +106,6 @@ let test_min_severity_filter () =
     (List.length r.A.Engine.diagnostics);
   (* counters are unfiltered *)
   check i "warnings still counted" 6 r.A.Engine.warnings
-
-let test_pass_subset () =
-  let subject = Broken_world.build () in
-  let config =
-    { A.Engine.default_config with A.Engine.passes = Some [ "structure" ] }
-  in
-  let r = A.Engine.analyze ~config ~label:"broken" subject in
-  check b "only structure diagnostics" true
-    (List.for_all
-       (fun d -> String.equal d.A.Diagnostic.pass "structure")
-       r.A.Engine.diagnostics);
-  check i "five structural errors" 5 r.A.Engine.errors;
-  Alcotest.check_raises "unknown pass"
-    (Invalid_argument "Engine.analyze: unknown pass \"nosuch\"") (fun () ->
-      ignore
-        (A.Engine.analyze
-           ~config:
-             { A.Engine.default_config with A.Engine.passes = Some [ "nosuch" ] }
-           ~label:"broken" subject))
 
 (* --- the static coherence predictor --------------------------------- *)
 
@@ -319,7 +296,6 @@ let suite =
     Alcotest.test_case "broken world JSON golden" `Quick
       test_broken_json_golden;
     Alcotest.test_case "min-severity filter" `Quick test_min_severity_filter;
-    Alcotest.test_case "pass subset" `Quick test_pass_subset;
     Alcotest.test_case "predict: same context" `Quick
       test_predict_same_context;
     Alcotest.test_case "predict: convergence" `Quick test_predict_convergence;
